@@ -4,8 +4,7 @@
 Each criterion returns a human-readable detail string and raises
 AssertionError on failure.  Time limits are part of the contract and are
 checked by the callers; ``run_suite`` prints one pass/fail line per
-criterion.  Backend kernels are warmed up before timing starts so jit
-compilation is not billed to any criterion.
+criterion.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 
-from . import anderson, backend, indices, relations, zeta
+from . import anderson, indices, relations, zeta
 from .indices import Index, g_map, g_inverse
 from .laurent import Laurent
 from .scalar import (
@@ -287,7 +286,6 @@ def run_suite(quick: bool = False, out=None) -> int:
     import sys
 
     out = out or sys.stdout
-    backend.warm_up()
     failures = 0
     for name, fn, limit in CRITERIA:
         if quick and name in QUICK_SKIP:

@@ -1,19 +1,15 @@
-"""Hot integer kernels: numba @njit versions with pure-numpy fallbacks.
+"""Array arithmetic over F_q for every q: the one place that knows how F_q
+coefficient arrays are stored.
 
-Everything here works on int64 arrays holding canonical residues mod a
-prime p.  These are the inner loops that dominate runtime (polynomial
-convolution, truncated series reciprocals, Gaussian elimination, and the
-power-sum digit DP); extension fields F_{p^e} with e > 1 take the generic
-table-driven paths in scalar.py / relations.py instead.
-
-Backend selection: set FFZETA_BACKEND=numpy to force the fallback path,
-FFZETA_BACKEND=numba to require the jitted path.  Default is numba when it
-imports, numpy otherwise.  Both implementations are importable directly
-(``convolve_mod_numpy`` / ``convolve_mod_numba``) so tests and
-``benchmarks/bench_kernels.py`` can compare them.
+Arrays are int64 and hold canonical field elements 0..q-1.  For q = p^e
+the base-p digits of an element are the coefficients of its residue
+polynomial in y modulo ``Field.irreducible``, so an array splits into e
+digit planes over F_p.  A product of arrays is computed over F_p, one
+product per pair of planes, and the y-degree is then reduced modulo the
+irreducible; for e = 1 that is the prime-field product alone.  These are
+the inner loops that dominate runtime: polynomial convolution, truncated
+series reciprocals, Gaussian elimination and the power-sum digit DP.
 """
-
-import os
 
 import numpy as np
 
@@ -26,57 +22,18 @@ __all__ = [
     "power_sum_digits",
 ]
 
+ACTIVE_BACKEND = "numpy"
+
 
 # ---------------------------------------------------------------------------
-# pure-numpy implementations
+# products over F_p, and their lift to F_{p^e}
 # ---------------------------------------------------------------------------
 
-def convolve_mod_numpy(a, b, p):
-    """Full convolution of residue arrays mod p (polynomial product)."""
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=np.int64)
+def _convolve_p(a, b, p):
     return np.convolve(a, b) % p
 
 
-def series_recip_mod_numpy(c, m, p):
-    """First m digits of 1/(c[0] + c[1] x + ...) mod p; requires c[0] != 0."""
-    out = np.zeros(m, dtype=np.int64)
-    inv0 = pow(int(c[0]), p - 2, p)
-    out[0] = inv0
-    for k in range(1, m):
-        j = min(k, c.size - 1)
-        acc = int(np.dot(c[1:j + 1], out[k - 1::-1][:j])) % p
-        out[k] = (-inv0 * acc) % p
-    return out
-
-
-def rref_mod_numpy(a, p):
-    """Row-reduce a copy of ``a`` mod p; returns (R, pivot_columns, rank)."""
-    r = a.astype(np.int64, copy=True) % p
-    rows, cols = r.shape
-    piv = []
-    rank = 0
-    for col in range(cols):
-        sub = np.nonzero(r[rank:, col])[0]
-        if sub.size == 0:
-            continue
-        best = rank + int(sub[0])
-        if best != rank:
-            r[[rank, best]] = r[[best, rank]]
-        r[rank] = (r[rank] * pow(int(r[rank, col]), p - 2, p)) % p
-        hits = np.nonzero(r[:, col])[0]
-        hits = hits[hits != rank]
-        if hits.size:
-            r[hits] = (r[hits] - np.outer(r[hits, col], r[rank])) % p
-        piv.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return r, np.array(piv, dtype=np.int64), rank
-
-
-def bipoly_mul_mod_numpy(a, b, p):
-    """2-D full convolution mod p (product of bivariate polynomials)."""
+def _bipoly_mul_p(a, b, p):
     ra, ca = a.shape
     rb, cb = b.shape
     out = np.zeros((ra + rb - 1, ca + cb - 1), dtype=np.int64)
@@ -91,7 +48,92 @@ def bipoly_mul_mod_numpy(a, b, p):
     return out % p
 
 
-def power_sum_digits_numpy(d, n, q, wmax, binom, p):
+def _extension_product(product_p, a, b, fld):
+    """Product over F_{p^e} (e > 1) from the F_p products of digit planes."""
+    p, e = fld.p, fld.e
+    powers = p ** np.arange(e)
+    planes_a = a // powers.reshape((e,) + (1,) * a.ndim) % p
+    planes_b = b // powers.reshape((e,) + (1,) * b.ndim) % p
+    shape = tuple(np.add(a.shape, b.shape) - 1)
+    c = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
+    for i in range(e):
+        if planes_a[i].any():
+            for j in range(e):
+                if planes_b[j].any():
+                    c[i + j] += product_p(planes_a[i], planes_b[j], p)
+    c %= p
+    # y^k = y^(k-e) * y^e and y^e = -(f_0 + f_1 y + ... + f_{e-1} y^(e-1))
+    f = fld.irreducible
+    for k in range(2 * e - 2, e - 1, -1):
+        for i in range(e):
+            if f[i]:
+                c[k - e + i] = (c[k - e + i] - f[i] * c[k]) % p
+    return np.tensordot(powers, c[:e], axes=1)
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+def convolve_mod(a, b, fld):
+    """Full convolution of F_q coefficient arrays (polynomial product)."""
+    if a.size == 0 or b.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if fld.e > 1:
+        return _extension_product(_convolve_p, a, b, fld)
+    return _convolve_p(a, b, fld.p)
+
+
+def bipoly_mul_mod(a, b, fld):
+    """2-D full convolution over F_q (product of bivariate polynomials)."""
+    if fld.e > 1:
+        return _extension_product(_bipoly_mul_p, a, b, fld)
+    return _bipoly_mul_p(a, b, fld.p)
+
+
+def series_recip_mod(c, m, fld):
+    """First m digits of 1/(c[0] + c[1] x + ...) over F_q; requires c[0] != 0."""
+    p = fld.p
+    prime = fld.e == 1
+    out = np.zeros(m, dtype=np.int64)
+    out[0] = fld.inv(int(c[0]))
+    minus_inv0 = fld.neg(int(out[0]))
+    for k in range(1, m):
+        j = min(k, c.size - 1)
+        # plain ints at e = 1: a Field call per digit costs more than the dot
+        if prime:
+            out[k] = minus_inv0 * int(np.dot(c[1:j + 1], out[k - 1::-1][:j])) % p
+        else:
+            out[k] = fld.mul(minus_inv0, fld.dot(c[1:j + 1], out[k - 1::-1][:j]))
+    return out
+
+
+def rref_mod(a, fld):
+    """Row-reduce a copy of ``a`` over F_q; returns (R, pivot_columns, rank)."""
+    r = np.asarray(a, dtype=np.int64) % fld.q
+    rows, cols = r.shape
+    piv = []
+    rank = 0
+    for col in range(cols):
+        sub = np.nonzero(r[rank:, col])[0]
+        if sub.size == 0:
+            continue
+        best = rank + int(sub[0])
+        if best != rank:
+            r[[rank, best]] = r[[best, rank]]
+        r[rank] = fld.mul(fld.inv(int(r[rank, col])), r[rank])
+        hits = np.nonzero(r[:, col])[0]
+        hits = hits[hits != rank]
+        if hits.size:
+            r[hits] = fld.sub(r[hits], fld.mul(r[hits, col][:, None], r[rank]))
+        piv.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return r, np.array(piv, dtype=np.int64), rank
+
+
+def power_sum_digits(d, n, q, wmax, binom, p):
     """Digit DP for power sums over monic polynomials of degree d.
 
     Returns ``digits`` with digits[w] = coefficient of theta^{-(n*d+w)} in
@@ -117,184 +159,3 @@ def power_sum_digits_numpy(d, n, q, wmax, binom, p):
     if d % 2 == 1:
         digits = (-digits) % p
     return digits
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised through the dispatch below
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pow_mod(base, exp, p):
-        result = 1
-        base %= p
-        while exp > 0:
-            if exp & 1:
-                result = (result * base) % p
-            base = (base * base) % p
-            exp >>= 1
-        return result
-
-    @njit(cache=True)
-    def convolve_mod_numba(a, b, p):
-        # accumulate raw int64 and reduce once: min(len) * (p-1)^2 stays
-        # far below 2^63 for p <= 2^16 at desk scale
-        if a.size == 0 or b.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-        for i in range(a.size):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(b.size):
-                out[i + j] += ai * b[j]
-        for k in range(out.size):
-            out[k] %= p
-        return out
-
-    @njit(cache=True)
-    def series_recip_mod_numba(c, m, p):
-        out = np.zeros(m, dtype=np.int64)
-        inv0 = _pow_mod(c[0], p - 2, p)
-        out[0] = inv0
-        for k in range(1, m):
-            acc = 0
-            j_hi = min(k, c.size - 1)
-            for j in range(1, j_hi + 1):
-                acc += c[j] * out[k - j]
-            out[k] = (-inv0 * (acc % p)) % p
-        return out
-
-    @njit(cache=True)
-    def rref_mod_numba(a, p):
-        r = a % p
-        rows, cols = r.shape
-        piv = np.empty(min(rows, cols), dtype=np.int64)
-        rank = 0
-        for col in range(cols):
-            sel = -1
-            for i in range(rank, rows):
-                if r[i, col] != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            if sel != rank:
-                for j in range(cols):
-                    tmp = r[rank, j]
-                    r[rank, j] = r[sel, j]
-                    r[sel, j] = tmp
-            inv = _pow_mod(r[rank, col], p - 2, p)
-            for j in range(cols):
-                r[rank, j] = (r[rank, j] * inv) % p
-            for i in range(rows):
-                if i != rank and r[i, col] != 0:
-                    f = r[i, col]
-                    for j in range(cols):
-                        r[i, j] = (r[i, j] - f * r[rank, j]) % p
-            piv[rank] = col
-            rank += 1
-            if rank == rows:
-                break
-        return r, piv[:rank], rank
-
-    @njit(cache=True)
-    def bipoly_mul_mod_numba(a, b, p):
-        ra, ca = a.shape
-        rb, cb = b.shape
-        out = np.zeros((ra + rb - 1, ca + cb - 1), dtype=np.int64)
-        for i1 in range(ra):
-            for j1 in range(ca):
-                v = a[i1, j1]
-                if v == 0:
-                    continue
-                for i2 in range(rb):
-                    for j2 in range(cb):
-                        out[i1 + i2, j1 + j2] += v * b[i2, j2]
-        for i in range(out.shape[0]):
-            for j in range(out.shape[1]):
-                out[i, j] %= p
-        return out
-
-    @njit(cache=True)
-    def power_sum_digits_numba(d, n, q, wmax, binom, p):
-        step = q - 1
-        f = np.zeros((wmax + 1, wmax + 1), dtype=np.int64)
-        f[0, 0] = 1
-        for i in range(1, d + 1):
-            g = np.zeros((wmax + 1, wmax + 1), dtype=np.int64)
-            for s in range(wmax + 1):
-                for w in range(wmax + 1):
-                    fv = f[s, w]
-                    if fv == 0:
-                        continue
-                    m = step
-                    while s + m <= wmax and w + i * m <= wmax:
-                        g[s + m, w + i * m] = (
-                            g[s + m, w + i * m] + fv * binom[n - 1 + s + m, m]
-                        ) % p
-                        m += step
-            f = g
-        digits = np.zeros(wmax + 1, dtype=np.int64)
-        for s in range(wmax + 1):
-            sign = 1 if s % 2 == 0 else p - 1
-            for w in range(wmax + 1):
-                if f[s, w] != 0:
-                    digits[w] = (digits[w] + sign * f[s, w]) % p
-        if d % 2 == 1:
-            for w in range(wmax + 1):
-                digits[w] = (-digits[w]) % p
-        return digits
-
-else:  # pragma: no cover
-    convolve_mod_numba = None
-    series_recip_mod_numba = None
-    rref_mod_numba = None
-    bipoly_mul_mod_numba = None
-    power_sum_digits_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("FFZETA_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"FFZETA_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-if _requested == "numba" and not _HAVE_NUMBA:
-    raise RuntimeError("FFZETA_BACKEND=numba but numba is not importable")
-
-if _requested == "numpy" or not _HAVE_NUMBA:
-    ACTIVE_BACKEND = "numpy"
-    convolve_mod = convolve_mod_numpy
-    series_recip_mod = series_recip_mod_numpy
-    rref_mod = rref_mod_numpy
-    bipoly_mul_mod = bipoly_mul_mod_numpy
-    power_sum_digits = power_sum_digits_numpy
-else:
-    ACTIVE_BACKEND = "numba"
-    convolve_mod = convolve_mod_numba
-    series_recip_mod = series_recip_mod_numba
-    rref_mod = rref_mod_numba
-    bipoly_mul_mod = bipoly_mul_mod_numba
-    power_sum_digits = power_sum_digits_numba
-
-
-def warm_up():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    one = np.array([1, 1], dtype=np.int64)
-    convolve_mod(one, one, 3)
-    series_recip_mod(one, 4, 3)
-    rref_mod(np.array([[1, 2], [2, 1]], dtype=np.int64), 3)
-    bipoly_mul_mod(np.array([[1, 1]], dtype=np.int64), np.array([[1], [1]], dtype=np.int64), 3)
-    binom = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    power_sum_digits(1, 1, 3, 1, binom, 3)

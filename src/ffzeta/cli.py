@@ -56,8 +56,10 @@ def parse_ratfunc(fld: Field, text: str) -> RatFunc:
     if text.count("/") > 1:
         raise DomainError(f"malformed rational {text!r}")
     if "/" in text:
-        num, den = text.split("/")
-        return RatFunc(parse_poly(fld, num), parse_poly(fld, den))
+        num, den = (parse_poly(fld, half) for half in text.split("/"))
+        if den.is_zero:
+            raise DomainError(f"zero denominator in {text!r}")
+        return RatFunc(num, den)
     return RatFunc.from_poly(parse_poly(fld, text))
 
 

@@ -10,7 +10,8 @@ zero, and callers must branch on it explicitly.
 
 Precision is absolute (an exponent cutoff), not relative: every evaluator
 in this package has an a-priori truncation bound, so eager fixed-window
-arithmetic is enough.
+arithmetic is enough.  Digit windows are multiplied and inverted by the
+``backend`` kernels, one implementation for every q.
 """
 
 from __future__ import annotations
@@ -114,12 +115,8 @@ class Laurent:
             return cls.zero_to_prec(fld, prec)
         nrev = num.coeffs[::-1]
         drev = den.coeffs[::-1]
-        if fld.e == 1:
-            recip = backend.series_recip_mod(np.ascontiguousarray(drev), digits, fld.p)
-            window = backend.convolve_mod(nrev, recip, fld.p)[:digits]
-        else:
-            recip = _series_recip_generic(fld, drev, digits)
-            window = _convolve_generic(fld, nrev, recip)[:digits]
+        recip = backend.series_recip_mod(drev, digits, fld)
+        window = backend.convolve_mod(nrev, recip, fld)[:digits]
         return cls(fld, val, window, prec)
 
     # -- predicates ----------------------------------------------------------
@@ -207,10 +204,7 @@ class Laurent:
         prec = min(self.val + other.prec, other.val + self.prec)
         if self.coeffs.size == 0 or other.coeffs.size == 0:
             return Laurent.zero_to_prec(fld, prec) if prec != INF else Laurent.zero(fld)
-        if fld.e == 1:
-            window = backend.convolve_mod(self.coeffs, other.coeffs, fld.p)
-        else:
-            window = _convolve_generic(fld, self.coeffs, other.coeffs)
+        window = backend.convolve_mod(self.coeffs, other.coeffs, fld)
         return Laurent(fld, int(self.val) + int(other.val), window, prec)
 
     def scale(self, c: int):
@@ -258,10 +252,7 @@ class Laurent:
         window = np.zeros(digits, dtype=np.int64)
         n = min(digits, self.coeffs.size)
         window[:n] = self.coeffs[:n]
-        if fld.e == 1:
-            out = backend.series_recip_mod(window, digits, fld.p)
-        else:
-            out = _series_recip_generic(fld, window, digits)
+        out = backend.series_recip_mod(window, digits, fld)
         return Laurent(fld, -v, out, out_prec)
 
     def __pow__(self, k: int):
@@ -361,11 +352,16 @@ class Laurent:
         return f"Laurent({body})"
 
 
+def _theta_power(exponent: int) -> str:
+    """theta^{-exponent} as printed: θ^-k, 1 or θ^k."""
+    return "1" if exponent == 0 else f"θ^{-exponent}"
+
+
 def format_laurent(x: Laurent, max_terms=12) -> str:
     if x.is_exact_zero:
         return "0"
     if x.is_zero_to_precision:
-        return f"O(θ^-{int(x.prec) + 1})"
+        return f"O({_theta_power(int(x.prec) + 1)})"
     parts = []
     for i, c in enumerate(x.coeffs[:max_terms]):
         if c == 0:
@@ -375,32 +371,9 @@ def format_laurent(x: Laurent, max_terms=12) -> str:
             parts.append(str(int(c)))
         else:
             head = "" if c == 1 else f"{int(c)}*"
-            parts.append(f"{head}θ^{-e}")
+            parts.append(f"{head}{_theta_power(e)}")
     if x.coeffs.size > max_terms:
         parts.append("...")
     if x.prec != INF:
-        parts.append(f"O(θ^-{int(x.prec) + 1})")
+        parts.append(f"O({_theta_power(int(x.prec) + 1)})")
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# generic-field helpers (extension fields take these paths)
-# ---------------------------------------------------------------------------
-
-def _convolve_generic(fld, a, b):
-    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-    for i, c in enumerate(a):
-        if c:
-            out[i : i + b.size] = fld.add(out[i : i + b.size], fld.mul(int(c), b))
-    return out
-
-
-def _series_recip_generic(fld, c, m):
-    out = np.zeros(m, dtype=np.int64)
-    inv0 = fld.inv(int(c[0]))
-    out[0] = inv0
-    for k in range(1, m):
-        j = min(k, c.size - 1)
-        acc = fld.dot(c[1 : j + 1], out[k - 1 :: -1][:j])
-        out[k] = fld.mul(inv0, fld.neg(acc))
-    return out

@@ -1,9 +1,7 @@
 """Dense kernel computation over F_q.
 
-Prime fields ride the backend's row-reduction kernel; extension fields use
-the same elimination written against the field's vectorised table ops.
-Desk-scale systems (a few thousand rows/columns) need nothing faster than
-Gauss-Jordan.
+Row reduction is the backend's Gauss-Jordan elimination, one for every q;
+desk-scale systems (a few thousand rows/columns) need nothing faster.
 """
 
 from __future__ import annotations
@@ -19,32 +17,8 @@ def rref(fld: Field, a: np.ndarray):
     a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
         return a.copy(), [], 0
-    if fld.e == 1:
-        r, piv, rank = backend.rref_mod(np.ascontiguousarray(a % fld.p), fld.p)
-        return r, [int(c) for c in piv], int(rank)
-    r = a.copy()
-    rows, cols = r.shape
-    piv = []
-    rank = 0
-    for col in range(cols):
-        sel = None
-        for i in range(rank, rows):
-            if r[i, col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != rank:
-            r[[rank, sel]] = r[[sel, rank]]
-        r[rank] = fld.mul(fld.inv(int(r[rank, col])), r[rank])
-        for i in range(rows):
-            if i != rank and r[i, col] != 0:
-                r[i] = fld.sub(r[i], fld.mul(int(r[i, col]), r[rank]))
-        piv.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return r, piv, rank
+    r, piv, rank = backend.rref_mod(a, fld)
+    return r, [int(c) for c in piv], int(rank)
 
 
 def nullspace(fld: Field, a: np.ndarray) -> list[np.ndarray]:

@@ -435,16 +435,7 @@ class Poly:
         f = self.field
         if self.is_zero or other.is_zero:
             return Poly.zero(f, self.var)
-        if f.e == 1:
-            out = backend.convolve_mod(self.coeffs, other.coeffs, f.p)
-        else:
-            out = np.zeros(self.coeffs.size + other.coeffs.size - 1, dtype=np.int64)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    out[i : i + other.coeffs.size] = f.add(
-                        out[i : i + other.coeffs.size], f.mul(int(c), other.coeffs)
-                    )
-        return Poly(f, out, self.var)
+        return Poly(f, backend.convolve_mod(self.coeffs, other.coeffs, f), self.var)
 
     def scale(self, c: int):
         c = c % self.field.q if 0 <= c < self.field.q else self.field.from_int(c)
@@ -659,20 +650,7 @@ class BiPoly:
         f = self.field
         if self.is_zero or other.is_zero:
             return BiPoly.zero(f)
-        if f.e == 1:
-            out = backend.bipoly_mul_mod(self.coeffs, other.coeffs, f.p)
-        else:
-            ra, ca = self.coeffs.shape
-            rb, cb = other.coeffs.shape
-            out = np.zeros((ra + rb - 1, ca + cb - 1), dtype=np.int64)
-            for i in range(ra):
-                for j in range(ca):
-                    c = int(self.coeffs[i, j])
-                    if c:
-                        out[i : i + rb, j : j + cb] = f.add(
-                            out[i : i + rb, j : j + cb], f.mul(c, other.coeffs)
-                        )
-        return BiPoly(f, out)
+        return BiPoly(f, backend.bipoly_mul_mod(self.coeffs, other.coeffs, f))
 
     def __pow__(self, k: int):
         if k < 0:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ffzeta import cli
+from ffzeta.errors import DomainError
 from ffzeta.scalar import Poly, RatFunc, field
 
 
@@ -44,6 +45,18 @@ def test_parse_ratfunc():
     r = cli.parse_ratfunc(fld, "theta/theta^2+1")
     assert r == RatFunc(Poly(fld, [0, 1]), Poly(fld, [1, 0, 1]))
     assert cli.parse_ratfunc(fld, "1") == RatFunc.one(fld)
+
+
+def test_zero_denominator_is_a_domain_error(capsys):
+    with pytest.raises(DomainError):
+        cli.parse_ratfunc(field(2), "1/0")
+    rc = cli.main(["cmpl", "--q", "2", "--index", "2", "--points", "1/0", "--prec", "10"])
+    assert rc == 2
+    rc = cli.main([
+        "relations", "hunt", "--q", "3", "--labels", "zeta(1),logc(1/0)",
+        "--deg-bound", "0", "--prec", "40",
+    ])
+    assert rc == 2
 
 
 # -- subcommands ------------------------------------------------------------------

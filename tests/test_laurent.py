@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ffzeta.errors import DomainError
-from ffzeta.laurent import Laurent
+from ffzeta.laurent import Laurent, format_laurent
 from ffzeta.scalar import Poly, RatFunc, bracket_L, field
 
 rng = random.Random(23)
@@ -183,3 +183,12 @@ def test_arithmetic_never_reports_digits_beyond_precision():
     s = a + b
     assert s.prec == 6
     assert s.val + s.coeffs.size - 1 <= 6
+
+
+def test_format_renders_the_o_term_like_the_digits():
+    fld = field(3)
+    assert format_laurent(Laurent.zero_to_prec(fld, 4)) == "O(θ^-5)"
+    assert format_laurent(Laurent.zero_to_prec(fld, -1)) == "O(1)"
+    assert format_laurent(Laurent.zero_to_prec(fld, -5)) == "O(θ^4)"
+    x = Laurent(fld, -3, [1, 0, 0, 2, 1], 1)
+    assert format_laurent(x) == "θ^3 + 2 + θ^-1 + O(θ^-2)"
