@@ -134,28 +134,37 @@ def rref_mod(a, fld):
 
 
 def power_sum_digits(d, n, q, wmax, binom, p):
-    """Digit DP for power sums over monic polynomials of degree d.
+    """Digit DP for power sums over monic polynomials, every degree 1..d in
+    one pass.
 
-    Returns ``digits`` with digits[w] = coefficient of theta^{-(n*d+w)} in
-    S_d(n), for 0 <= w <= wmax.  ``binom`` is a Pascal table mod p that is
-    large enough to index binom[n-1+s, m] for s + m <= wmax.
+    Returns a list whose entry k-1 holds the digits of S_k(n): entry w is
+    the coefficient of theta^{-(n*k+w)}, for 0 <= w <= wmax - n*(k-1).  So
+    ``wmax`` is the window of degree 1, and each further degree sees n
+    fewer digits.  ``binom`` is a Pascal table mod p that is large enough
+    to index binom[n-1+s, m] for s + m <= wmax.
+
+    State f[s, w] after layer i is shared by every degree >= i.  Layer i
+    runs on the window of degree i; cutting f to it first is exact,
+    because entries only flow to larger (s, w).
     """
     step = q - 1
     f = np.zeros((wmax + 1, wmax + 1), dtype=np.int64)  # f[s, w]
     f[0, 0] = 1
+    out = []
     for i in range(1, d + 1):
+        win = wmax - n * (i - 1)
+        f = f[: win + 1, : win + 1]
         g = np.zeros_like(f)
         m = step
-        while i * m <= wmax:
-            smax = wmax - m
+        while i * m <= win:
+            smax = win - m
             coef = binom[n - 1 + m : n - 1 + m + smax + 1, m]  # over s' = s+m
             g[m : m + smax + 1, i * m :] += (
-                f[: smax + 1, : wmax + 1 - i * m] * coef[:, None]
+                f[: smax + 1, : win + 1 - i * m] * coef[:, None]
             )
             m += step
         f = g % p
-    signs = np.where(np.arange(wmax + 1) % 2 == 0, 1, p - 1)
-    digits = (signs[:, None] * f).sum(axis=0) % p
-    if d % 2 == 1:
-        digits = (-digits) % p
-    return digits
+        # column sum signed by (-1)^(s+i), without an f-sized temporary
+        signed = f[0::2].sum(axis=0) - f[1::2].sum(axis=0)
+        out.append((-signed if i % 2 else signed) % p)
+    return out

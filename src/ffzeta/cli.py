@@ -451,6 +451,13 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        prec = getattr(args, "prec", None)
+        if prec is None:
+            print("error: out of memory", file=sys.stderr)
+        else:
+            print(f"error: out of memory at --prec {prec}; lower --prec", file=sys.stderr)
+        return 3
     except FFZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,12 +49,15 @@ class Laurent:
             prec = int(prec)
             if arr.size and val + arr.size - 1 > prec:
                 arr = arr[: max(0, prec - val + 1)]
-        lead = 0
-        while lead < arr.size and arr[lead] == 0:
-            lead += 1
-        tail = arr.size
-        while tail > lead and arr[tail - 1] == 0:
-            tail -= 1
+        # the O(1) end checks come first: most windows need no trimming,
+        # and a full scan on every short window costs more than it saves
+        lead, tail = 0, arr.size
+        if tail and arr[0] == 0:
+            lead = int(np.argmax(arr != 0))
+            if arr[lead] == 0:
+                lead = tail
+        if tail > lead and arr[tail - 1] == 0:
+            tail -= int(np.argmax(arr[::-1] != 0))
         arr = arr[lead:tail].copy()
         if arr.size:
             val = val + lead

@@ -14,6 +14,13 @@ digits and proves the valuation bound
 
 That quadratic growth is what lets multizeta sums truncate after O(sqrt(N))
 degree layers.
+
+The DP state after layer i is the same for every degree d >= i, so one
+pass per (q, n) yields the digits of S_d(n) for every degree whose bound
+is <= prec.  The memo keeps the digits of the highest prec seen for each
+(q, n) and slices them for lower ones.  A lone first call for one degree
+therefore pays for the whole pass; ``mzv`` and ``amzv`` walk every degree
+anyway.
 """
 
 from __future__ import annotations
@@ -88,16 +95,24 @@ def _binom_table(rows: int, p: int) -> np.ndarray:
     return table
 
 
-def _power_sum_digits(fld: Field, d: int, n: int, wmax: int) -> np.ndarray:
-    """Digits of theta^{n*d} * S_d(n) for 1/theta exponents 0..wmax."""
-    key = (fld.q, d, n)
+def _power_sum_digits(fld: Field, d: int, n: int, prec: int) -> np.ndarray:
+    """Digits of theta^{n*d} * S_d(n) for 1/theta exponents 0..prec-n*d.
+
+    One DP pass per (q, n) yields every degree whose valuation bound is
+    <= prec.  The memo keeps the digits of the highest prec seen; a lower
+    prec slices them, a higher one reruns the pass and replaces the entry
+    whole (never mutated, so readers on other threads see either one).
+    """
+    key = (fld.q, n)
     hit = _PS_SERIES_MEMO.get(key)
-    if hit is not None and hit.size >= wmax + 1:
-        return hit[: wmax + 1]
-    binom = _binom_table(n + wmax + 1, fld.p)
-    digits = backend.power_sum_digits(d, n, fld.q, wmax, binom, fld.p)
-    _PS_SERIES_MEMO[key] = digits
-    return digits
+    if hit is None or hit[0] < prec:
+        d_max = d
+        while power_sum_val_bound(fld.q, d_max + 1, n) <= prec:
+            d_max += 1
+        binom = _binom_table(prec + 1, fld.p)
+        hit = (prec, backend.power_sum_digits(d_max, n, fld.q, prec - n, binom, fld.p))
+        _PS_SERIES_MEMO[key] = hit
+    return hit[1][d - 1][: prec - n * d + 1]
 
 
 def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
@@ -112,10 +127,8 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
         return Laurent.one(fld)
     if power_sum_val_bound(fld.q, d, n) > prec:
         return Laurent.zero_to_prec(fld, prec)
-    val = n * d
-    wmax = int(prec) - val
-    digits = _power_sum_digits(fld, d, n, wmax)
-    return Laurent(fld, val, digits, prec)
+    digits = _power_sum_digits(fld, d, n, int(prec))
+    return Laurent(fld, n * d, digits, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ffzeta import backend, linalg
+from ffzeta import backend, linalg, zeta
 from ffzeta.scalar import field
 
 QS = [2, 3, 4, 5, 8, 9]
@@ -83,3 +83,42 @@ def test_rref_and_nullspace(q):
         assert len(basis) == cols - rank
         for vec in basis:
             assert all(fld.dot(row, vec) == 0 for row in a)
+
+
+def _power_sum_digits_one_degree(d, n, q, wmax, binom, p):
+    """Reference: the digit DP run from layer 1 for one degree d alone."""
+    step = q - 1
+    f = np.zeros((wmax + 1, wmax + 1), dtype=np.int64)  # f[s, w]
+    f[0, 0] = 1
+    for i in range(1, d + 1):
+        g = np.zeros_like(f)
+        m = step
+        while i * m <= wmax:
+            smax = wmax - m
+            coef = binom[n - 1 + m : n - 1 + m + smax + 1, m]
+            g[m : m + smax + 1, i * m :] += (
+                f[: smax + 1, : wmax + 1 - i * m] * coef[:, None]
+            )
+            m += step
+        f = g % p
+    signs = np.where(np.arange(wmax + 1) % 2 == 0, 1, p - 1)
+    digits = (signs[:, None] * f).sum(axis=0) % p
+    if d % 2 == 1:
+        digits = (-digits) % p
+    return digits
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_power_sum_pass_matches_per_degree_dp(q):
+    fld = field(q)
+    for n in (1, 2, 3, 7):
+        for prec in (40, 150):
+            d_max = 0
+            while zeta.power_sum_val_bound(q, d_max + 1, n) <= prec:
+                d_max += 1
+            binom = zeta._binom_table(prec + 1, fld.p)
+            got = backend.power_sum_digits(d_max, n, q, prec - n, binom, fld.p)
+            assert len(got) == d_max
+            for d in range(1, d_max + 1):
+                want = _power_sum_digits_one_degree(d, n, q, prec - n * d, binom, fld.p)
+                assert np.array_equal(got[d - 1], want), (q, n, prec, d)

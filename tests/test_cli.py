@@ -185,3 +185,17 @@ def test_value_expressions(capsys):
     assert v.val == -3
     v = cli.eval_value_expr(fld, "gnzeta(2,1)", 30)
     assert not v.is_zero_to_precision
+
+
+def test_memory_error_exit_code_names_prec(capsys, monkeypatch):
+    from ffzeta import zeta as zmod
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(zmod, "mzv", out_of_memory)
+    rc = cli.main(["zeta", "--q", "3", "--index", "1", "--prec", "100000000"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "--prec 100000000" in err[0]

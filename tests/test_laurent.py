@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ffzeta.errors import DomainError
-from ffzeta.laurent import Laurent, format_laurent
+from ffzeta.laurent import INF, Laurent, format_laurent
 from ffzeta.scalar import Poly, RatFunc, bracket_L, field
 
 rng = random.Random(23)
@@ -136,6 +136,24 @@ def test_qth_power_frobenius():
         for _ in range(5):
             prod = prod * x
         assert x.qth_power(1).agrees_with(prod)
+
+
+@pytest.mark.parametrize("val, coeffs, prec, want_val, want_prec, want_coeffs", [
+    (3, [0, 0, 0], 10, 11, 10, []),             # all zero, finite prec
+    (3, [0, 0, 0], INF, INF, INF, []),          # all zero, exact
+    (-2, [0, 0, 1, 2], 9, 0, 9, [1, 2]),        # leading zeros only
+    (-2, [1, 2, 0, 0], 9, -2, 9, [1, 2]),       # trailing zeros only
+    (0, [0, 1, 0, 2, 0, 0], INF, 1, INF, [1, 0, 2]),
+    (5, [1, 2, 3], 4, 5, 4, []),                # prec cut empties the window
+    (5, [0, 0, 7, 1], 7, 7, 7, [7]),            # prec cut leaves one digit
+    (4, [2], 6, 4, 6, [2]),                     # a single nonzero digit
+    (4, [0, 0, 0, 2, 0], INF, 7, INF, [2]),
+])
+def test_init_trims_the_window(val, coeffs, prec, want_val, want_prec, want_coeffs):
+    x = Laurent(field(11), val, coeffs, prec)
+    assert x.val == want_val and x.prec == want_prec
+    assert list(x.coeffs) == want_coeffs
+    assert not x.coeffs.flags.writeable
 
 
 def test_zero_to_precision_is_distinct_from_exact_zero():

@@ -79,6 +79,37 @@ def test_series_far_beyond_enumeration_budget():
     assert s.is_zero_to_precision and s.prec == 500
 
 
+def test_series_memo_order_does_not_change_digits():
+    # the memo keeps the highest prec seen and slices it for lower ones
+    fld = field(3)
+
+    def fresh(d, n, prec):
+        saved = dict(zeta._PS_SERIES_MEMO)
+        zeta._PS_SERIES_MEMO.clear()
+        try:
+            return zeta.power_sum_series(fld, d, n, prec)
+        finally:
+            zeta._PS_SERIES_MEMO.clear()
+            zeta._PS_SERIES_MEMO.update(saved)
+
+    def check(prec):
+        for n in (1, 2):
+            for d in range(1, 7):
+                got = zeta.power_sum_series(fld, d, n, prec)
+                assert got == fresh(d, n, prec), (prec, n, d)
+
+    zeta._PS_SERIES_MEMO.clear()
+    for prec in (150, 60, 300):
+        check(prec)
+    zeta._PS_SERIES_MEMO.clear()
+    check(60)
+    low = zeta.mzv(fld, (2, 1), 60)
+    high = zeta.mzv(fld, (2, 1), 150)
+    assert low.prec == 60 and high.prec == 150
+    assert high.agrees_with(low, through=60)
+    assert high.truncate(60) == low
+
+
 # -- multizeta -------------------------------------------------------------------
 
 def test_mzv_depth1_example_q2():
