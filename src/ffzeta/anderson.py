@@ -39,7 +39,8 @@ from .scalar import (
     frobenius_twist,
     inverse_twist,
 )
-from .zeta import _l_power_inverse, convergence_check, infty_norm_degree, _validate_signs
+from .zeta import (_finite_prec, _l_power_inverse, _validate_signs, convergence_check,
+                   infty_norm_degree)
 from . import cache, linalg
 
 AT_BUDGET = 400
@@ -243,84 +244,66 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
 # Anderson-Thakur polynomials
 # ---------------------------------------------------------------------------
 
-class _TFrac:
-    """num/den with num in F_q[theta][t] and den in F_q[t]; reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BiPoly, den: Poly, reduce=True):
-        if reduce and not num.is_zero and den.degree > 0:
-            content = den
-            for col in range(num.coeffs.shape[1]):
-                column = Poly(num.field, num.coeffs[:, col], TVAR)
-                if not column.is_zero:
-                    content = content.gcd(column)
-                if content.degree <= 0:
-                    break
-            if content.degree > 0:
-                num = num.exact_div_t(content)
-                den = den.exact_div(content)
-        lead = den.leading()
-        if lead != 1:
-            inv = den.field.inv(lead)
-            den = den.scale(inv)
-            num = num.scale(inv)
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        g = self.den.gcd(other.den)
-        da = self.den.exact_div(g) if g.degree > 0 else self.den
-        db = other.den.exact_div(g) if g.degree > 0 else other.den
-        num = self.num * db + other.num * da
-        return _TFrac(num, da * other.den)
-
-    def mul_frac(self, num: BiPoly, den: Poly):
-        return _TFrac(self.num * num, self.den * den)
-
-
-_AT_COEFF_MEMO: dict = {}
 _AT_MEMO: dict = {}
+_AT_TOWER: dict = {}
 
 
-def _at_coeffs(fld: Field, n: int):
-    """Coefficients c_0..c_n of the inverted generating series, as _TFracs."""
-    key = fld.q
-    coeffs = _AT_COEFF_MEMO.setdefault(key, [])
-    if len(coeffs) > n:
-        return coeffs
+def _at_tower(fld: Field, n: int) -> tuple:
+    """(H_0, ..., H_m) for some m >= n, by the recursion
+
+        H_m = sum_{q^i <= m} F_i * B_{m,i}(t) * H_{m-q^i}
+
+    with F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}) and the Carlitz binomial
+    B_{m,i} = Gamma_{m+1} / (Gamma_{m+1-q^i} D_i) at theta = t: the series
+    recursion for H_m / Gamma_{m+1}, cleared of denominators.  A longer
+    tower is built as a copy and replaces the memo entry whole, so callers
+    on other threads see the old tuple or the new one."""
     q = fld.q
-    # g_{q^i} = F_i / D_i|_{theta=t}
-    gens = {}
-    i = 0
-    while q ** i <= n:
+    tower = _AT_TOWER.get(q, ())
+    if len(tower) > n:
+        return tower
+    fs = []
+    while q ** len(fs) <= n:
+        i = len(fs)
         fi = BiPoly.one(fld)
         for j in range(1, i + 1):
-            term = BiPoly.from_poly(Poly.monomial(fld, 1, q ** i, TVAR)) - BiPoly.from_poly(
-                Poly.monomial(fld, 1, q ** j)
-            )
-            fi = fi * term
-        gens[q ** i] = (fi, bracket_D(fld, i).with_var(TVAR))
-        i += 1
-    if not coeffs:
-        coeffs.append(_TFrac(BiPoly.one(fld), Poly.one(fld, TVAR), reduce=False))
-    for m in range(len(coeffs), n + 1):
-        acc = None
-        for step, (fnum, fden) in gens.items():
-            if step <= m:
-                term = coeffs[m - step].mul_frac(fnum, fden)
-                acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return coeffs
+            fi = fi * (BiPoly.from_poly(Poly.monomial(fld, 1, q ** i, TVAR))
+                       - BiPoly.from_poly(Poly.monomial(fld, 1, q ** j)))
+        fs.append(fi)
+    tower = list(tower) or [BiPoly.one(fld)]
+    for m in range(len(tower), n + 1):
+        gamma = carlitz_gamma(fld, m + 1)
+        acc = BiPoly.zero(fld)
+        for i, fi in enumerate(fs):
+            step = q ** i
+            if step > m:
+                break
+            term = tower[m - step]
+            # with digit i of m nonzero, m - q^i only lowers that digit and
+            # B_{m,i} = 1; otherwise the subtraction borrows
+            if (m // step) % q == 0:
+                try:
+                    binom = gamma.exact_div(carlitz_gamma(fld, m + 1 - step) * bracket_D(fld, i))
+                except DomainError as exc:
+                    raise FFZetaError(
+                        f"internal: B_({m},{i}) is not a polynomial (q={q})"
+                    ) from exc
+                term = term * binom.with_var(TVAR)
+            acc = acc + (fi * term if i else term)
+        tower.append(acc)
+    tower = tuple(tower)
+    _AT_TOWER[q] = tower
+    return tower
 
 
 def at_polynomial(fld: Field, n: int) -> BiPoly:
     """The Anderson-Thakur polynomial H_n in F_q[theta][t].
 
-    Obtained by inverting the generating series
-    1 - sum_i (F_i / D_i|_{theta=t}) x^{q^i} to order x^n and scaling the
-    x^n coefficient by Gamma_{n+1}|_{theta=t}; the denominator must clear
-    exactly (anything else indicates an arithmetic bug)."""
+    H_n is the x^n coefficient of the generating series
+    1 / (1 - sum_i (F_i / D_i|_{theta=t}) x^{q^i}), scaled by
+    Gamma_{n+1}|_{theta=t}.  It is computed by the polynomial recursion of
+    ``_at_tower``, which yields H_0..H_n together and keeps them for later
+    calls; the persistent cache, when active, holds each H_n on its own."""
     if n < 0:
         raise InvalidIndexError("at_polynomial wants n >= 0")
     if n > AT_BUDGET:
@@ -336,15 +319,7 @@ def at_polynomial(fld: Field, n: int) -> BiPoly:
             result = cache.bipoly_from_json(fld, payload)
             _AT_MEMO[key] = result
             return result
-    frac = _at_coeffs(fld, n)[n]
-    gamma_t = carlitz_gamma(fld, n + 1).with_var(TVAR)
-    num = frac.num * gamma_t
-    try:
-        result = num.exact_div_t(frac.den)
-    except DomainError as exc:
-        raise FFZetaError(
-            f"internal: H_{n} failed to clear its denominator (q={fld.q})"
-        ) from exc
+    result = _at_tower(fld, n)[n]
     _AT_MEMO[key] = result
     if store is not None:
         store.put("at_poly", key, cache.bipoly_to_json(result))
@@ -411,7 +386,7 @@ def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -
     cancel analytically against the normalisation).
     """
     s = coerce_index(s)
-    prec = int(prec)
+    prec = _finite_prec(prec)
     if point_power not in (0, 1):
         raise DomainError("point_power must be 0 or 1")
     if point_power and eps is not None:

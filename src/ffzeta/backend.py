@@ -34,18 +34,26 @@ def _convolve_p(a, b, p):
 
 
 def _bipoly_mul_p(a, b, p):
+    """2-D product over F_p by Kronecker substitution in theta: with the
+    t-rows of b padded to the product's theta-width w and laid end to end,
+    one convolution per nonzero t-row of a gives that row's contribution.
+    Each costs about ca*rb*w, so the operand that makes the sum smaller
+    becomes a (a sparse F_i times a dense H_m, say)."""
+    rows_a = np.flatnonzero(a.any(axis=1))
+    rows_b = np.flatnonzero(b.any(axis=1))
+    if rows_b.size * b.shape[1] * a.shape[0] < rows_a.size * a.shape[1] * b.shape[0]:
+        a, b, rows_a = b, a, rows_b
     ra, ca = a.shape
     rb, cb = b.shape
-    out = np.zeros((ra + rb - 1, ca + cb - 1), dtype=np.int64)
-    for i in range(ra):
-        row = a[i]
-        if not row.any():
-            continue
-        for j in range(rb):
-            if b[j].any():
-                out[i + j, : ca + cb - 1] += np.convolve(row, b[j])
-        out[i : i + rb, :] %= p
-    return out % p
+    w = ca + cb - 1
+    flat_b = np.pad(b, ((0, 0), (0, ca - 1))).ravel()
+    # a convolution runs ca - 1 (zero) entries past its rows: one spare row
+    out = np.zeros((ra + rb) * w, dtype=np.int64)
+    # an entry sums <= ra*ca products < 2^32 (p <= 2^16, Field's limit), so
+    # int64 holds it while a has < 2^31 entries: one final reduction suffices
+    for i in rows_a:
+        out[i * w : i * w + flat_b.size + ca - 1] += np.convolve(a[i], flat_b)
+    return out[: (ra + rb - 1) * w].reshape(ra + rb - 1, w) % p
 
 
 def _extension_product(product_p, a, b, fld):

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import backend, cache
-from .errors import BudgetError, ConvergenceError, InvalidIndexError
+from .errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from .indices import Index, coerce_index
 from .laurent import INF, Laurent
 from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, enumerate_monic
@@ -40,6 +40,15 @@ DEFAULT_BUDGET = 10 ** 6
 _PS_EXACT_MEMO: dict = {}
 _PS_SERIES_MEMO: dict = {}
 _L_INV_MEMO: dict = {}
+
+
+def _finite_prec(prec) -> int:
+    """prec as an int; a truncated series has no infinite precision."""
+    try:
+        return int(prec)
+    except (OverflowError, ValueError):
+        raise DomainError(f"prec must be finite, got {prec!r}; "
+                          "power_sum_exact gives exact values") from None
 
 
 def power_sum_val_bound(q: int, d: int, n: int) -> int:
@@ -127,7 +136,7 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
         return Laurent.one(fld)
     if power_sum_val_bound(fld.q, d, n) > prec:
         return Laurent.zero_to_prec(fld, prec)
-    digits = _power_sum_digits(fld, d, n, int(prec))
+    digits = _power_sum_digits(fld, d, n, _finite_prec(prec))
     return Laurent(fld, n * d, digits, prec)
 
 
@@ -185,7 +194,7 @@ def mzv(fld: Field, s, prec) -> Laurent:
     evaluated layer by layer through power sums; every omitted term has
     valuation > prec."""
     s = coerce_index(s)
-    return _sum_over_degree_tuples(fld, s, int(prec), lambda degs, term: term)
+    return _sum_over_degree_tuples(fld, s, _finite_prec(prec), lambda degs, term: term)
 
 
 def amzv(fld: Field, s, eps, prec) -> Laurent:
@@ -200,7 +209,7 @@ def amzv(fld: Field, s, eps, prec) -> Laurent:
             c = fld.mul(c, fld.pow(e, d))
         return term.scale(c)
 
-    return _sum_over_degree_tuples(fld, s, int(prec), weight)
+    return _sum_over_degree_tuples(fld, s, _finite_prec(prec), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +272,7 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
     """Li_s(u_1, ..., u_r) over decreasing Frobenius heights i_1 > ... > i_r,
     with each slot contributing u_j^{q^{i_j}} / L_{i_j}^{s_j}."""
     s = coerce_index(s)
-    prec = int(prec)
+    prec = _finite_prec(prec)
     us = [_as_ratfunc(fld, u) for u in points]
     if len(us) != s.depth:
         raise InvalidIndexError("one point per index entry required")
@@ -336,7 +345,7 @@ def carlitz_period_power(fld: Field, m: int, prec) -> Laurent:
     if m <= 0:
         raise InvalidIndexError("carlitz_period_power wants m >= 1")
     q = fld.q
-    prec = int(prec)
+    prec = _finite_prec(prec)
     work = prec + q * m
     unit = Laurent.one(fld)
     i = 1

@@ -1,6 +1,9 @@
 """Omega, Anderson-Thakur polynomials, deformation series, block systems,
 vanishing orders, and the Carlitz tensor-power module."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from ffzeta import anderson, zeta
@@ -13,6 +16,7 @@ from ffzeta.scalar import (
     Poly,
     RatFunc,
     TVAR,
+    bracket_D,
     bracket_L,
     carlitz_gamma,
     field,
@@ -95,6 +99,90 @@ def test_at_polynomial_closed_forms():
 def test_at_polynomial_budget():
     with pytest.raises(BudgetError):
         anderson.at_polynomial(field(2), 401)
+
+
+class _TFrac:
+    """num/den with num in F_q[theta][t] and den in F_q[t]; reduced."""
+
+    def __init__(self, num, den, reduce=True):
+        if reduce and not num.is_zero and den.degree > 0:
+            content = den
+            for col in range(num.coeffs.shape[1]):
+                column = Poly(num.field, num.coeffs[:, col], TVAR)
+                if not column.is_zero:
+                    content = content.gcd(column)
+                if content.degree <= 0:
+                    break
+            if content.degree > 0:
+                num = num.exact_div_t(content)
+                den = den.exact_div(content)
+        lead = den.leading()
+        if lead != 1:
+            inv = den.field.inv(lead)
+            den = den.scale(inv)
+            num = num.scale(inv)
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        g = self.den.gcd(other.den)
+        da = self.den.exact_div(g) if g.degree > 0 else self.den
+        db = other.den.exact_div(g) if g.degree > 0 else other.den
+        return _TFrac(self.num * db + other.num * da, da * other.den)
+
+    def mul_frac(self, num, den):
+        return _TFrac(self.num * num, self.den * den)
+
+
+def _at_polynomials_by_fractions(fld, n):
+    """Reference: H_0..H_n by inverting the generating series over F_q(t),
+    with t-gcd reduction of every coefficient, then clearing Gamma_{m+1}."""
+    q = fld.q
+    gens = []
+    while q ** len(gens) <= n:
+        i = len(gens)
+        fi = BiPoly.one(fld)
+        for j in range(1, i + 1):
+            fi = fi * (BiPoly.from_poly(Poly.monomial(fld, 1, q ** i, TVAR))
+                       - BiPoly.from_poly(Poly.monomial(fld, 1, q ** j)))
+        gens.append((q ** i, fi, bracket_D(fld, i).with_var(TVAR)))
+    coeffs = [_TFrac(BiPoly.one(fld), Poly.one(fld, TVAR), reduce=False)]
+    for m in range(1, n + 1):
+        terms = [coeffs[m - step].mul_frac(fnum, fden) for step, fnum, fden in gens if step <= m]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        coeffs.append(acc)
+    return [(c.num * carlitz_gamma(fld, m + 1).with_var(TVAR)).exact_div_t(c.den)
+            for m, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 22), (3, 30), (4, 24), (5, 40), (8, 20), (9, 20)])
+def test_at_recursion_matches_fraction_route(q, n, monkeypatch):
+    monkeypatch.setattr(anderson, "_AT_MEMO", {})
+    monkeypatch.setattr(anderson, "_AT_TOWER", {})
+    fld = field(q)
+    got = [anderson.at_polynomial(fld, m) for m in range(n + 1)]
+    assert got == _at_polynomials_by_fractions(fld, n)
+
+
+def test_at_polynomial_thread_safety(monkeypatch):
+    fld = field(3)
+    ns = [30, 27, 24, 29, 30, 28, 26, 25]
+    monkeypatch.setattr(anderson, "_AT_MEMO", {})
+    monkeypatch.setattr(anderson, "_AT_TOWER", {})
+    want = {n: anderson.at_polynomial(fld, n) for n in ns}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            anderson._AT_MEMO.clear()
+            anderson._AT_TOWER.clear()
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda n: anderson.at_polynomial(fld, n), ns, timeout=60))
+            assert got == [want[n] for n in ns]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- deformation values ---------------------------------------------------------------

@@ -38,12 +38,26 @@ def test_convolve_matches_schoolbook(q):
     assert backend.convolve_mod(np.zeros(0, dtype=np.int64), a, fld).size == 0
 
 
+def _bipoly_operands(q):
+    """Random small grids, then (1,1) x wide, narrow x wide, single columns
+    and grids with zero interior t-rows, each pair in both orders."""
+    pairs = [(_rand(q, (rng.randrange(1, 5), rng.randrange(1, 7))),
+              _rand(q, (rng.randrange(1, 4), rng.randrange(1, 6)))) for _ in range(5)]
+    for sa, sb, hollow in [((1, 1), (3, 12), False), ((6, 2), (3, 12), False),
+                           ((4, 1), (3, 1), False), ((5, 1), (2, 6), False),
+                           ((1, 9), (7, 1), False), ((9, 8), (6, 3), True),
+                           ((4, 2), (7, 5), True)]:
+        a, b = _rand(q, sa), _rand(q, sb)
+        if hollow:
+            a[1:-1] = 0
+        pairs += [(a, b), (b, a)]
+    return pairs
+
+
 @pytest.mark.parametrize("q", QS)
 def test_bipoly_mul_matches_schoolbook(q):
     fld = field(q)
-    for _ in range(5):
-        a = _rand(q, (rng.randrange(1, 5), rng.randrange(1, 7)))
-        b = _rand(q, (rng.randrange(1, 4), rng.randrange(1, 6)))
+    for a, b in _bipoly_operands(q):
         assert np.array_equal(backend.bipoly_mul_mod(a, b, fld), _schoolbook(fld, a, b))
 
 

@@ -27,13 +27,20 @@ def test_power_sum_roundtrip(store):
     assert first == second
 
 
-def test_at_poly_roundtrip(store):
+def test_at_poly_roundtrip(store, monkeypatch):
     fld = field(3)
-    anderson._AT_MEMO.clear()
+    monkeypatch.setattr(anderson, "_AT_MEMO", {})
+    monkeypatch.setattr(anderson, "_AT_TOWER", {})
     first = anderson.at_polynomial(fld, 5)
     assert store.get("at_poly", (3, 5)) is not None
     anderson._AT_MEMO.clear()
-    second = anderson.at_polynomial(fld, 5)
+    anderson._AT_TOWER.clear()
+
+    def no_recursion(*args):
+        raise AssertionError("H_5 recomputed instead of read from disk")
+
+    monkeypatch.setattr(anderson, "_at_tower", no_recursion)
+    second = anderson.at_polynomial(fld, 5)  # from disk now
     assert first == second
 
 

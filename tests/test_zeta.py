@@ -1,12 +1,13 @@
 """Power sums, multizeta, alternating multizeta, CMPLs, the period."""
 
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ffzeta import zeta
-from ffzeta.errors import BudgetError, ConvergenceError, InvalidIndexError
+from ffzeta import anderson, zeta
+from ffzeta.errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from ffzeta.laurent import Laurent
 from ffzeta.scalar import Poly, RatFunc, bracket_L, field
 
@@ -282,3 +283,19 @@ def test_period_truncation_soundness():
     a = zeta.carlitz_period_power(fld, 1, 30)
     b = zeta.carlitz_period_power(fld, 1, 90)
     assert a.agrees_with(b, through=30)
+
+
+# -- precision argument -----------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda fld, prec: zeta.power_sum_series(fld, 1, 1, prec),
+    lambda fld, prec: zeta.mzv(fld, (2, 1), prec),
+    lambda fld, prec: zeta.amzv(fld, (2, 1), (1, 2), prec),
+    lambda fld, prec: zeta.cmpl(fld, (1,), [1], prec),
+    lambda fld, prec: zeta.carlitz_period_power(fld, 1, prec),
+    lambda fld, prec: anderson.deformation_value(fld, (1,), [1], prec),
+], ids=["power_sum_series", "mzv", "amzv", "cmpl", "carlitz_period_power",
+        "deformation_value"])
+def test_infinite_prec_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="power_sum_exact"):
+        call(field(3), math.inf)
