@@ -9,7 +9,10 @@ psi = Phi^(1) psi^(1), because the forward twist keeps grades integral.
 
 The evaluator uses the derived evaluations Omega^(l)(theta) = 1/(pi~ L_l)
 (a consequence of the difference equation satisfied by Omega) so that the
-normalised value pi~^w * L(theta) stays inside k_infinity.
+normalised value pi~^w * L(theta) stays inside k_infinity.  It sums over
+l_1 > ... > l_r by ``zeta._nested_sum``, the one valuation-pruned walk
+that also serves mzv, amzv and cmpl; it gives only the per-slot
+valuation bound and factor.
 """
 
 from __future__ import annotations
@@ -18,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetError,
-    ConvergenceError,
-    DomainError,
-    FFZetaError,
-    InvalidIndexError,
-    ResolutionError,
-)
+from .errors import BudgetError, DomainError, FFZetaError, InvalidIndexError, ResolutionError
 from .indices import coerce_index
 from .laurent import INF, Laurent
 from .scalar import (
@@ -39,8 +35,8 @@ from .scalar import (
     frobenius_twist,
     inverse_twist,
 )
-from .zeta import (_finite_prec, _l_power_inverse, _validate_signs, convergence_check,
-                   infty_norm_degree)
+from .zeta import (_finite_prec, _l_power_inverse, _nested_sum, _require_convergence,
+                   _validate_signs, infty_norm_degree)
 from . import cache, linalg
 
 AT_BUDGET = 400
@@ -168,9 +164,11 @@ class GradedSeries:
 
     def divide_by_t_minus_theta_q(self):
         """Synthetic division of the unit part by (t - theta^q): returns
-        (quotient, remainder = f(theta^q)).  Degrees above the cap are
-        suppressed; for the entire series handled here their contribution
-        has far larger valuation than anything probed."""
+        (quotient, remainder = f(theta^q)).  The t-degrees above the cap
+        were dropped when the series was built, and no bound on what they
+        contribute is folded into prec: at q=5, s=(1,2,2,1), cap 16,
+        prec 800 a digit reported as exact is wrong.  Only the refinement
+        pass in ``vanishing_order_profile`` catches such an error."""
         fld = self.field
         q = fld.q
         gs = [Laurent.zero(fld)] * (self.cap + 1)
@@ -397,13 +395,9 @@ def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -
     if any(isinstance(item, RatFunc) and item.is_zero or
            isinstance(item, (Poly, BiPoly)) and item.is_zero for item in qs):
         return Laurent.zero(fld)
-    if not convergence_check(fld, s, qs):
-        bad = [j for j, item in enumerate(qs)
-               if infty_norm_degree(item) * (fld.q - 1) >= fld.q * s[j]]
-        raise ConvergenceError(f"deformation series diverges at slot(s) {bad}")
+    _require_convergence(fld, s, qs, "deformation")
     signs = _validate_signs(fld, s, eps) if eps is not None else None
     q = fld.q
-    r = s.depth
     P = point_power
     profiles = [_norm_profile(fld, item) for item in qs]
 
@@ -427,33 +421,7 @@ def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -
                                 out_prec - int(numer.val))
         return numer * linv
 
-    total = Laurent.zero(fld)
-    chosen = [0] * r
-
-    def rec(pos_from_right, lo, acc):
-        nonlocal total
-        pos = r - 1 - pos_from_right
-        ell = lo
-        while acc + val_bound(pos, ell) <= prec:
-            chosen[pos] = ell
-            if pos == 0:
-                bounds = [val_bound(j, chosen[j]) for j in range(r)]
-                tb = sum(bounds)
-                term = Laurent.one(fld)
-                for j in range(r):
-                    term = term * factor(j, chosen[j], prec - (tb - bounds[j]))
-                if signs is not None:
-                    c = 1
-                    for e, ell_j in zip(signs, chosen):
-                        c = fld.mul(c, fld.pow(e, ell_j))
-                    term = term.scale(c)
-                total = total + term
-            else:
-                rec(pos_from_right + 1, ell + 1, acc + val_bound(pos, ell))
-            ell += 1
-
-    rec(0, P, 0)
-    return total.truncate(prec)
+    return _nested_sum(fld, s.depth, P, val_bound, factor, prec, signs)
 
 
 def specialization_frobenius_check(fld: Field, s, qs, prec) -> bool:
@@ -475,8 +443,7 @@ def deformation_t_series(fld: Field, s, qs, cap: int, prec) -> list:
     j = 1..depth; entry j carries grade -q*(s_1+...+s_j)."""
     s = coerce_index(s)
     qs = [_coerce_q(fld, item) for item in qs]
-    if not convergence_check(fld, s, qs):
-        raise ConvergenceError("deformation series diverges")
+    _require_convergence(fld, s, qs, "deformation")
     base = omega_unit(fld, cap, prec)
     out = []
     # suffix[x] = sum over ell >= x of (A_j twisted ell) * suffix_{j-1}[ell+1]

@@ -21,6 +21,11 @@ is <= prec.  The memo keeps the digits of the highest prec seen for each
 (q, n) and slices them for lower ones.  A lone first call for one degree
 therefore pays for the whole pass; ``mzv`` and ``amzv`` walk every degree
 anyway.
+
+mzv, amzv, cmpl and the deformation evaluator in ``anderson`` are nested
+sums over strictly decreasing tuples l_1 > ... > l_r, truncated by an
+additive valuation bound.  One walk, ``_nested_sum``, does that for all
+four; each caller gives only a per-slot bound and factor.
 """
 
 from __future__ import annotations
@@ -160,56 +165,69 @@ def _validate_signs(fld: Field, s: Index, eps):
     return out
 
 
-def _sum_over_degree_tuples(fld: Field, s: Index, prec, weight_fn):
-    """Sum over d_1 > ... > d_r >= 0 of weight(d) * prod_j S_{d_j}(s_j),
-    keeping every term whose valuation lower bound is <= prec."""
-    q = fld.q
-    r = s.depth
+def _nested_sum(fld: Field, r: int, lo: int, bound, factor, prec: int, signs=None) -> Laurent:
+    """Sum over l_1 > ... > l_r >= lo of prod_j factor(j, l_j, p_j), each
+    term weighted by prod_j signs[j]^{l_j} when signs are given.
+
+    bound(j, l) is a lower bound for the valuation of factor(j, l, .) and
+    must increase in l; for the series summed here that is their
+    convergence condition.  The walk fills the slots from the right and
+    keeps the product of the slots already chosen.  Slot pos is visited at
+    l only while need = acc + sum_{k=0..pos} bound(pos-k, l+k) <= prec,
+    where acc is the bound sum of the chosen slots: the least completion,
+    so no node without a leaf is visited.  The slot is asked for
+    p = prec - need + bound(pos, l), prec minus the least sum the other
+    slots can still reach, so every kept product is exact through prec;
+    at the leaf p is prec minus the other slots' bounds.
+    """
     total = Laurent.zero(fld)
-    degrees = [0] * r
+    chosen = [0] * r
 
-    def bound(j, d):
-        return power_sum_val_bound(q, d, s[j])
-
-    def rec(j, lo, acc_bound, factor):
+    def walk(pos, first, acc, prod):
         nonlocal total
-        # position j (0-based from the right: j = r-1 is s_r), d_j >= lo
-        pos = r - 1 - j
-        d = lo
-        while acc_bound + bound(pos, d) <= prec:
-            degrees[pos] = d
-            term = factor * power_sum_series(fld, d, s[pos], prec)
-            if j == r - 1:
-                total = total + weight_fn(degrees, term)
+        l = first
+        while (need := acc + sum(bound(pos - k, l + k) for k in range(pos + 1))) <= prec:
+            b = bound(pos, l)
+            term = prod * factor(pos, l, prec - need + b)
+            chosen[pos] = l
+            if pos:
+                walk(pos - 1, l + 1, acc + b, term)
             else:
-                rec(j + 1, d + 1, acc_bound + bound(pos, d), term)
-            d += 1
+                if signs is not None:
+                    c = 1
+                    for e, lj in zip(signs, chosen):
+                        c = fld.mul(c, fld.pow(e, lj))
+                    term = term.scale(c)
+                total = total + term
+            l += 1
 
-    rec(0, 0, 0, Laurent.one(fld))
+    walk(r - 1, lo, 0, Laurent.one(fld))
     return total.truncate(prec)
+
+
+def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
+    """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j).  Every power
+    sum is asked for the full prec: the first call for a (q, n) sets how
+    far its DP pass runs, and a lower one could make a later call rerun it."""
+    prec = _finite_prec(prec)
+    return _nested_sum(fld, s.depth, 0,
+                       lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
+                       lambda j, d, p: power_sum_series(fld, d, s[j], prec),
+                       prec, signs)
 
 
 def mzv(fld: Field, s, prec) -> Laurent:
     """zeta_A(s) = sum over monic tuples with strictly decreasing degrees,
     evaluated layer by layer through power sums; every omitted term has
     valuation > prec."""
-    s = coerce_index(s)
-    return _sum_over_degree_tuples(fld, s, _finite_prec(prec), lambda degs, term: term)
+    return _power_sum_walk(fld, coerce_index(s), prec)
 
 
 def amzv(fld: Field, s, eps, prec) -> Laurent:
     """zeta_A(s; eps): the degree-d_j layer of slot j is weighted by
     eps_j^{d_j}."""
     s = coerce_index(s)
-    signs = _validate_signs(fld, s, eps)
-
-    def weight(degs, term):
-        c = 1
-        for e, d in zip(signs, degs):
-            c = fld.mul(c, fld.pow(e, d))
-        return term.scale(c)
-
-    return _sum_over_degree_tuples(fld, s, _finite_prec(prec), weight)
+    return _power_sum_walk(fld, s, prec, _validate_signs(fld, s, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +258,28 @@ def infty_norm_degree(item):
     raise ConvergenceError(f"cannot take the infinity norm of {item!r}")
 
 
+def _diverging_slots(fld: Field, s: Index, items) -> list:
+    """The slots j that break ||Q_j||_infty < q^{q s_j / (q-1)}, checked in
+    integer arithmetic as deg * (q-1) < q * s_j; a zero item never does."""
+    if len(items) != s.depth:
+        raise InvalidIndexError("one point per index entry required")
+    return [j for j, item in enumerate(items)
+            if infty_norm_degree(item) * (fld.q - 1) >= fld.q * s[j]]
+
+
+def _require_convergence(fld: Field, s: Index, items, series: str) -> None:
+    bad = _diverging_slots(fld, s, items)
+    if bad:
+        raise ConvergenceError(
+            f"{series} series diverges: convergence condition fails at slot(s) {bad}"
+        )
+
+
 def convergence_check(fld: Field, s, items) -> bool:
     """Strict sufficient condition for the nested series to converge:
     ||Q_j||_infty < q^{q s_j / (q-1)} for every slot, checked in integer
     arithmetic as deg * (q-1) < q * s_j.  Boundary inputs are rejected."""
-    s = coerce_index(s)
-    if len(items) != s.depth:
-        raise InvalidIndexError("one point per index entry required")
-    for j, item in enumerate(items):
-        m = infty_norm_degree(item)
-        if m == -math.inf:
-            continue
-        if m * (fld.q - 1) >= fld.q * s[j]:
-            return False
-    return True
+    return not _diverging_slots(fld, coerce_index(s), items)
 
 
 def _l_power_inverse(fld: Field, i: int, s: int, prec) -> Laurent:
@@ -276,20 +302,10 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
     us = [_as_ratfunc(fld, u) for u in points]
     if len(us) != s.depth:
         raise InvalidIndexError("one point per index entry required")
-    for j, u in enumerate(us):
-        if u.is_zero:
-            return Laurent.zero(fld)
-    if not convergence_check(fld, s, us):
-        bad = [
-            j
-            for j, u in enumerate(us)
-            if u.infty_degree() * (fld.q - 1) >= fld.q * s[j]
-        ]
-        raise ConvergenceError(
-            f"CMPL series diverges: convergence condition fails at slot(s) {bad}"
-        )
+    if any(u.is_zero for u in us):
+        return Laurent.zero(fld)
+    _require_convergence(fld, s, us, "CMPL")
     q = fld.q
-    r = s.depth
     vus = [-u.infty_degree() for u in us]  # valuations of the points
 
     def phi(j, i):
@@ -303,27 +319,7 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
         upart = Laurent.from_ratfunc(us[j], max(u_prec // q ** i + 1, vus[j]))
         return upart.qth_power(i, out_prec=u_prec) * linv
 
-    total = Laurent.zero(fld)
-    chosen = [0] * r
-
-    def rec(pos_from_right, lo, acc):
-        nonlocal total
-        pos = r - 1 - pos_from_right
-        i = lo
-        while acc + phi(pos, i) <= prec:
-            chosen[pos] = i
-            if pos == 0:
-                term_val = acc + phi(pos, i)
-                term = Laurent.one(fld)
-                for j in range(r):
-                    term = term * factor(j, chosen[j], prec - (term_val - phi(j, chosen[j])))
-                total = total + term
-            else:
-                rec(pos_from_right + 1, i + 1, acc + phi(pos, i))
-            i += 1
-
-    rec(0, 0, 0)
-    return total.truncate(prec)
+    return _nested_sum(fld, s.depth, 0, phi, factor, prec)
 
 
 def carlitz_log(fld: Field, u, prec) -> Laurent:

@@ -245,6 +245,12 @@ def test_deformation_divergent_input_rejected():
         anderson.deformation_value(fld, (1,), [Poly.monomial(fld, 1, 2)], 20)
 
 
+def test_deformation_t_series_divergence_names_slot():
+    fld = field(2)
+    with pytest.raises(ConvergenceError, match=r"slot\(s\) \[1\]"):
+        anderson.deformation_t_series(fld, (2, 1), [1, Poly.monomial(fld, 1, 2)], 4, 20)
+
+
 def test_specialization_frobenius_check():
     for q in (2, 3):
         fld = field(q)

@@ -1,5 +1,6 @@
 """Power sums, multizeta, alternating multizeta, CMPLs, the period."""
 
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -111,6 +112,54 @@ def test_series_memo_order_does_not_change_digits():
     assert high.truncate(60) == low
 
 
+# -- the nested-sum walk ----------------------------------------------------------
+
+@pytest.mark.parametrize("lo", [0, 1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_nested_sum_visits_exactly_the_admissible_tuples(r, lo):
+    # synthetic bounds, increasing in l; slot 0 starts negative, as the
+    # point theta does in cmpl; signs weight the lo = 1 runs
+    fld = field(5)
+    prec = 12
+    slopes = (1, 3, 2)
+
+    def bound(j, l):
+        return slopes[j] * l + (-4 if j == 0 else 1)
+
+    signs = None if lo == 0 else [2, 3, 4][:r]
+    calls, leaves, path = [], [], [None] * r
+
+    def factor(j, l, p):
+        calls.append((j, l))
+        path[j] = (l, p)
+        if j == 0:
+            leaves.append(list(path))
+        return Laurent.monomial(fld, 1, bound(j, l))
+
+    got = zeta._nested_sum(fld, r, lo, bound, factor, prec, signs)
+
+    box = range(lo, 30)
+    want = [ls for ls in itertools.product(box, repeat=r)
+            if all(a > b for a, b in zip(ls, ls[1:]))
+            and sum(bound(j, l) for j, l in enumerate(ls)) <= prec]
+    assert want and sorted(tuple(l for l, _ in leaf) for leaf in leaves) == sorted(want)
+    # no node without a leaf below it is visited
+    prefixes = {ls[j:] for ls in want for j in range(r)}
+    assert len(calls) == len(prefixes)
+    for leaf in leaves:
+        bounds = [bound(j, l) for j, (l, _) in enumerate(leaf)]
+        for j, (_, p) in enumerate(leaf):
+            assert p + sum(bounds) - bounds[j] >= prec, (leaf, j)
+
+    expect = Laurent.zero(fld)
+    for ls in want:
+        c = 1
+        for e, l in zip(signs or [1] * r, ls):
+            c = c * e ** l % 5
+        expect = expect + Laurent.monomial(fld, c, sum(bound(j, l) for j, l in enumerate(ls)))
+    assert got == expect.truncate(prec)
+
+
 # -- multizeta -------------------------------------------------------------------
 
 def test_mzv_depth1_example_q2():
@@ -136,6 +185,19 @@ def test_mzv_depth2_against_double_enumeration():
             s2 = Laurent.from_ratfunc(zeta.power_sum_exact(fld, d2, 1), n)
             acc = acc + s1 * s2
     assert got.agrees_with(acc, through=n)
+
+
+def test_mzv_depth3_against_triple_enumeration():
+    fld = field(3)
+    n = 60
+    got = zeta.mzv(fld, (1, 1, 1), n)
+    exact = [Laurent.from_ratfunc(zeta.power_sum_exact(fld, d, 1), n) for d in range(7)]
+    acc = Laurent.zero(fld)
+    for d1 in range(2, 7):       # val(S_{d1}(1)) > 60 beyond d1 = 6
+        for d2 in range(1, d1):
+            for d3 in range(0, d2):
+                acc = acc + exact[d1] * exact[d2] * exact[d3]
+    assert got.prec == n and got.agrees_with(acc, through=n)
 
 
 def test_mzv_truncation_soundness():
@@ -231,6 +293,19 @@ def test_carlitz_log_theta_oracle():
     for i in range(6):
         acc = acc + RatFunc(Poly.gen(fld).dilate(3 ** i), bracket_L(fld, i))
     assert got.agrees_with(Laurent.from_ratfunc(acc, 40), through=40)
+
+
+def test_cmpl_depth2_double_sum_oracle():
+    # Li_(2,1)(theta, 1) = sum over i1 > i2 of theta^{q^i1} / (L_i1^2 L_i2)
+    fld = field(3)
+    theta = Poly.gen(fld)
+    got = zeta.cmpl(fld, (2, 1), [RatFunc.from_poly(theta), 1], 30)
+    acc = RatFunc.zero(fld)
+    for i1 in range(1, 5):       # val of the i1 layer is 2*3^i1 - 3 > 30 beyond i1 = 2
+        for i2 in range(i1):
+            acc = acc + RatFunc(theta.dilate(3 ** i1),
+                                bracket_L(fld, i1) ** 2 * bracket_L(fld, i2))
+    assert got.prec == 30 and got.agrees_with(Laurent.from_ratfunc(acc, 30), through=30)
 
 
 def test_cmpl_depth2_truncation_soundness():
