@@ -47,11 +47,17 @@ AT_BUDGET = 400
 # ---------------------------------------------------------------------------
 
 class GradedSeries:
-    """A pair (m, f): the value (-theta)^{m/(q-1)} * f(t) with f a t-polynomial
-    of degree <= cap over Laurent coefficients.
+    """A pair (m, f): the value (-theta)^{m/(q-1)} * f(t) with f a t-series
+    over Laurent coefficients, kept modulo t^{cap+1}.
 
     Multiplication adds grades; the forward twist maps (m, f) to
     (m, (-theta)^m * f^(1)), so the grade stays integral.
+
+    No code evaluates such a series at a point: products, sums and twists
+    act on the t^0..t^cap coefficients, and each of those depends only on
+    coefficients of the same or lower t-degree.  The cap therefore only
+    shortens the coefficient list, and every kept coefficient is exact
+    through its own prec.
     """
 
     __slots__ = ("field", "grade", "cap", "coeffs")
@@ -108,11 +114,6 @@ class GradedSeries:
                     out[i + j] = out[i + j] + a * b
         return GradedSeries(self.field, self.grade + other.grade, out, self.cap)
 
-    def scale_laurent(self, c: Laurent):
-        return GradedSeries(
-            self.field, self.grade, [x * c for x in self.coeffs], self.cap
-        )
-
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative GradedSeries power")
@@ -150,34 +151,6 @@ class GradedSeries:
         coefficient is indistinguishable from zero)."""
         vals = [c.val for c in self.coeffs if c.coeffs.size]
         return min(vals) if vals else INF
-
-    def all_fuzzy_zero(self):
-        return all(c.is_zero_to_precision for c in self.coeffs)
-
-    def eval_unit_at_theta_power(self, k: int) -> Laurent:
-        """f(theta^{q^k}) for the unit part f (grade ignored)."""
-        step = self.field.q ** k
-        acc = Laurent.zero(self.field)
-        for i, c in enumerate(self.coeffs):
-            acc = acc + c.shift(-i * step)
-        return acc
-
-    def divide_by_t_minus_theta_q(self):
-        """Synthetic division of the unit part by (t - theta^q): returns
-        (quotient, remainder = f(theta^q)).  The t-degrees above the cap
-        were dropped when the series was built, and no bound on what they
-        contribute is folded into prec: at q=5, s=(1,2,2,1), cap 16,
-        prec 800 a digit reported as exact is wrong.  Only the refinement
-        pass in ``vanishing_order_profile`` catches such an error."""
-        fld = self.field
-        q = fld.q
-        gs = [Laurent.zero(fld)] * (self.cap + 1)
-        carry = Laurent.zero(fld)
-        for i in range(self.cap, 0, -1):
-            carry = self.coeffs[i] + carry.shift(-q)
-            gs[i - 1] = carry
-        rem = self.coeffs[0] + carry.shift(-q)
-        return GradedSeries(fld, self.grade, gs, self.cap), rem
 
     def agrees_with(self, other) -> bool:
         self._check(other)
@@ -622,52 +595,45 @@ def verify_difference_system(system: BlockSystem) -> bool:
     return True
 
 
-def _vanishing_orders_once(fld: Field, s, qs, cap: int, prec):
-    series = deformation_t_series(fld, s, qs, cap, prec)
-    tails = [sum(s[j:]) for j in range(s.depth)]
-    om = omega(fld, cap, prec)
-    orders = []
-    for j in range(1, s.depth):
-        entry = (om ** tails[j]) * series[j - 1]
-        order = None
-        for k in range(cap + 1):
-            value = entry.eval_unit_at_theta_power(1)
-            if not value.is_zero_to_precision:
-                order = k
-                break
-            if entry.all_fuzzy_zero():
-                raise ResolutionError(
-                    f"cannot resolve vanishing order beyond {k} at (cap={cap}, prec={prec})"
-                )
-            entry, _ = entry.divide_by_t_minus_theta_q()
-        if order is None:
-            raise ResolutionError(f"vanishing order exceeds the t-degree cap {cap}")
-        orders.append(order)
-    return orders
-
-
 def vanishing_order_profile(fld: Field, s, qs, cap: int, prec) -> frozenset:
-    """The t-adic vanishing orders at t = theta^q of the interior psi''
-    entries; under the nonvanishing hypothesis this is exactly the g-image
-    of the index.  Depth 1 has no interior entries (empty set).
+    """The vanishing orders at t = theta^q of the interior psi entries
+    Omega^{t_j} * L_{1..j}, j = 1..depth-1, with t_j = s_{j+1} + ... + s_r;
+    under the nonvanishing hypothesis this is exactly the g-image of the
+    index.  Depth 1 has no interior entries (empty set).
 
-    Successive Taylor coefficients of an entry at theta^q can differ in
-    valuation by a lot (the Frobenius rigidity of the series forces deep
-    cancellations), so a single truncation can mistake a barely-visible
-    coefficient for zero.  The profile is therefore recomputed at doubled
-    precision and a larger t-cap and must agree, else ResolutionError."""
+    L_{1..j} is entire, because each of its slots carries Omega^{s_i}, and
+    the unit part of Omega has a simple zero at theta^q.  Entry j therefore
+    vanishes to order t_j exactly when L_{1..j}(theta^q) != 0, and up to the
+    factor pi~^{q w} that value is ``deformation_value`` of (s_1..s_j) at
+    point_power 1.  Order j is reported only once that value shows a nonzero
+    digit through prec, which is exact.  A value with no visible digit is
+    never read as zero: it raises ResolutionError naming prec.  ``cap`` is
+    the largest order reported; a larger t_j raises ResolutionError naming
+    the cap needed."""
     s = coerce_index(s)
     if s.depth == 1:
         return frozenset()
+    prec = _finite_prec(prec)
     qs = [_coerce_q(fld, item) for item in qs]
-    first = _vanishing_orders_once(fld, s, qs, cap, prec)
-    second = _vanishing_orders_once(fld, s, qs, cap + 4, 2 * int(prec))
-    if first != second:
+    if len(qs) != s.depth:
+        raise InvalidIndexError("one deformation input per index entry required")
+    _require_convergence(fld, s, qs, "deformation")
+    tails = [sum(s[j:]) for j in range(1, s.depth)]
+    if max(tails) > cap:
         raise ResolutionError(
-            f"vanishing orders unstable under refinement at (cap={cap}, prec={prec}): "
-            f"{first} vs {second}; increase the truncation orders"
+            f"vanishing order {max(tails)} exceeds the largest order reported, "
+            f"cap={cap}; raise cap to {max(tails)}"
         )
-    return frozenset(first)
+    for j in range(1, s.depth):
+        value = deformation_value(fld, s[:j], qs[:j], prec, point_power=1)
+        if value.is_exact_zero:
+            raise DomainError(f"L_(1..{j}) vanishes identically: a deformation input is zero")
+        if value.is_zero_to_precision:
+            raise ResolutionError(
+                f"L_(1..{j}) at theta^q shows no digit through prec={prec}, so its "
+                f"vanishing order cannot be certified; raise prec (e.g. to {2 * prec})"
+            )
+    return frozenset(tails)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from ffzeta import anderson, zeta
 from ffzeta.anderson import GradedSeries
-from ffzeta.errors import BudgetError, ConvergenceError, DomainError
+from ffzeta.errors import BudgetError, ConvergenceError, DomainError, ResolutionError
 from ffzeta.indices import g_map
 from ffzeta.laurent import Laurent
 from ffzeta.scalar import (
@@ -48,6 +48,21 @@ def test_omega_unit_linear_coefficient():
 @pytest.mark.parametrize("q,cap,prec", [(2, 6, 30), (3, 8, 40), (2, 1, 10), (5, 4, 30)])
 def test_omega_unit_equation(q, cap, prec):
     assert anderson.omega_unit_equation_check(field(q), cap, prec)
+
+
+def test_omega_unit_cut_drops_only_invisible_factors():
+    # the first two factors the product leaves out change no digit through
+    # prec; prec = q^k and q^k - 1 sit on both sides of the cut
+    for q in (2, 3, 5):
+        fld = field(q)
+        for prec in (q ** 2 - 1, q ** 2, 30, 100):
+            i = 1
+            while q ** i <= prec:  # factor i is the first one left out
+                i += 1
+            cut = anderson.omega_unit(fld, 4, prec)
+            wider = anderson.omega_unit(fld, 4, q ** (i + 1))  # keeps factors i, i+1
+            for a, b in zip(cut.coeffs, wider.coeffs):
+                assert a.prec == prec and a.agrees_with(b, through=prec), (q, prec)
 
 
 def test_graded_series_twist_grade_closure():
@@ -340,18 +355,90 @@ def test_block_system_shape_mismatch():
 
 # -- vanishing orders ----------------------------------------------------------------
 
+def _taylor_orders(fld, s, qs, cap, prec):
+    """Reference: the Taylor route.  The unit part of each interior entry
+    Omega^{t_j} L_{1..j} is divided by (t - theta^q) while its value at
+    theta^q shows no digit; the number of divisions is the order.  The value
+    of a t-series truncated at cap drops the t-degrees above it, so this
+    route is trusted only at generous (cap, prec)."""
+    series = anderson.deformation_t_series(fld, s, qs, cap, prec)
+    om = anderson.omega(fld, cap, prec)
+    q = fld.q
+    orders = []
+    for j in range(1, len(s)):
+        coeffs = list(((om ** sum(s[j:])) * series[j - 1]).coeffs)
+        for k in range(cap + 1):
+            value = Laurent.zero(fld)
+            for i, c in enumerate(coeffs):
+                value = value + c.shift(-i * q)
+            if not value.is_zero_to_precision:
+                orders.append(k)
+                break
+            assert not all(c.is_zero_to_precision for c in coeffs), (s, j, k)
+            quotient, carry = [Laurent.zero(fld)] * len(coeffs), Laurent.zero(fld)
+            for i in range(len(coeffs) - 1, 0, -1):
+                carry = coeffs[i] + carry.shift(-q)
+                quotient[i - 1] = carry
+            coeffs = quotient
+        else:
+            raise AssertionError(f"order of entry {j} of {s} exceeds cap {cap}")
+    return frozenset(orders)
+
+
 def test_vanishing_orders_examples():
     fld = field(3)
     assert anderson.vanishing_order_profile(fld, (4,), at_inputs(fld, (4,)), 8, 60) == frozenset()
     p = anderson.vanishing_order_profile(fld, (3, 1), at_inputs(fld, (3, 1)), 8, 60)
     assert p == g_map((3, 1)) == frozenset({1})
+    with pytest.raises(DomainError, match="vanishes identically"):
+        anderson.vanishing_order_profile(fld, (2, 1), [0, 1], 8, 60)
 
 
 def test_vanishing_orders_match_g_small_cases():
     fld = field(3)
     for s in [(2, 1), (1, 2), (2, 2)]:
         p = anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 10, 80)
-        assert p == g_map(s), s
+        assert p == g_map(s) == _taylor_orders(fld, s, at_inputs(fld, s), 10, 80), s
+
+
+@pytest.mark.parametrize("q,s", [(3, (3, 1)), (5, (1, 2, 2, 1)), (5, (2, 2, 2))])
+def test_vanishing_orders_match_taylor_route(q, s):
+    # the inputs of acceptance criterion 6, at its (cap, prec) = (16, 400)
+    fld = field(q)
+    p = anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 16, 400)
+    assert p == g_map(s) == _taylor_orders(fld, s, at_inputs(fld, s), 16, 400)
+
+
+def test_vanishing_orders_deep_cancellation_regression():
+    # a t-series cut at t-degree 16 misreads a digit here; the walk at theta^q
+    # makes no cut in t
+    fld = field(5)
+    s = (1, 2, 2, 1)
+    assert anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 16, 800) == frozenset({1, 3, 5})
+
+
+def test_vanishing_orders_cap_below_order_names_cap():
+    fld = field(5)
+    s = (1, 2, 2, 1)
+    with pytest.raises(ResolutionError, match="raise cap to 5"):
+        anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 2, 800)
+
+
+def test_vanishing_orders_invisible_value_names_prec():
+    # L_{1..3}(theta^q) of (1,2,2,1) first shows a digit at valuation 200
+    fld = field(5)
+    s = (1, 2, 2, 1)
+    with pytest.raises(ResolutionError, match=r"prec=100.*raise prec \(e\.g\. to 200\)"):
+        anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 16, 100)
+
+
+def test_vanishing_orders_constant_inputs_match_taylor_route():
+    # CMPL inputs: the walk at theta^q takes constant inputs as they are
+    fld = field(3)
+    theta = RatFunc.from_poly(Poly.gen(fld))
+    for s, us, want in [((2, 1), [theta, 1], {1}), ((1, 2, 1), [1, theta, 1], {1, 3})]:
+        p = anderson.vanishing_order_profile(fld, s, us, 10, 80)
+        assert p == _taylor_orders(fld, s, us, 10, 80) == frozenset(want), s
 
 
 # -- tensor powers ---------------------------------------------------------------------

@@ -358,6 +358,18 @@ def test_period_truncation_soundness():
     a = zeta.carlitz_period_power(fld, 1, 30)
     b = zeta.carlitz_period_power(fld, 1, 90)
     assert a.agrees_with(b, through=30)
+    # the first two factors the product leaves out change no digit through
+    # prec; factor 3 moves the digit at q^3 - 1 - qm, on both sides of the cut
+    for q in (2, 3, 5):
+        fld = field(q)
+        for m in (1, 2):
+            for prec in (q ** 3 - 2 - q * m, q ** 3 - 1 - q * m, 30, 90):
+                i = 1
+                while q ** i - 1 - q * m <= prec:  # factor i is the first one left out
+                    i += 1
+                cut = zeta.carlitz_period_power(fld, m, prec)
+                wider = zeta.carlitz_period_power(fld, m, q ** (i + 1) - 1 - q * m)
+                assert cut.prec == prec and cut.agrees_with(wider, through=prec), (q, m, prec)
 
 
 # -- precision argument -----------------------------------------------------------
