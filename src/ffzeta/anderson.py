@@ -536,7 +536,8 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
     offset = 1
     psi_mid = []
     last_row_zero_col = BiPoly.zero(fld)
-    omega_w = omega(fld, cap, prec) ** w
+    om = omega(fld, cap, prec)
+    omega_w = om ** w
     psi_last = None
     for s, qs, a in zip(family, qs_per_index, a_polys):
         r = s.depth
@@ -559,7 +560,7 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
             nu = qinv[r - 1] * BiPoly.t_minus_theta_power(fld, 1, tails[r - 1])
             phi[last][offset + r - 2] = BiPoly.from_poly(a) * nu
             for jj in range(1, r):
-                entry = (omega(fld, cap, prec) ** tails[jj]) * series[jj - 1]
+                entry = (om ** tails[jj]) * series[jj - 1]
                 psi_mid.append(entry)
             offset += r - 1
         contrib = series[r - 1] * BiPoly.from_poly(a)

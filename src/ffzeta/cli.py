@@ -9,148 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 
-from . import __version__, anderson, backend, indices, relations, zeta
+from . import __version__, anderson, backend, indices, relations
 from . import cache as cache_mod
 from .errors import DomainError, FFZetaError, ResourceError
-from .indices import Index
-from .laurent import Laurent, format_laurent
-from .scalar import Field, Poly, RatFunc, field, format_poly
-
-_TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?(theta)(?:\^(\d+))?)?$")
-
-
-def parse_poly(fld: Field, text: str) -> Poly:
-    """Parse '2*theta^3+theta+1' style polynomials over theta."""
-    text = text.replace(" ", "")
-    if not text:
-        raise DomainError("empty polynomial string")
-    chunks = re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", text)
-    if "".join(chunks) != text:
-        raise DomainError(f"malformed polynomial {text!r}")
-    coeffs: dict = {}
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (not m.group(1) and not m.group(2)):
-            raise DomainError(f"malformed term {chunk!r} in polynomial {text!r}")
-        raw, var, exp = m.groups()
-        if raw in ("", "+"):
-            c = 1
-        elif raw == "-":
-            c = -1
-        else:
-            c = int(raw)
-        k = 0 if var is None else (1 if exp is None else int(exp))
-        coeffs[k] = coeffs.get(k, 0) + c
-    arr = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        arr[k] = fld.from_int(c)
-    return Poly(fld, arr)
-
-
-def parse_ratfunc(fld: Field, text: str) -> RatFunc:
-    """Parse 'num/den' with polynomial halves (den optional)."""
-    if text.count("/") > 1:
-        raise DomainError(f"malformed rational {text!r}")
-    if "/" in text:
-        num, den = (parse_poly(fld, half) for half in text.split("/"))
-        if den.is_zero:
-            raise DomainError(f"zero denominator in {text!r}")
-        return RatFunc(num, den)
-    return RatFunc.from_poly(parse_poly(fld, text))
-
-
-def parse_index(text: str) -> Index:
-    try:
-        return Index(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed index {text!r}") from exc
-
-
-def parse_signs(text: str):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed sign vector {text!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# value expressions for the relation hunter
-# ---------------------------------------------------------------------------
-
-def _split_top(text: str, sep: str):
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise DomainError(f"unbalanced parentheses in {text!r}")
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth:
-        raise DomainError(f"unbalanced parentheses in {text!r}")
-    parts.append(text[start:])
-    return parts
-
-
-def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
-    """Evaluate one hunter label.
-
-    Grammar: zeta(s1,s2,...), amzv(s1,...;e1,...), cmpl(s1,...;p1;p2;...),
-    logc(point), pitilde(m) for the period power pi~^{(q-1)m},
-    gnzeta(s1,...) for the Gamma-normalised value via the deformation
-    evaluator, and prod(expr,expr) for products.
-    """
-    expr = expr.strip()
-    m = re.match(r"^([a-z]+)\((.*)\)$", expr)
-    if not m:
-        raise DomainError(f"malformed value expression {expr!r}")
-    name, body = m.group(1), m.group(2)
-    if name == "zeta":
-        return zeta.mzv(fld, parse_index(body), prec)
-    if name == "amzv":
-        parts = _split_top(body, ";")
-        if len(parts) != 2:
-            raise DomainError("amzv wants amzv(index;signs)")
-        return zeta.amzv(fld, parse_index(parts[0]), parse_signs(parts[1]), prec)
-    if name == "cmpl":
-        parts = _split_top(body, ";")
-        s = parse_index(parts[0])
-        points = [parse_ratfunc(fld, p) for p in parts[1:]]
-        return zeta.cmpl(fld, s, points, prec)
-    if name == "logc":
-        return zeta.carlitz_log(fld, parse_ratfunc(fld, body), prec)
-    if name == "pitilde":
-        return zeta.carlitz_period_power(fld, int(body), prec)
-    if name == "gnzeta":
-        s = parse_index(body)
-        qs = [anderson.at_polynomial(fld, sj - 1) for sj in s]
-        return anderson.deformation_value(fld, s, qs, prec)
-    if name == "prod":
-        parts = _split_top(body, ",")
-        # group nested expressions back together: prod(zeta(1),zeta(2))
-        merged, buf = [], ""
-        for part in parts:
-            buf = part if not buf else buf + "," + part
-            if buf.count("(") == buf.count(")"):
-                merged.append(buf)
-                buf = ""
-        if buf:
-            raise DomainError(f"malformed prod arguments {body!r}")
-        if len(merged) < 2:
-            raise DomainError("prod wants at least two factors")
-        acc = None
-        for sub in merged:
-            v = eval_value_expr(fld, sub, prec)
-            acc = v if acc is None else acc * v
-        return acc.truncate(prec)
-    raise DomainError(f"unknown value expression {name!r}")
+from .laurent import format_laurent
+from .scalar import Field, field, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +43,23 @@ def _emit(args, payload: dict, pretty: str):
         print(pretty)
 
 
-def _emit_value(args, fld, value: Laurent, label: str):
-    payload = {"label": label, "value": value.to_json(), "meta": _meta(fld)}
-    _emit(args, payload, f"{label} = {format_laurent(value, max_terms=24)}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_zeta(args):
+def _cmd_value(args):
+    """zeta, amzv and cmpl: build the hunter label from the flags and
+    evaluate it, so every printed label is one the hunter accepts."""
+    if args.command == "zeta":
+        label = f"zeta({args.index})"
+    elif args.command == "amzv":
+        label = f"amzv({args.index};{args.signs})"
+    else:
+        label = f"cmpl({args.index};{args.points.replace(',', ';')})"
     fld = field(args.q)
-    s = parse_index(args.index)
-    value = zeta.mzv(fld, s, args.prec)
-    _emit_value(args, fld, value, f"zeta({args.index})")
-
-
-def _cmd_amzv(args):
-    fld = field(args.q)
-    value = zeta.amzv(fld, parse_index(args.index), parse_signs(args.signs), args.prec)
-    _emit_value(args, fld, value, f"amzv({args.index};{args.signs})")
-
-
-def _cmd_cmpl(args):
-    fld = field(args.q)
-    points = [parse_ratfunc(fld, p) for p in _split_top(args.points, ",")]
-    value = zeta.cmpl(fld, parse_index(args.index), points, args.prec)
-    _emit_value(args, fld, value, f"cmpl({args.index};{args.points})")
+    value = relations.eval_value_expr(fld, label, args.prec)
+    payload = {"label": label, "value": value.to_json(), "meta": _meta(fld)}
+    _emit(args, payload, f"{label} = {format_laurent(value, max_terms=24)}")
 
 
 def _cmd_atpoly(args):
@@ -257,7 +113,7 @@ def _cmd_indices_family(args):
 
 
 def _cmd_indices_gmap(args):
-    s = parse_index(args.index)
+    s = relations.parse_index(args.index)
     if args.w is not None and s.weight != args.w:
         raise DomainError(f"index {tuple(s)} has weight {s.weight}, not {args.w}")
     image = indices.g_image_to_json(indices.g_map(s))
@@ -267,8 +123,8 @@ def _cmd_indices_gmap(args):
 
 def _cmd_relations_hunt(args):
     fld = field(args.q)
-    labels = [t.strip() for t in _split_top(args.labels, ",") if t.strip()]
-    values = [eval_value_expr(fld, lab, args.prec) for lab in labels]
+    labels = [t.strip() for t in relations.split_top(args.labels, ",") if t.strip()]
+    values = [relations.eval_value_expr(fld, lab, args.prec) for lab in labels]
     vec = relations.ValueVector.of(labels, values)
     certs = relations.find_relations(vec, args.deg_bound)
     payload = {
@@ -299,7 +155,7 @@ def _cmd_relations_verify(args):
     results = []
     for cert in certs:
         n2 = 2 * cert.prec
-        values = [eval_value_expr(fld, lab, n2) for lab in cert.labels]
+        values = [relations.eval_value_expr(fld, lab, n2) for lab in cert.labels]
         vec = relations.ValueVector.of(cert.labels, values)
         results.append(relations.verify_relation(vec, cert))
     payload = {
@@ -319,7 +175,7 @@ def _cmd_relations_verify(args):
 def _cmd_relations_report(args):
     fld = field(args.q)
     if args.indices:
-        fam = [parse_index(t) for t in args.indices.split(";") if t]
+        fam = [relations.parse_index(t) for t in args.indices.split(";") if t]
     elif args.w is not None and args.r is not None:
         fam = indices.independent_family(args.w, args.r, args.q)
     else:
@@ -347,27 +203,27 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, prec_required=True):
+    def add_common(p):
         p.add_argument("--q", type=int, required=True, help="field size")
-        p.add_argument("--prec", type=int, required=prec_required, help="1/theta precision")
+        p.add_argument("--prec", type=int, required=True, help="absolute 1/theta precision")
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("zeta", help="infinity-adic multizeta value")
     add_common(p)
     p.add_argument("--index", required=True, help="comma-separated index, e.g. 2,1")
-    p.set_defaults(func=_cmd_zeta)
+    p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("amzv", help="alternating multizeta value")
     add_common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--signs", required=True, help="comma-separated units, e.g. -1,1")
-    p.set_defaults(func=_cmd_amzv)
+    p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("cmpl", help="Carlitz multiple polylogarithm at k-rational points")
     add_common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--points", required=True, help="comma-separated rationals, e.g. theta,1")
-    p.set_defaults(func=_cmd_cmpl)
+    p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("atpoly", help="Anderson-Thakur polynomial H_n")
     p.add_argument("--q", type=int, required=True)
@@ -413,7 +269,7 @@ def main(argv=None) -> int:
     p.add_argument("--labels", required=True,
                    help="comma-separated value expressions, e.g. 'zeta(1),logc(1)'")
     p.add_argument("--deg-bound", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=int, required=True, help="absolute 1/theta precision")
     p.add_argument("--out", default=None, help="write certificates to this JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_relations_hunt)
@@ -430,7 +286,8 @@ def main(argv=None) -> int:
     p.add_argument("--indices", default=None,
                    help="explicit family, semicolon-separated: '6;1,2,2,1;2,2,2'")
     p.add_argument("--deg-bound", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=int, required=True,
+                   help="digits beyond the deepest valuation in the family")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_relations_report)
 

@@ -7,19 +7,24 @@ equation in the m*(D+1) digit unknowns; the kernel of that system is the
 certificate list.  The margin rule (available digits >= unknowns + 20)
 keeps spurious kernels vanishingly rare (probability ~ q^{-20}), and every
 certificate must reverify at doubled precision before it is believed.
+
+Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``;
+``eval_value_expr`` is the one grammar that turns a label into its value,
+for the value commands, the hunter, the verifier and the reports alike.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import anderson, linalg, zeta
 from .errors import DomainError, MarginError
-from .indices import coerce_index, g_map
+from .indices import Index, coerce_index, g_map
 from .laurent import INF, Laurent
-from .scalar import Field, Poly
+from .scalar import Field, Poly, RatFunc
 
 MARGIN_DIGITS = 20
 
@@ -105,17 +110,14 @@ def combine(values, coeffs) -> Laurent:
     for v, c in zip(values, coeffs):
         if c.is_zero:
             continue
-        part = Laurent.zero(v.field)
-        for e, digit in enumerate(c.coeffs):
-            if digit:
-                part = part + v.shift(-e).scale(int(digit))
+        part = v * Laurent.from_poly(c)
         acc = part if acc is None else acc + part
     if acc is None:
         raise DomainError("all-zero coefficient vector")
     return acc
 
 
-def find_relations(vec: ValueVector, degree_bound: int, prec=None):
+def find_relations(vec: ValueVector, degree_bound: int):
     """Kernel basis of the digit linearisation, as certificates.
 
     Unknowns are the digit coefficients c_{i,e} of c_i = sum_e c_{i,e}
@@ -128,8 +130,6 @@ def find_relations(vec: ValueVector, degree_bound: int, prec=None):
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
     n = vec.prec
-    if prec is not None and int(prec) != n:
-        raise MarginError(f"mixed precisions: vector at {n}, requested {prec}")
     fld = vec.field
     m = len(vec.values)
     unknowns = m * (degree_bound + 1)
@@ -142,15 +142,17 @@ def find_relations(vec: ValueVector, degree_bound: int, prec=None):
             f"margin rule: {digits_available} digits available but "
             f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}"
         )
-    matrix = np.zeros((x_hi - x_lo + 1, unknowns), dtype=np.int64)
+    rows = x_hi - x_lo + 1
+    matrix = np.zeros((rows, unknowns), dtype=np.int64)
     for i, v in enumerate(vec.values):
+        # v's digits at exponents x_lo .. x_hi + degree_bound = n (its window ends by n)
+        digits = np.zeros(rows + degree_bound, dtype=np.int64)
+        if v.coeffs.size:
+            start = int(v.val) - x_lo
+            digits[start : start + v.coeffs.size] = v.coeffs
         for e in range(degree_bound + 1):
-            col = i * (degree_bound + 1) + e
             # digit of theta^e * v at exponent x is digit of v at x + e
-            for row, x in enumerate(range(x_lo, x_hi + 1)):
-                src = x + e
-                if int(v.val) <= src <= n:
-                    matrix[row, col] = v.digit(src)
+            matrix[:, i * (degree_bound + 1) + e] = digits[e : e + rows]
     basis = linalg.nullspace(fld, matrix)
     out = []
     for kvec in basis:
@@ -174,9 +176,10 @@ def find_relations(vec: ValueVector, degree_bound: int, prec=None):
     return out
 
 
-def verify_relation(vec: ValueVector, cert: RelationCertificate, slack=None) -> bool:
+def verify_relation(vec: ValueVector, cert: RelationCertificate) -> bool:
     """Recheck a certificate against values recomputed at doubled (or
-    better) precision: the residual must vanish through 2*prec - slack."""
+    better) precision: the residual must vanish through 2*prec - slack,
+    with slack = degree_bound + MARGIN_DIGITS."""
     if vec.field.q != cert.q:
         raise DomainError("certificate and values live over different fields")
     if vec.prec < 2 * cert.prec:
@@ -185,7 +188,7 @@ def verify_relation(vec: ValueVector, cert: RelationCertificate, slack=None) -> 
         )
     if all(c.is_zero for c in cert.coeffs):
         raise DomainError("zero certificate")
-    slack = cert.degree_bound + MARGIN_DIGITS if slack is None else slack
+    slack = cert.degree_bound + MARGIN_DIGITS
     residual = combine(vec.values, cert.coeffs)
     return residual.is_zero_to_precision and residual.prec >= 2 * cert.prec - slack
 
@@ -206,8 +209,6 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     also reverify at quadrupled digit depth before the report flags an
     anomaly.
     """
-    from . import anderson  # local import: anderson pulls in heavy machinery
-
     family = [coerce_index(s) for s in family]
     if not family:
         raise DomainError("empty family")
@@ -217,7 +218,7 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         for i in range(len(family))
         for j in range(i + 1, len(family))
     )
-    labels = _family_labels(family)
+    labels = [f"gnzeta({','.join(str(x) for x in s)})" for s in family]
     report = {
         "family": [list(s) for s in family],
         "q": fld.q,
@@ -229,16 +230,12 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         "verdict": "",
     }
 
-    def value_of(s, n):
-        qs = [anderson.at_polynomial(fld, sj - 1) for sj in s]
-        return anderson.deformation_value(fld, s, qs, n)
-
     # probe pass: find each value's valuation, escalating while invisible
     valuations = []
-    for label, s in zip(labels, family):
+    for label in labels:
         probe = prec
         while True:
-            v = value_of(s, probe)
+            v = eval_value_expr(fld, label, probe)
             if not v.is_zero_to_precision:
                 valuations.append(int(v.val))
                 break
@@ -250,23 +247,18 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
                 return report
             probe *= 2
 
-    def values_abs(absprec):
-        return [value_of(s, absprec) for s in family]
+    def vector_at(absprec):
+        return ValueVector.of(labels, [eval_value_expr(fld, lab, absprec) for lab in labels])
 
     base = max(valuations) + prec
-    vec = ValueVector.of(labels, values_abs(base))
-    certs = find_relations(vec, degree_bound)
+    certs = find_relations(vector_at(base), degree_bound)
     survivors = []
     if certs:
-        vec2 = ValueVector.of(labels, values_abs(2 * base))
+        vec2 = vector_at(2 * base)
         survivors = [c for c in certs if verify_relation(vec2, c)]
         if survivors:
-            vec4 = ValueVector.of(labels, values_abs(4 * base))
-            survivors = [
-                c
-                for c in survivors
-                if verify_relation(vec4, c, slack=c.degree_bound + MARGIN_DIGITS)
-            ]
+            vec4 = vector_at(4 * base)
+            survivors = [c for c in survivors if verify_relation(vec4, c)]
     report["certificates"] = [c.to_json() for c in survivors]
     if survivors:
         report["verdict"] = (
@@ -281,5 +273,130 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     return report
 
 
-def _family_labels(family):
-    return [f"gnzeta({','.join(str(x) for x in s)})" for s in family]
+# ---------------------------------------------------------------------------
+# labels: the one grammar that names values
+# ---------------------------------------------------------------------------
+
+_TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?(theta)(?:\^(\d+))?)?$")
+
+
+def parse_poly(fld: Field, text: str) -> Poly:
+    """Parse '2*theta^3+theta+1' style polynomials over theta."""
+    text = text.replace(" ", "")
+    if not text:
+        raise DomainError("empty polynomial string")
+    chunks = re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", text)
+    if "".join(chunks) != text:
+        raise DomainError(f"malformed polynomial {text!r}")
+    coeffs: dict = {}
+    for chunk in chunks:
+        m = _TERM_RE.match(chunk)
+        if not m or (not m.group(1) and not m.group(2)):
+            raise DomainError(f"malformed term {chunk!r} in polynomial {text!r}")
+        raw, var, exp = m.groups()
+        if raw in ("", "+"):
+            c = 1
+        elif raw == "-":
+            c = -1
+        else:
+            c = int(raw)
+        k = 0 if var is None else (1 if exp is None else int(exp))
+        coeffs[k] = coeffs.get(k, 0) + c
+    arr = [0] * (max(coeffs) + 1)
+    for k, c in coeffs.items():
+        arr[k] = fld.from_int(c)
+    return Poly(fld, arr)
+
+
+def parse_ratfunc(fld: Field, text: str) -> RatFunc:
+    """Parse 'num/den' with polynomial halves (den optional)."""
+    if text.count("/") > 1:
+        raise DomainError(f"malformed rational {text!r}")
+    if "/" in text:
+        num, den = (parse_poly(fld, half) for half in text.split("/"))
+        if den.is_zero:
+            raise DomainError(f"zero denominator in {text!r}")
+        return RatFunc(num, den)
+    return RatFunc.from_poly(parse_poly(fld, text))
+
+
+def parse_index(text: str) -> Index:
+    try:
+        return Index(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise DomainError(f"malformed index {text!r}") from exc
+
+
+def parse_signs(text: str):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise DomainError(f"malformed sign vector {text!r}") from exc
+
+
+def split_top(text: str, sep: str):
+    """Split at the separators outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise DomainError(f"unbalanced parentheses in {text!r}")
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth:
+        raise DomainError(f"unbalanced parentheses in {text!r}")
+    parts.append(text[start:])
+    return parts
+
+
+def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
+    """Evaluate one label at absolute 1/theta precision prec.
+
+    Grammar: zeta(s1,s2,...), amzv(s1,...;e1,...), cmpl(s1,...;p1;p2;...),
+    logc(point), pitilde(m) for the period power pi~^{(q-1)m},
+    gnzeta(s1,...) for the Gamma-normalised value via the deformation
+    evaluator, and prod(expr,expr,...) for products.
+    """
+    expr = expr.strip()
+    m = re.match(r"^([a-z]+)\((.*)\)$", expr)
+    if not m:
+        raise DomainError(f"malformed value expression {expr!r}")
+    name, body = m.group(1), m.group(2)
+    if name == "zeta":
+        return zeta.mzv(fld, parse_index(body), prec)
+    if name == "amzv":
+        parts = split_top(body, ";")
+        if len(parts) != 2:
+            raise DomainError("amzv wants amzv(index;signs)")
+        return zeta.amzv(fld, parse_index(parts[0]), parse_signs(parts[1]), prec)
+    if name == "cmpl":
+        parts = split_top(body, ";")
+        s = parse_index(parts[0])
+        points = [parse_ratfunc(fld, p) for p in parts[1:]]
+        return zeta.cmpl(fld, s, points, prec)
+    if name == "logc":
+        return zeta.carlitz_log(fld, parse_ratfunc(fld, body), prec)
+    if name == "pitilde":
+        try:
+            power = int(body)
+        except ValueError as exc:
+            raise DomainError(f"malformed period power {body!r}") from exc
+        return zeta.carlitz_period_power(fld, power, prec)
+    if name == "gnzeta":
+        s = parse_index(body)
+        qs = [anderson.at_polynomial(fld, sj - 1) for sj in s]
+        return anderson.deformation_value(fld, s, qs, prec)
+    if name == "prod":
+        parts = split_top(body, ",")
+        if len(parts) < 2:
+            raise DomainError("prod wants at least two factors")
+        acc = None
+        for sub in parts:
+            v = eval_value_expr(fld, sub, prec)
+            acc = v if acc is None else acc * v
+        return acc.truncate(prec)
+    raise DomainError(f"unknown value expression {name!r}")

@@ -345,6 +345,25 @@ def test_block_system_with_t_coefficients():
     assert anderson.verify_difference_system(system)
 
 
+def test_block_system_builds_omega_once(monkeypatch):
+    # one Omega for the system's own entries, one inside each deformation series
+    fld = field(3)
+    fam = [(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)]
+    calls = []
+    real = anderson.omega_unit
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(anderson, "omega_unit", spy)
+    system = anderson.build_block_system(
+        fld, fam, [at_inputs(fld, s) for s in fam], [1] * len(fam), 8, 60
+    )
+    assert len(calls) == 1 + len(fam)
+    assert len(system.psi) == 1 + 0 + 1 + 2 + 3 + 1
+
+
 def test_block_system_shape_mismatch():
     fld = field(3)
     with pytest.raises(DomainError):

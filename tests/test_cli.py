@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ffzeta import cli
+from ffzeta import cli, relations
 from ffzeta.errors import DomainError
 from ffzeta.scalar import Poly, RatFunc, field
 
@@ -33,23 +33,23 @@ def strip_meta(payload):
 
 def test_parse_poly():
     fld = field(3)
-    assert cli.parse_poly(fld, "theta^2+2*theta+1") == Poly(fld, [1, 2, 1])
-    assert cli.parse_poly(fld, "-theta") == Poly(fld, [0, 2])
-    assert cli.parse_poly(fld, "7") == Poly(fld, [1])
+    assert relations.parse_poly(fld, "theta^2+2*theta+1") == Poly(fld, [1, 2, 1])
+    assert relations.parse_poly(fld, "-theta") == Poly(fld, [0, 2])
+    assert relations.parse_poly(fld, "7") == Poly(fld, [1])
     with pytest.raises(Exception):
-        cli.parse_poly(fld, "theta^^2")
+        relations.parse_poly(fld, "theta^^2")
 
 
 def test_parse_ratfunc():
     fld = field(3)
-    r = cli.parse_ratfunc(fld, "theta/theta^2+1")
+    r = relations.parse_ratfunc(fld, "theta/theta^2+1")
     assert r == RatFunc(Poly(fld, [0, 1]), Poly(fld, [1, 0, 1]))
-    assert cli.parse_ratfunc(fld, "1") == RatFunc.one(fld)
+    assert relations.parse_ratfunc(fld, "1") == RatFunc.one(fld)
 
 
 def test_zero_denominator_is_a_domain_error(capsys):
     with pytest.raises(DomainError):
-        cli.parse_ratfunc(field(2), "1/0")
+        relations.parse_ratfunc(field(2), "1/0")
     rc = cli.main(["cmpl", "--q", "2", "--index", "2", "--points", "1/0", "--prec", "10"])
     assert rc == 2
     rc = cli.main([
@@ -162,6 +162,29 @@ def test_domain_error_exit_code(capsys):
     assert rc == 2
     rc = cli.main(["cmpl", "--q", "2", "--index", "1", "--points", "theta^2", "--prec", "10"])
     assert rc == 2  # divergent point
+    rc = cli.main([
+        "relations", "hunt", "--q", "3", "--labels", "pitilde(x),zeta(3)",
+        "--deg-bound", "0", "--prec", "40",
+    ])
+    assert rc == 2  # malformed label
+    assert capsys.readouterr().err.splitlines()[-1] == "error: malformed period power 'x'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--q", "3", "--index", "2"],
+    ["zeta", "--q", "3", "--index", "2,1"],
+    ["amzv", "--q", "3", "--index", "2", "--signs=-1"],
+    ["amzv", "--q", "3", "--index", "2,1", "--signs=-1,1"],
+    ["cmpl", "--q", "3", "--index", "2", "--points", "theta"],
+    ["cmpl", "--q", "3", "--index", "2,1", "--points", "theta,1"],
+    ["cmpl", "--q", "2", "--index", "2,1", "--points", "1/theta+1,theta/theta^2+1"],
+])
+def test_value_command_labels_round_trip(capsys, argv):
+    rc, payload = run_json(capsys, *argv, "--prec", "40")
+    assert rc == 0
+    fld = field(int(argv[2]))
+    value = relations.eval_value_expr(fld, payload["label"], 40)
+    assert value.to_json() == payload["value"]
 
 
 def test_resource_error_exit_code(capsys):
@@ -176,14 +199,14 @@ def test_resource_error_exit_code(capsys):
 
 def test_value_expressions(capsys):
     fld = field(3)
-    v = cli.eval_value_expr(fld, "prod(zeta(1),zeta(2))", 40)
+    v = relations.eval_value_expr(fld, "prod(zeta(1),zeta(2))", 40)
     import ffzeta.zeta as z
 
     want = (z.mzv(fld, (1,), 40) * z.mzv(fld, (2,), 40)).truncate(40)
     assert v == want
-    v = cli.eval_value_expr(fld, "pitilde(1)", 30)
+    v = relations.eval_value_expr(fld, "pitilde(1)", 30)
     assert v.val == -3
-    v = cli.eval_value_expr(fld, "gnzeta(2,1)", 30)
+    v = relations.eval_value_expr(fld, "gnzeta(2,1)", 30)
     assert not v.is_zero_to_precision
 
 
