@@ -30,6 +30,7 @@ from .scalar import (
     Poly,
     RatFunc,
     TVAR,
+    binary_power,
     bracket_D,
     carlitz_gamma,
     frobenius_twist,
@@ -117,14 +118,7 @@ class GradedSeries:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative GradedSeries power")
-        result = GradedSeries.one(self.field, self.cap)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, GradedSeries.one(self.field, self.cap))
 
     def twist(self, steps: int = 1):
         """Forward Frobenius twist of the represented value."""
@@ -215,24 +209,15 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
 # Anderson-Thakur polynomials
 # ---------------------------------------------------------------------------
 
-_AT_MEMO: dict = {}
-_AT_TOWER: dict = {}
-
-
-def _at_tower(fld: Field, n: int) -> tuple:
-    """(H_0, ..., H_m) for some m >= n, by the recursion
+def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
+    """(H_0, ..., H_n), extending the shorter tower (H_0, ...), by the recursion
 
         H_m = sum_{q^i <= m} F_i * B_{m,i}(t) * H_{m-q^i}
 
     with F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}) and the Carlitz binomial
     B_{m,i} = Gamma_{m+1} / (Gamma_{m+1-q^i} D_i) at theta = t: the series
-    recursion for H_m / Gamma_{m+1}, cleared of denominators.  A longer
-    tower is built as a copy and replaces the memo entry whole, so callers
-    on other threads see the old tuple or the new one."""
+    recursion for H_m / Gamma_{m+1}, cleared of denominators."""
     q = fld.q
-    tower = _AT_TOWER.get(q, ())
-    if len(tower) > n:
-        return tower
     fs = []
     while q ** len(fs) <= n:
         i = len(fs)
@@ -262,9 +247,7 @@ def _at_tower(fld: Field, n: int) -> tuple:
                 term = term * binom.with_var(TVAR)
             acc = acc + (fi * term if i else term)
         tower.append(acc)
-    tower = tuple(tower)
-    _AT_TOWER[q] = tower
-    return tower
+    return tuple(tower)
 
 
 def at_polynomial(fld: Field, n: int) -> BiPoly:
@@ -273,28 +256,21 @@ def at_polynomial(fld: Field, n: int) -> BiPoly:
     H_n is the x^n coefficient of the generating series
     1 / (1 - sum_i (F_i / D_i|_{theta=t}) x^{q^i}), scaled by
     Gamma_{n+1}|_{theta=t}.  It is computed by the polynomial recursion of
-    ``_at_tower``, which yields H_0..H_n together and keeps them for later
-    calls; the persistent cache, when active, holds each H_n on its own."""
+    ``_at_tower``, which yields H_0..H_n together; the memo keeps one tower
+    per q, and a request past its end extends it.  The persistent
+    cache, when active, holds each H_n on its own."""
     if n < 0:
         raise InvalidIndexError("at_polynomial wants n >= 0")
     if n > AT_BUDGET:
         raise BudgetError(f"at_polynomial budget is n <= {AT_BUDGET}, got {n}")
-    key = (fld.q, n)
-    hit = _AT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    store = cache.get_active()
-    if store is not None:
-        payload = store.get("at_poly", key)
-        if payload is not None:
-            result = cache.bipoly_from_json(fld, payload)
-            _AT_MEMO[key] = result
-            return result
-    result = _at_tower(fld, n)[n]
-    _AT_MEMO[key] = result
-    if store is not None:
-        store.put("at_poly", key, cache.bipoly_to_json(result))
-    return result
+
+    def from_tower():
+        tower = cache.remember("at_tower", fld.q, lambda t: len(t) > n,
+                               lambda stale: _at_tower(fld, stale or (), n))
+        return tower[n]
+
+    return cache.recall("at_poly", (fld.q, n), from_tower, cache.bipoly_to_json,
+                        lambda payload: cache.bipoly_from_json(fld, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +278,11 @@ def at_polynomial(fld: Field, n: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 def _coerce_q(fld: Field, item):
+    """A deformation input as a BiPoly (every polynomial) or a RatFunc."""
     if isinstance(item, BiPoly):
         return item
     if isinstance(item, Poly):
-        return item if item.var == TVAR else BiPoly.from_poly(item)
+        return BiPoly.from_poly(item)
     if isinstance(item, RatFunc):
         return item
     if isinstance(item, int):
@@ -318,13 +295,6 @@ def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -
     if isinstance(qpoly, RatFunc):
         base_prec = max(prec // fld.q ** ell + 1, 0)
         return Laurent.from_ratfunc(qpoly, base_prec).qth_power(ell, out_prec=prec)
-    if isinstance(qpoly, Poly):  # polynomial in t over F_q
-        step = fld.q ** point_pow
-        acc = Laurent.zero(fld)
-        for k, c in enumerate(qpoly.coeffs):
-            if c:
-                acc = acc + Laurent.monomial(fld, int(c), -k * step)
-        return acc
     # Q^(ell) evaluated at theta^{q^P} is sum_k c_k(theta)^{q^ell} theta^{k q^P}:
     # the twist powers the coefficients, the point only dilates the monomials
     step = fld.q ** point_pow
@@ -341,9 +311,7 @@ def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -
 def _norm_profile(fld: Field, item):
     """(max theta-degree, t-degree) bounds used for valuation pruning."""
     m = infty_norm_degree(item)
-    tdeg = item.t_degree if isinstance(item, BiPoly) else (
-        item.degree if isinstance(item, Poly) and item.var == TVAR else 0
-    )
+    tdeg = item.t_degree if isinstance(item, BiPoly) else 0
     return int(m), int(tdeg)
 
 
@@ -365,8 +333,7 @@ def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -
     qs = [_coerce_q(fld, item) for item in qs]
     if len(qs) != s.depth:
         raise InvalidIndexError("one deformation input per index entry required")
-    if any(isinstance(item, RatFunc) and item.is_zero or
-           isinstance(item, (Poly, BiPoly)) and item.is_zero for item in qs):
+    if any(item.is_zero for item in qs):
         return Laurent.zero(fld)
     _require_convergence(fld, s, qs, "deformation")
     signs = _validate_signs(fld, s, eps) if eps is not None else None
@@ -428,8 +395,7 @@ def deformation_t_series(fld: Field, s, qs, cap: int, prec) -> list:
                 fld, 0, [Laurent.from_ratfunc(qj, prec)], cap
             )
         else:
-            bp = qj if isinstance(qj, BiPoly) else BiPoly.from_poly(qj)
-            qj_series = GradedSeries.from_bipoly(bp, cap)
+            qj_series = GradedSeries.from_bipoly(qj, cap)
         a = GradedSeries(fld, -fld.q * s[j], (base ** s[j]).coeffs, cap) * qj_series
         # Coefficient valuations obey v(l+1) = q v(l) + q s_j under twisting,
         # so with v0 the smallest initial valuation the l-th twist is
@@ -524,9 +490,6 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
             raise DomainError("block systems want exact polynomial inputs")
     a_polys = [_coerce_t_poly(fld, a) for a in a_coeffs]
 
-    def as_bipoly(q):
-        return q if isinstance(q, BiPoly) else BiPoly.from_poly(q)
-
     size = 1 + sum(s.depth - 1 for s in family) + 1
     phi = [[None] * size for _ in range(size)]
     phi[0][0] = BiPoly.t_minus_theta_power(fld, 1, w)
@@ -542,7 +505,7 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
     for s, qs, a in zip(family, qs_per_index, a_polys):
         r = s.depth
         tails = [sum(s[j:]) for j in range(r)]  # tails[j] = s_{j+1}+...+s_r (0-based)
-        qinv = [inverse_twist(as_bipoly(q)) for q in qs]
+        qinv = [inverse_twist(q) for q in qs]
         series = deformation_t_series(fld, s, qs, cap, prec)
         if r == 1:
             nu = qinv[0] * BiPoly.t_minus_theta_power(fld, 1, w)

@@ -1,11 +1,21 @@
-"""Persistent JSON cache for expensive intermediates (power sums and
-Anderson-Thakur polynomials).
+"""The in-process memos and the persistent JSON cache for expensive
+intermediates (power sums and Anderson-Thakur polynomials).
 
-Entries are keyed by kind and integer key tuple, carry the artifact
-version (a mismatch invalidates), and are written with atomic renames so
-concurrent readers never see a torn file.  Payloads stay JSON because they
-are small at desk scale and a human-inspectable cache makes debugging
-exact arithmetic much easier.
+Every in-process memo follows one policy, ``remember``: an entry serves
+every request it covers, and a request it does not cover recomputes the
+entry and replaces it whole.  Entries are never mutated, so a reader on
+another thread sees the old entry or the new one.  ``recall`` puts the
+persistent cache between a memo and the computation, and ``clear_memos``
+empties every memo.  The one memo outside this module is the
+``lru_cache`` on ``scalar.field``, which ``clear_memos`` leaves alone:
+``Poly``, ``Laurent`` and their kin compare fields with ``is``, so values
+made before and after a cleared field could no longer be combined.
+
+Persistent entries are keyed by kind and integer key tuple, carry the
+artifact version (a mismatch invalidates), and are written with atomic
+renames so concurrent readers never see a torn file.  Payloads stay JSON
+because they are small at desk scale and a human-inspectable cache makes
+debugging exact arithmetic much easier.
 """
 
 from __future__ import annotations
@@ -15,12 +25,12 @@ import logging
 import os
 import tempfile
 
-from . import __version__
-from .scalar import BiPoly, Field, Poly, RatFunc
+from . import __version__, scalar
 
 log = logging.getLogger("ffzeta.cache")
 
 _ACTIVE = None
+_MEMOS: dict = {}
 
 
 def set_active(cache):
@@ -29,29 +39,60 @@ def set_active(cache):
     _ACTIVE = cache
 
 
-def get_active():
-    return _ACTIVE
+def remember(name: str, key, covers, compute):
+    """The entry of memo ``name`` at ``key`` when ``covers(entry)`` holds (or
+    ``covers`` is None); otherwise ``compute(stale)``, given the uncovered
+    entry or None, becomes the entry and is returned."""
+    memo = _MEMOS.setdefault(name, {})
+    entry = memo.get(key)
+    if entry is not None and (covers is None or covers(entry)):
+        return entry
+    entry = compute(entry)
+    memo[key] = entry
+    return entry
 
 
-def ratfunc_to_json(r: RatFunc) -> dict:
+def recall(kind: str, key, compute, encode, decode):
+    """The memo, then the active persistent cache, then ``compute()``; a
+    computed value is stored in both, encoded by ``encode`` for the disk."""
+    def load(_):
+        store = _ACTIVE
+        if store is not None:
+            payload = store.get(kind, key)
+            if payload is not None:
+                return decode(payload)
+        value = compute()
+        if store is not None:
+            store.put(kind, key, encode(value))
+        return value
+
+    return remember(kind, key, None, load)
+
+
+def clear_memos() -> None:
+    """Empty every memo of ``remember``; ``scalar.field`` keeps its fields."""
+    _MEMOS.clear()
+
+
+def ratfunc_to_json(r: scalar.RatFunc) -> dict:
     return {"num": [int(c) for c in r.num.coeffs], "den": [int(c) for c in r.den.coeffs]}
 
 
-def ratfunc_from_json(fld: Field, data: dict) -> RatFunc:
-    return RatFunc(Poly(fld, data["num"]), Poly(fld, data["den"]))
+def ratfunc_from_json(fld: scalar.Field, data: dict) -> scalar.RatFunc:
+    return scalar.RatFunc(scalar.Poly(fld, data["num"]), scalar.Poly(fld, data["den"]))
 
 
-def bipoly_to_json(b: BiPoly) -> dict:
+def bipoly_to_json(b: scalar.BiPoly) -> dict:
     return {"rows": [[int(c) for c in row] for row in b.coeffs]}
 
 
-def bipoly_from_json(fld: Field, data: dict) -> BiPoly:
+def bipoly_from_json(fld: scalar.Field, data: dict) -> scalar.BiPoly:
     rows = data["rows"]
     if not rows:
-        return BiPoly.zero(fld)
+        return scalar.BiPoly.zero(fld)
     width = max(len(r) for r in rows)
     grid = [list(r) + [0] * (width - len(r)) for r in rows]
-    return BiPoly(fld, grid)
+    return scalar.BiPoly(fld, grid)
 
 
 class JsonCache:

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("amzv", help="alternating multizeta value")
     add_common(p)
     p.add_argument("--index", required=True)
-    p.add_argument("--signs", required=True, help="comma-separated units, e.g. -1,1")
+    p.add_argument("--signs", required=True, help="comma-separated units, written --signs=-1,1")
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("cmpl", help="Carlitz multiple polylogarithm at k-rational points")

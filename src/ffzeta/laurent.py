@@ -23,7 +23,7 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError
-from .scalar import Field, Poly, RatFunc, THETA
+from .scalar import Field, Poly, RatFunc, THETA, binary_power
 
 INF = math.inf
 
@@ -261,14 +261,7 @@ class Laurent:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = Laurent.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, Laurent.one(self.field))
 
     def qth_power(self, m: int, out_prec=None):
         """Raise to the q^m-th power: exponents dilate by q^m (coefficients

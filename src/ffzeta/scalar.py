@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backend
+from . import backend, cache
 from .errors import BudgetError, DomainError, InvalidIndexError
 
 THETA = "theta"
@@ -287,9 +287,6 @@ class Field:
         """Canonical image of an integer (lands in the prime subfield)."""
         return n % self.p
 
-    def units(self):
-        return range(1, self.q)
-
     def __repr__(self):
         return f"F({self.q})"
 
@@ -316,6 +313,20 @@ def _factor_prime_power(q):
 def field(q: int) -> Field:
     """Shared immutable Field instance for F_q."""
     return Field(q)
+
+
+def binary_power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply, the products taken as
+    result * base; ``one`` is the value for k = 0.  No square is taken past
+    the top bit of k."""
+    result = one if k == 0 else None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +457,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative polynomial power")
-        result = Poly.one(self.field, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, Poly.one(self.field, self.var))
 
     def shift(self, k: int):
         """Multiply by x^k."""
@@ -655,14 +659,7 @@ class BiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative BiPoly power")
-        result = BiPoly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, BiPoly.one(self.field))
 
     def scale(self, c: int):
         if not 0 <= c < self.field.q:
@@ -830,42 +827,33 @@ class RatFunc:
 # the paper's standard quantities and twisting
 # ---------------------------------------------------------------------------
 
-_BRACKET_CACHE: dict = {}
-
-
 def bracket_L(fld: Field, d: int) -> Poly:
     """L_d = (theta - theta^q) ... (theta - theta^{q^d}); L_0 = 1."""
     if d < 0:
         raise InvalidIndexError("bracket_L wants d >= 0")
-    key = (fld.q, "L", d)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if d == 0:
-        result = Poly.one(fld)
-    else:
-        prev = bracket_L(fld, d - 1)
-        factor = Poly.gen(fld) - Poly.monomial(fld, 1, fld.q ** d)
-        result = prev * factor
-    _BRACKET_CACHE[key] = result
-    return result
+
+    def compute(_):
+        if d == 0:
+            return Poly.one(fld)
+        return bracket_L(fld, d - 1) * (Poly.gen(fld) - Poly.monomial(fld, 1, fld.q ** d))
+
+    return cache.remember("bracket_L", (fld.q, d), None, compute)
 
 
 def bracket_D(fld: Field, i: int) -> Poly:
     """D_i = prod_{j=0}^{i-1} (theta^{q^i} - theta^{q^j}); D_0 = 1."""
     if i < 0:
         raise InvalidIndexError("bracket_D wants i >= 0")
-    key = (fld.q, "D", i)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = Poly.one(fld)
-    for j in range(i):
-        result = result * (
-            Poly.monomial(fld, 1, fld.q ** i) - Poly.monomial(fld, 1, fld.q ** j)
-        )
-    _BRACKET_CACHE[key] = result
-    return result
+
+    def compute(_):
+        result = Poly.one(fld)
+        for j in range(i):
+            result = result * (
+                Poly.monomial(fld, 1, fld.q ** i) - Poly.monomial(fld, 1, fld.q ** j)
+            )
+        return result
+
+    return cache.remember("bracket_D", (fld.q, i), None, compute)
 
 
 def base_q_digits(n: int, q: int):

@@ -17,10 +17,11 @@ degree layers.
 
 The DP state after layer i is the same for every degree d >= i, so one
 pass per (q, n) yields the digits of S_d(n) for every degree whose bound
-is <= prec.  The memo keeps the digits of the highest prec seen for each
-(q, n) and slices them for lower ones.  A lone first call for one degree
-therefore pays for the whole pass; ``mzv`` and ``amzv`` walk every degree
-anyway.
+is <= prec.  Its memo entry keeps the digits of the highest prec seen
+for each (q, n) and serves lower ones by slicing.  A lone first call for
+one degree therefore pays for the whole pass; ``mzv`` and ``amzv`` walk
+every degree anyway.  Exact power sums, the passes and 1/L_i^s are
+memoised through ``cache.remember``, the package's one memo policy.
 
 mzv, amzv, cmpl and the deformation evaluator in ``anderson`` are nested
 sums over strictly decreasing tuples l_1 > ... > l_r, truncated by an
@@ -41,10 +42,6 @@ from .laurent import INF, Laurent
 from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, enumerate_monic
 
 DEFAULT_BUDGET = 10 ** 6
-
-_PS_EXACT_MEMO: dict = {}
-_PS_SERIES_MEMO: dict = {}
-_L_INV_MEMO: dict = {}
 
 
 def _finite_prec(prec) -> int:
@@ -70,35 +67,25 @@ def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) ->
     """
     if d < 0 or n < 1:
         raise InvalidIndexError("power_sum_exact wants d >= 0 and n >= 1")
-    key = (fld.q, d, n)
-    hit = _PS_EXACT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    store = cache.get_active()
-    if store is not None:
-        payload = store.get("power_sum", key)
-        if payload is not None:
-            result = cache.ratfunc_from_json(fld, payload)
-            _PS_EXACT_MEMO[key] = result
-            return result
-    if fld.q ** d > budget:
-        raise BudgetError(
-            f"power_sum_exact: q^d = {fld.q ** d} monic enumerations exceed the budget {budget}"
-        )
-    one = Poly.one(fld)
-    terms = [RatFunc(one, a ** n) for a in enumerate_monic(fld, d, budget)]
-    while len(terms) > 1:
-        merged = []
-        for i in range(0, len(terms) - 1, 2):
-            merged.append(terms[i] + terms[i + 1])
-        if len(terms) % 2:
-            merged.append(terms[-1])
-        terms = merged
-    result = terms[0]
-    _PS_EXACT_MEMO[key] = result
-    if store is not None:
-        store.put("power_sum", key, cache.ratfunc_to_json(result))
-    return result
+
+    def enumerate_and_merge():
+        if fld.q ** d > budget:
+            raise BudgetError(
+                f"power_sum_exact: q^d = {fld.q ** d} monic enumerations exceed the budget {budget}"
+            )
+        one = Poly.one(fld)
+        terms = [RatFunc(one, a ** n) for a in enumerate_monic(fld, d, budget)]
+        while len(terms) > 1:
+            merged = []
+            for i in range(0, len(terms) - 1, 2):
+                merged.append(terms[i] + terms[i + 1])
+            if len(terms) % 2:
+                merged.append(terms[-1])
+            terms = merged
+        return terms[0]
+
+    return cache.recall("power_sum", (fld.q, d, n), enumerate_and_merge, cache.ratfunc_to_json,
+                        lambda payload: cache.ratfunc_from_json(fld, payload))
 
 
 def _binom_table(rows: int, p: int) -> np.ndarray:
@@ -114,18 +101,16 @@ def _power_sum_digits(fld: Field, d: int, n: int, prec: int) -> np.ndarray:
 
     One DP pass per (q, n) yields every degree whose valuation bound is
     <= prec.  The memo keeps the digits of the highest prec seen; a lower
-    prec slices them, a higher one reruns the pass and replaces the entry
-    whole (never mutated, so readers on other threads see either one).
+    prec slices them, a higher one reruns the pass.
     """
-    key = (fld.q, n)
-    hit = _PS_SERIES_MEMO.get(key)
-    if hit is None or hit[0] < prec:
+    def run_pass(_):
         d_max = d
         while power_sum_val_bound(fld.q, d_max + 1, n) <= prec:
             d_max += 1
         binom = _binom_table(prec + 1, fld.p)
-        hit = (prec, backend.power_sum_digits(d_max, n, fld.q, prec - n, binom, fld.p))
-        _PS_SERIES_MEMO[key] = hit
+        return prec, backend.power_sum_digits(d_max, n, fld.q, prec - n, binom, fld.p)
+
+    hit = cache.remember("power_sum_series", (fld.q, n), lambda e: e[0] >= prec, run_pass)
     return hit[1][d - 1][: prec - n * d + 1]
 
 
@@ -284,14 +269,9 @@ def convergence_check(fld: Field, s, items) -> bool:
 
 def _l_power_inverse(fld: Field, i: int, s: int, prec) -> Laurent:
     """1/L_i^s exact through prec (memoized per precision high-water mark)."""
-    key = (fld.q, i, s)
-    hit = _L_INV_MEMO.get(key)
-    if hit is not None and hit.prec >= prec:
-        return hit.truncate(prec)
-    ls = bracket_L(fld, i) ** s
-    result = Laurent.from_poly(ls).inv(prec=prec)
-    _L_INV_MEMO[key] = result
-    return result
+    hit = cache.remember("l_power_inverse", (fld.q, i, s), lambda e: e.prec >= prec,
+                         lambda _: Laurent.from_poly(bracket_L(fld, i) ** s).inv(prec=prec))
+    return hit.truncate(prec)
 
 
 def cmpl(fld: Field, s, points, prec) -> Laurent:

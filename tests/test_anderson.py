@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ffzeta import anderson, zeta
+from ffzeta import anderson, cache, zeta
 from ffzeta.anderson import GradedSeries
 from ffzeta.errors import BudgetError, ConvergenceError, DomainError, ResolutionError
 from ffzeta.indices import g_map
@@ -15,6 +15,7 @@ from ffzeta.scalar import (
     BiPoly,
     Poly,
     RatFunc,
+    THETA,
     TVAR,
     bracket_D,
     bracket_L,
@@ -173,26 +174,23 @@ def _at_polynomials_by_fractions(fld, n):
 
 
 @pytest.mark.parametrize("q,n", [(2, 22), (3, 30), (4, 24), (5, 40), (8, 20), (9, 20)])
-def test_at_recursion_matches_fraction_route(q, n, monkeypatch):
-    monkeypatch.setattr(anderson, "_AT_MEMO", {})
-    monkeypatch.setattr(anderson, "_AT_TOWER", {})
+def test_at_recursion_matches_fraction_route(q, n):
+    cache.clear_memos()
     fld = field(q)
     got = [anderson.at_polynomial(fld, m) for m in range(n + 1)]
     assert got == _at_polynomials_by_fractions(fld, n)
 
 
-def test_at_polynomial_thread_safety(monkeypatch):
+def test_at_polynomial_thread_safety():
     fld = field(3)
     ns = [30, 27, 24, 29, 30, 28, 26, 25]
-    monkeypatch.setattr(anderson, "_AT_MEMO", {})
-    monkeypatch.setattr(anderson, "_AT_TOWER", {})
+    cache.clear_memos()
     want = {n: anderson.at_polynomial(fld, n) for n in ns}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(5):
-            anderson._AT_MEMO.clear()
-            anderson._AT_TOWER.clear()
+            cache.clear_memos()
             with ThreadPoolExecutor(4) as pool:
                 got = list(pool.map(lambda n: anderson.at_polynomial(fld, n), ns, timeout=60))
             assert got == [want[n] for n in ns]
@@ -244,6 +242,17 @@ def test_deformation_constant_inputs_match_cmpl():
         dv = anderson.deformation_value(fld, s, us, 40)
         cv = zeta.cmpl(fld, s, [u if isinstance(u, RatFunc) else RatFunc.constant(fld, u) for u in us], 40)
         assert dv.agrees_with(cv), s
+
+
+def test_deformation_t_polynomial_input_matches_cmpl():
+    # Q(t) = 1 + 2t has F_q coefficients, so every twist of Q is Q and the
+    # value at theta is Q(theta) * Li_2(1)
+    fld = field(3)
+    q_t = Poly(fld, [1, 2], TVAR)
+    dv = anderson.deformation_value(fld, (2,), [q_t], 60)
+    expect = Laurent.from_poly(q_t.with_var(THETA)) * zeta.cmpl(fld, (2,), [1], 61)
+    assert dv == expect
+    assert anderson.specialization_frobenius_check(fld, (2,), [q_t], 40)
 
 
 def test_deformation_sign_inputs_match_amzv():

@@ -1,11 +1,12 @@
-"""Persistent cache: hits, corruption handling, version invalidation."""
+"""In-process memos (one cover-or-replace policy, one clear) and the
+persistent cache: hits, corruption handling, version invalidation."""
 
 import json
 import os
 
 import pytest
 
-from ffzeta import anderson, cache, zeta
+from ffzeta import anderson, backend, cache, zeta
 from ffzeta.scalar import field
 
 
@@ -19,22 +20,20 @@ def store(tmp_path):
 
 def test_power_sum_roundtrip(store):
     fld = field(3)
-    zeta._PS_EXACT_MEMO.clear()
+    cache.clear_memos()
     first = zeta.power_sum_exact(fld, 2, 3)
     assert store.get("power_sum", (3, 2, 3)) is not None
-    zeta._PS_EXACT_MEMO.clear()
+    cache.clear_memos()
     second = zeta.power_sum_exact(fld, 2, 3)  # from disk now
     assert first == second
 
 
 def test_at_poly_roundtrip(store, monkeypatch):
     fld = field(3)
-    monkeypatch.setattr(anderson, "_AT_MEMO", {})
-    monkeypatch.setattr(anderson, "_AT_TOWER", {})
+    cache.clear_memos()
     first = anderson.at_polynomial(fld, 5)
     assert store.get("at_poly", (3, 5)) is not None
-    anderson._AT_MEMO.clear()
-    anderson._AT_TOWER.clear()
+    cache.clear_memos()
 
     def no_recursion(*args):
         raise AssertionError("H_5 recomputed instead of read from disk")
@@ -66,3 +65,90 @@ def test_atomic_writes_leave_no_temp_files(store, tmp_path):
     store.put("power_sum", (2, 1, 1), {"num": [1], "den": [1]})
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert not leftovers
+
+
+# -- the in-process memo policy --------------------------------------------------
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Records each digit-DP pass and each run of the H_n tower recursion."""
+    calls = []
+    dp, tower = backend.power_sum_digits, anderson._at_tower
+
+    def dp_spy(*args):
+        calls.append("dp")
+        return dp(*args)
+
+    def tower_spy(*args):
+        calls.append("tower")
+        return tower(*args)
+
+    monkeypatch.setattr(backend, "power_sum_digits", dp_spy)
+    monkeypatch.setattr(anderson, "_at_tower", tower_spy)
+    cache.clear_memos()
+    return calls
+
+
+def entry(name, key):
+    """The current entry of memo ``name``; fails the test if there is none."""
+    return cache.remember(name, key, None, lambda stale: pytest.fail(f"no {name} entry at {key}"))
+
+
+def test_clear_memos_recomputes(spy):
+    fld = field(3)
+    z = zeta.mzv(fld, (2, 1), 60)
+    h = anderson.at_polynomial(fld, 7)
+    linv = zeta._l_power_inverse(fld, 3, 2, 80)
+    assert "dp" in spy and "tower" in spy
+    spy.clear()
+    assert zeta.mzv(fld, (2, 1), 60) == z
+    assert anderson.at_polynomial(fld, 7) is h
+    assert zeta._l_power_inverse(fld, 3, 2, 80) is linv
+    assert spy == []
+    cache.clear_memos()
+    assert zeta.mzv(fld, (2, 1), 60) == z
+    h2 = anderson.at_polynomial(fld, 7)
+    linv2 = zeta._l_power_inverse(fld, 3, 2, 80)
+    assert "dp" in spy and "tower" in spy
+    assert h2 == h and h2 is not h
+    assert linv2 == linv and linv2 is not linv
+
+
+def test_covered_request_computes_nothing(spy):
+    fld = field(3)
+    zeta.power_sum_series(fld, 2, 1, 150)
+    anderson.at_polynomial(fld, 20)
+    spy.clear()
+    for prec in (150, 60, 10):
+        zeta.power_sum_series(fld, 2, 1, prec)
+        zeta.power_sum_series(fld, 3, 1, prec)
+    for n in (20, 11, 3):
+        anderson.at_polynomial(fld, n)
+    assert spy == []
+
+
+def test_uncovered_request_replaces_the_entry_whole(spy):
+    fld = field(3)
+    anderson.at_polynomial(fld, 5)
+    zeta.power_sum_series(fld, 2, 1, 60)
+    old_tower = entry("at_tower", 3)
+    old_pass = entry("power_sum_series", (3, 1))
+    assert len(old_tower) == 6 and old_pass[0] == 60
+    anderson.at_polynomial(fld, 12)
+    zeta.power_sum_series(fld, 2, 1, 150)
+    new_tower = entry("at_tower", 3)
+    new_pass = entry("power_sum_series", (3, 1))
+    assert new_tower is not old_tower and len(new_tower) == 13
+    assert new_pass is not old_pass and new_pass[0] == 150
+    # the old entries are untouched, and the tower was extended, not rebuilt
+    assert len(old_tower) == 6 and old_pass[0] == 60
+    assert all(a is b for a, b in zip(new_tower, old_tower))
+
+
+def test_clear_keeps_fields():
+    fld = field(3)
+    before = zeta.mzv(fld, (2, 1), 40)
+    cache.clear_memos()
+    assert field(3) is fld
+    after = zeta.mzv(field(3), (2, 1), 40)
+    assert (before + after) == before.scale(2)

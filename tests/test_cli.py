@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ffzeta import cli, relations
+from ffzeta import cache, cli, relations
 from ffzeta.errors import DomainError
 from ffzeta.scalar import Poly, RatFunc, field
 
@@ -143,13 +143,10 @@ def test_determinism_modulo_timestamp(capsys):
 
 
 def test_cache_transparency(capsys, tmp_path):
-    from ffzeta import zeta as zmod
-
     args = ["zeta", "--q", "3", "--index", "2,1", "--prec", "80", "--json"]
     rc, cold = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
     assert rc == 0
-    zmod._PS_EXACT_MEMO.clear()
-    zmod._PS_SERIES_MEMO.clear()
+    cache.clear_memos()
     rc, warm = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
     assert rc == 0
     rc, nocache = run_cli(capsys, *args)

@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from ffzeta.anderson import GradedSeries
 from ffzeta.errors import DomainError, InvalidIndexError
+from ffzeta.laurent import Laurent
 from ffzeta.scalar import (
     BiPoly,
     Poly,
@@ -252,3 +254,39 @@ def test_ratfunc_arithmetic():
     assert (a - a).is_zero
     with pytest.raises(ZeroDivisionError):
         RatFunc(Poly.one(fld), Poly.zero(fld))
+
+
+# -- powers: one square-and-multiply for every ring type --------------------------
+
+def _power_cases():
+    f3, f4 = field(3), field(4)
+    series = [Laurent(f3, -1, [1, 2, 1], 12), Laurent(f3, 2, [2, 0, 1], 20)]
+    return {
+        "poly": (Poly(f3, [1, 2, 0, 1]), Poly.one(f3)),
+        "poly-t": (Poly(f4, [3, 0, 2], "t"), Poly.one(f4, "t")),
+        "bipoly": (BiPoly(f3, [[1, 2], [0, 1]]), BiPoly.one(f3)),
+        "laurent": (series[0], Laurent.one(f3)),
+        "laurent-exact": (Laurent.from_poly(Poly(f4, [1, 1, 2])), Laurent.one(f4)),
+        "graded": (GradedSeries(f3, -2, series, 4), GradedSeries.one(f3, 4)),
+    }
+
+
+def _as_key(x):
+    return (x.grade, x.coeffs) if isinstance(x, GradedSeries) else x
+
+
+@pytest.mark.parametrize("kind", sorted(_power_cases()))
+def test_power_matches_repeated_product(kind):
+    x, prod = _power_cases()[kind]
+    for k in range(10):
+        assert _as_key(x ** k) == _as_key(prod), (kind, k)
+        prod = prod * x
+
+
+def test_laurent_negative_power_is_power_of_inverse():
+    x = Laurent(field(3), -1, [1, 2, 1], 12)
+    inv = x.inv()
+    prod = Laurent.one(x.field)
+    for k in range(1, 10):
+        prod = prod * inv
+        assert x ** -k == prod, k

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ffzeta import anderson, zeta
+from ffzeta import anderson, cache, zeta
 from ffzeta.errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from ffzeta.laurent import Laurent
 from ffzeta.scalar import Poly, RatFunc, bracket_L, field
@@ -86,24 +86,24 @@ def test_series_memo_order_does_not_change_digits():
     fld = field(3)
 
     def fresh(d, n, prec):
-        saved = dict(zeta._PS_SERIES_MEMO)
-        zeta._PS_SERIES_MEMO.clear()
-        try:
-            return zeta.power_sum_series(fld, d, n, prec)
-        finally:
-            zeta._PS_SERIES_MEMO.clear()
-            zeta._PS_SERIES_MEMO.update(saved)
+        cache.clear_memos()
+        return zeta.power_sum_series(fld, d, n, prec)
+
+    # the fresh values come first, so computing them leaves the sequence
+    # of memo states under test alone
+    want = {(prec, n, d): fresh(d, n, prec)
+            for prec in (150, 60, 300) for n in (1, 2) for d in range(1, 7)}
 
     def check(prec):
         for n in (1, 2):
             for d in range(1, 7):
                 got = zeta.power_sum_series(fld, d, n, prec)
-                assert got == fresh(d, n, prec), (prec, n, d)
+                assert got == want[prec, n, d], (prec, n, d)
 
-    zeta._PS_SERIES_MEMO.clear()
+    cache.clear_memos()
     for prec in (150, 60, 300):
         check(prec)
-    zeta._PS_SERIES_MEMO.clear()
+    cache.clear_memos()
     check(60)
     low = zeta.mzv(fld, (2, 1), 60)
     high = zeta.mzv(fld, (2, 1), 150)
