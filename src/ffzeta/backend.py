@@ -9,6 +9,14 @@ product per pair of planes, and the y-degree is then reduced modulo the
 irreducible; for e = 1 that is the prime-field product alone.  These are
 the inner loops that dominate runtime: polynomial convolution, truncated
 series reciprocals, Gaussian elimination and the power-sum digit DP.
+
+Every 1-D product over F_p is ``_mul_p``: ``np.convolve`` while the
+shorter operand has fewer than ``_pack_from(p)`` entries, and above that
+one CPython int product (Karatsuba) of operands packed by Kronecker
+substitution, digit i in bytes [i*w, (i+1)*w) with w the least byte count
+such that 2^(8w) > min(len a, len b) * (p-1)^2, so that no entry of the
+product carries into the next.  The series reciprocal is Newton's
+iteration over it, with no scalar field operation per digit.
 """
 
 import numpy as np
@@ -29,8 +37,33 @@ ACTIVE_BACKEND = "numpy"
 # products over F_p, and their lift to F_{p^e}
 # ---------------------------------------------------------------------------
 
-def _convolve_p(a, b, p):
-    return np.convolve(a, b) % p
+def _pack_from(p):
+    """Shorter-operand length from which _mul_p packs.  Fitted to the ties
+    measured on random operands: about 150 entries at p = 2, 200 at p = 3,
+    300 at 31, 800 at 251, 1800 at 4093 and 2800 at 65521."""
+    return 150 + 10 * p.bit_length() ** 2
+
+
+def _mul_p(a, b, p):
+    """Full convolution of two 1-D F_p arrays."""
+    n = min(a.size, b.size)
+    if n < _pack_from(p):
+        return np.convolve(a, b) % p
+    # a product entry is < n (p-1)^2 < 2^(8 width); width <= 8 while p <= 2^16
+    # and n < 2^32
+    width = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+    size = a.size + b.size - 1
+    packed = _pack(a, width) * _pack(b, width)
+    out = np.zeros((size, 8), dtype=np.uint8)
+    out[:, :width] = np.frombuffer(packed.to_bytes(size * width, "little"),
+                                   dtype=np.uint8).reshape(size, width)
+    return out.view("<u8").ravel().astype(np.int64) % p
+
+
+def _pack(a, width):
+    """The int sum a[i] 2^(8 width i), for 0 <= a[i] < 2^(8 width)."""
+    digits = a.astype("<u8").view(np.uint8).reshape(a.size, 8)[:, :width]
+    return int.from_bytes(digits.tobytes(), "little")
 
 
 def _bipoly_mul_p(a, b, p):
@@ -50,7 +83,9 @@ def _bipoly_mul_p(a, b, p):
     # a convolution runs ca - 1 (zero) entries past its rows: one spare row
     out = np.zeros((ra + rb) * w, dtype=np.int64)
     # an entry sums <= ra*ca products < 2^32 (p <= 2^16, Field's limit), so
-    # int64 holds it while a has < 2^31 entries: one final reduction suffices
+    # int64 holds it while a has < 2^31 entries: one final reduction suffices.
+    # A row's shorter operand, a theta-row of a, stays below _pack_from in
+    # the AT towers, where _mul_p would add only a reduction per row.
     for i in rows_a:
         out[i * w : i * w + flat_b.size + ca - 1] += np.convolve(a[i], flat_b)
     return out[: (ra + rb - 1) * w].reshape(ra + rb - 1, w) % p
@@ -88,8 +123,8 @@ def convolve_mod(a, b, fld):
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=np.int64)
     if fld.e > 1:
-        return _extension_product(_convolve_p, a, b, fld)
-    return _convolve_p(a, b, fld.p)
+        return _extension_product(_mul_p, a, b, fld)
+    return _mul_p(a, b, fld.p)
 
 
 def bipoly_mul_mod(a, b, fld):
@@ -100,20 +135,21 @@ def bipoly_mul_mod(a, b, fld):
 
 
 def series_recip_mod(c, m, fld):
-    """First m digits of 1/(c[0] + c[1] x + ...) over F_q; requires c[0] != 0."""
-    p = fld.p
-    prime = fld.e == 1
-    out = np.zeros(m, dtype=np.int64)
-    out[0] = fld.inv(int(c[0]))
-    minus_inv0 = fld.neg(int(out[0]))
-    for k in range(1, m):
-        j = min(k, c.size - 1)
-        # plain ints at e = 1: a Field call per digit costs more than the dot
-        if prime:
-            out[k] = minus_inv0 * int(np.dot(c[1:j + 1], out[k - 1::-1][:j])) % p
-        else:
-            out[k] = fld.mul(minus_inv0, fld.dot(c[1:j + 1], out[k - 1::-1][:j]))
-    return out
+    """First m >= 1 digits of 1/(c[0] + c[1] x + ...) over F_q; requires
+    c[0] != 0.  Newton's iteration g <- g + g (1 - c g) doubles the number
+    of correct digits with two products per step, so no scalar field
+    operation runs per digit."""
+    sizes = [m]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    g = np.zeros(m, dtype=np.int64)
+    g[0] = fld.inv(int(c[0]))
+    for k, n in zip(sizes[:0:-1], sizes[-2::-1]):
+        # c g = 1 + x^k h (mod x^n), so g (1 - c g) = -x^k (g h mod x^(n-k))
+        h = convolve_mod(c[:n], g[:k], fld)[k:n]
+        gh = convolve_mod(g[:k], h, fld)[: n - k]
+        g[k : k + gh.size] = fld.neg(gh)
+    return g
 
 
 def rref_mod(a, fld):

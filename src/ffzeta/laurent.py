@@ -252,10 +252,7 @@ class Laurent:
         digits = out_prec + v + 1
         if digits <= 0:
             raise DomainError("no digits representable at the requested precision")
-        window = np.zeros(digits, dtype=np.int64)
-        n = min(digits, self.coeffs.size)
-        window[:n] = self.coeffs[:n]
-        out = backend.series_recip_mod(window, digits, fld)
+        out = backend.series_recip_mod(self.coeffs[:digits], digits, fld)
         return Laurent(fld, -v, out, out_prec)
 
     def __pow__(self, k: int):

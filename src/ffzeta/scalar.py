@@ -39,21 +39,9 @@ def _fp_polymul(a, b, p):
 
 
 def _fp_polymod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
-        shift = len(a) - 1 - dm
-        f = (a[-1] * inv_lead) % p
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - f * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a + [0] * (dm - len(a))
+    # the remainder, padded to deg(mod) coefficients
+    r = _fp_rem(a, mod, p)
+    return r + [0] * (len(mod) - 1 - len(r))
 
 
 def _fp_powmod_x(exp, mod, p):
@@ -269,19 +257,6 @@ class Field:
                 raise ZeroDivisionError("negative power of 0 in F_q")
             return 0
         return int(self._exp[(self._log[a] * (k % (self.q - 1))) % (self.q - 1)])
-
-    def sum(self, a):
-        a_arr = np.asarray(a, dtype=np.int64)
-        if self.e == 1:
-            return int(a_arr.sum() % self.p)
-        out = 0
-        p = self.p
-        for i in range(self.e):
-            out += int(((a_arr // p ** i) % p).sum() % p) * p ** i
-        return out
-
-    def dot(self, a, b):
-        return self.sum(self.mul(a, b))
 
     def from_int(self, n: int) -> int:
         """Canonical image of an integer (lands in the prime subfield)."""
@@ -685,29 +660,16 @@ class BiPoly:
         if den.is_zero:
             raise ZeroDivisionError("division by zero")
         f = self.field
-        rows = [self.t_coeff(i) for i in range(int(self.t_degree) + 1)] if not self.is_zero else []
-        dd = int(den.degree)
-        inv_lead = f.inv(den.leading())
-        quo = [Poly.zero(f, THETA)] * max(0, len(rows) - dd)
-        rem = list(rows)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c.is_zero:
-                continue
-            c = c.scale(inv_lead)
-            quo[k - dd] = c
-            for i, dcoef in enumerate(den.coeffs):
-                if dcoef:
-                    rem[k - dd + i] = rem[k - dd + i] - c.scale(int(dcoef))
-        if any(not r.is_zero for r in rem[:dd]):
+        n = self.coeffs.shape[0] - den.coeffs.size + 1  # t-rows of the quotient
+        quo = BiPoly.zero(f)
+        if n > 0:
+            # reversed in t, the quotient is rev(self) / rev(den) mod t^n
+            recip = backend.series_recip_mod(den.coeffs[::-1], n, f)
+            rev = backend.bipoly_mul_mod(self.coeffs[::-1][:n], recip[:, None], f)
+            quo = BiPoly(f, rev[n - 1 :: -1])
+        if quo * den != self:
             raise DomainError("division is not exact")
-        if not quo:
-            return BiPoly.zero(f)
-        cols = max((r.coeffs.size for r in quo), default=0)
-        out = np.zeros((len(quo), max(cols, 1)), dtype=np.int64)
-        for i, r in enumerate(quo):
-            out[i, : r.coeffs.size] = r.coeffs
-        return BiPoly(f, out)
+        return quo
 
     def __repr__(self):
         if self.is_zero:

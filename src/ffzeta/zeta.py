@@ -269,6 +269,10 @@ def convergence_check(fld: Field, s, items) -> bool:
 
 def _l_power_inverse(fld: Field, i: int, s: int, prec) -> Laurent:
     """1/L_i^s exact through prec (memoized per precision high-water mark)."""
+    # 1/L_i^s starts at theta^{-s deg L_i}: decided before the memo, so a
+    # request with no digit through prec raises whatever the memo holds
+    if i > 0 and prec < s * bracket_L(fld, i).degree:
+        raise DomainError("no digits representable at the requested precision")
     hit = cache.remember("l_power_inverse", (fld.q, i, s), lambda e: e.prec >= prec,
                          lambda _: Laurent.from_poly(bracket_L(fld, i) ** s).inv(prec=prec))
     return hit.truncate(prec)

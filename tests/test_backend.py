@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffzeta import backend, linalg, zeta
-from ffzeta.scalar import field
+from ffzeta.scalar import Field, field
 
 QS = [2, 3, 4, 5, 8, 9]
 
@@ -26,6 +26,27 @@ def _schoolbook(fld, a, b):
             k = tuple(np.add(i, j))
             out[k] = fld.add(int(out[k]), fld.mul(int(x), int(y)))
     return out
+
+
+def _dot(fld, a, b):
+    """sum_i a_i b_i over F_q, summed one base-p digit plane at a time."""
+    prods = np.asarray(fld.mul(a, b))
+    p = fld.p
+    return sum(int((prods // p ** i % p).sum() % p) * p ** i for i in range(fld.e))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_mul_p_matches_convolve_on_both_sides_of_the_crossover(p):
+    cut = backend._pack_from(p)
+    for la, lb in [(1, 1), (3, cut + 40), (cut - 1, cut - 1), (cut, cut),
+                   (cut + 7, 2 * cut), (3 * cut, cut + 1)]:
+        a, b = _rand(p, la), _rand(p, lb)
+        assert np.array_equal(backend._mul_p(a, b, p), np.convolve(a, b) % p), (la, lb)
+    # all-(p-1) operands make every product entry as large as it can be,
+    # so they need the widest packing
+    for n in (cut - 1, cut, 2 * cut + 3):
+        a = np.full(n, p - 1, dtype=np.int64)
+        assert np.array_equal(backend._mul_p(a, a, p), np.convolve(a, a) % p), n
 
 
 @pytest.mark.parametrize("q", QS)
@@ -72,6 +93,62 @@ def test_series_recip_is_an_inverse(q):
         assert prod[0] == 1 and not prod[1:].any()
 
 
+def _recip_digit_loop(c, m, fld):
+    """Reference: 1/c digit by digit, each digit one dot product with the
+    digits already found."""
+    out = np.zeros(m, dtype=np.int64)
+    out[0] = fld.inv(int(c[0]))
+    minus_inv0 = fld.neg(int(out[0]))
+    for k in range(1, m):
+        j = min(k, c.size - 1)
+        out[k] = fld.mul(minus_inv0, _dot(fld, c[1:j + 1], out[k - 1::-1][:j]))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 65521])
+def test_newton_recip_matches_digit_loop(q):
+    fld = field(q)
+    # the Newton products reach about m/2 digits, so m = 3 * cut puts
+    # the last steps past the packing crossover
+    long = 3 * backend._pack_from(fld.p)
+    for size, m in [(1, 1), (7, 1), (1, 9), (40, 9), (9, 40), (60, 60),
+                    (30, long), (long, long), (long + 50, long - 70)]:
+        c = _rand(q, size)
+        c[0] = rng.randrange(1, q)
+        want = _recip_digit_loop(c, m, fld)
+        assert np.array_equal(backend.series_recip_mod(c, m, fld), want), (size, m)
+
+
+def test_series_recip_makes_no_per_digit_calls(monkeypatch):
+    """At q = 9, 1500 digits cost O(log m) products and no scalar field op."""
+    fld = field(9)
+    m = 1500
+    c = _rand(9, m)
+    c[0] = 1
+    calls = {"convolve_mod": 0, "scalar": 0}
+    convolve = backend.convolve_mod
+
+    def counting_convolve(a, b, f):
+        calls["convolve_mod"] += 1
+        return convolve(a, b, f)
+
+    def scalar_spy(name):
+        op = getattr(Field, name)
+
+        def spy(self, *args):
+            if all(np.ndim(x) == 0 for x in args):
+                calls["scalar"] += 1
+            return op(self, *args)
+        return spy
+
+    monkeypatch.setattr(backend, "convolve_mod", counting_convolve)
+    for name in ("mul", "add", "sub", "neg"):
+        monkeypatch.setattr(Field, name, scalar_spy(name))
+    backend.series_recip_mod(c, m, fld)
+    assert calls["convolve_mod"] <= 2 * m.bit_length()
+    assert calls["scalar"] == 0
+
+
 def _assert_reduced_echelon(r, piv, rank):
     assert rank == len(piv)
     assert list(piv) == sorted(set(piv))
@@ -96,7 +173,7 @@ def test_rref_and_nullspace(q):
         basis = linalg.nullspace(fld, a)
         assert len(basis) == cols - rank
         for vec in basis:
-            assert all(fld.dot(row, vec) == 0 for row in a)
+            assert all(_dot(fld, row, vec) == 0 for row in a)
 
 
 def _power_sum_digits_one_degree(d, n, q, wmax, binom, p):

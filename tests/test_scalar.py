@@ -107,6 +107,23 @@ def test_poly_divmod_roundtrip(q):
         assert rem.degree < b.degree
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_bipoly_exact_div_t(q):
+    fld = field(q)
+    for _ in range(10):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 6)
+        a = BiPoly(fld, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
+        den = rand_poly(fld, rng.randrange(1, 5), var="t")
+        if den.degree < 1:
+            continue
+        assert (a * den).exact_div_t(den) == a
+        with pytest.raises(DomainError, match="not exact"):
+            (a * den + BiPoly.one(fld)).exact_div_t(den)
+        with pytest.raises(DomainError, match="not exact"):
+            BiPoly.one(fld).exact_div_t(den)
+        assert BiPoly.zero(fld).exact_div_t(den).is_zero
+
+
 def test_poly_gcd_normalised():
     fld = field(3)
     g = Poly(fld, [1, 1])  # theta + 1

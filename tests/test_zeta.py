@@ -339,6 +339,19 @@ def test_cmpl_divergence_error_names_slot():
 
 # -- the period ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("first", [(), (200,)], ids=["cold", "after-prec-200"])
+def test_l_power_inverse_without_digits_raises_in_any_memo_state(first):
+    # 1/L_4^3 at q=2 starts at theta^-90: nothing through prec 80, whether
+    # or not the memo holds an entry at a higher prec
+    fld = field(2)
+    cache.clear_memos()
+    for prec in first:
+        assert zeta._l_power_inverse(fld, 4, 3, prec).val == 90
+    with pytest.raises(DomainError, match="no digits"):
+        zeta._l_power_inverse(fld, 4, 3, 80)
+    assert zeta._l_power_inverse(fld, 4, 3, 90).val == 90
+
+
 def test_period_valuation_and_power_law():
     for q in (2, 3, 5):
         fld = field(q)
