@@ -6,8 +6,8 @@ every request it covers, and a request it does not cover recomputes the
 entry and replaces it whole.  Entries are never mutated, so a reader on
 another thread sees the old entry or the new one.  ``recall`` puts the
 persistent cache between a memo and the computation, and ``clear_memos``
-empties every memo.  The one memo outside this module is the
-``lru_cache`` on ``scalar.field``, which ``clear_memos`` leaves alone:
+empties every memo.  The one memo outside this module is the table of
+shared instances behind ``scalar.field``, which ``clear_memos`` leaves alone:
 ``Poly``, ``Laurent`` and their kin compare fields with ``is``, so values
 made before and after a cleared field could no longer be combined.
 

@@ -125,7 +125,8 @@ def find_relations(vec: ValueVector, degree_bound: int):
     sum c_i v_i from the smallest shifted valuation through prec -
     degree_bound (the window where every shifted value is still exact).
     Refuses with MarginError unless the digit count beats the unknown
-    count by MARGIN_DIGITS.
+    count by MARGIN_DIGITS; the error names the least prec that would, at
+    the values' valuations.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
@@ -140,7 +141,8 @@ def find_relations(vec: ValueVector, degree_bound: int):
     if digits_available < unknowns + MARGIN_DIGITS:
         raise MarginError(
             f"margin rule: {digits_available} digits available but "
-            f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}"
+            f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}; "
+            f"raise prec to {min_val + unknowns + MARGIN_DIGITS - 1}"
         )
     rows = x_hi - x_lo + 1
     matrix = np.zeros((rows, unknowns), dtype=np.int64)

@@ -3,16 +3,21 @@
 Field elements are canonical integers 0..q-1.  For q = p^e with e > 1 the
 integer's base-p digits are the coefficients of the residue polynomial
 modulo a fixed irreducible; multiplication goes through exp/log tables
-(q <= 2^16).  The chosen irreducible is exposed so runs are reproducible.
+(q <= 2^16).  The irreducible is found by Rabin's test and the tables are
+filled by ``backend.convolve_mod``, both on the same ``Poly`` and F_p
+product as every other polynomial, so F_p[y] arithmetic exists once.  The
+chosen irreducible is exposed so runs are reproducible.
 
-Everything is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+``field(q)`` hands out one shared instance per q, also to threads that
+ask for a new q at the same time.  Everything is immutable after
+construction and all operations are pure functions, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
 
 import numpy as np
 
@@ -26,78 +31,20 @@ _MAX_Q = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# small helpers over F_p coefficient lists, used only to build field tables
+# the field
 # ---------------------------------------------------------------------------
 
-def _fp_polymul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _fp_polymod(a, mod, p):
-    # the remainder, padded to deg(mod) coefficients
-    r = _fp_rem(a, mod, p)
-    return r + [0] * (len(mod) - 1 - len(r))
-
-
-def _fp_powmod_x(exp, mod, p):
-    # x^exp mod (mod), coefficients mod p
-    result = [1]
-    base = [0, 1]
-    while exp > 0:
-        if exp & 1:
-            result = _fp_polymod(_fp_polymul(result, base, p), mod, p)
-        base = _fp_polymod(_fp_polymul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _fp_rem(a, b, p):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) - 1 >= db:
-        f = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(b):
-        a, b = b, _fp_rem(a, b, p)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible(f, p):
-    # f monic of degree e over F_p; Rabin irreducibility test
-    e = len(f) - 1
-    if e == 1:
-        return True
-    probe = _fp_powmod_x(p ** e, f, p)
-    probe[1] = (probe[1] - 1) % p
-    if any(probe):
+def _is_irreducible(f):
+    """Rabin's test for a monic f over F_p of degree e >= 2: f divides
+    x^(p^e) - x, and x^(p^(e/l)) - x is prime to f for every prime l | e."""
+    p, e = f.field.p, f.degree
+    x = Poly.gen(f.field)
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(e):
+        frob.append(frob[-1] ** p % f)
+    if frob[e] != x:
         return False
-    for ell in _prime_factors(e):
-        probe = _fp_powmod_x(p ** (e // ell), f, p)
-        probe[1] = (probe[1] - 1) % p
-        if len(_fp_gcd(probe, f, p)) - 1 > 0:
-            return False
-    return True
+    return all((frob[e // ell] - x).gcd(f).degree == 0 for ell in _prime_factors(e))
 
 
 def _prime_factors(n):
@@ -116,26 +63,25 @@ def _prime_factors(n):
 def _find_irreducible(p, e):
     # first monic irreducible of degree e in lexicographic order of the
     # low-coefficient integer encoding; recorded for reproducibility
-    for code in range(p ** e):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if f[0] == 0:
-            continue
-        if _is_irreducible(f, p):
-            return f
+    fp = field(p)
+    for code in range(1, p ** e):
+        f = Poly(fp, base_q_digits(p ** e + code, p))
+        if code % p and _is_irreducible(f):
+            return tuple(int(c) for c in f.coeffs)
     raise RuntimeError("no irreducible found")  # unreachable for prime p
 
 
-# ---------------------------------------------------------------------------
-# the field
-# ---------------------------------------------------------------------------
-
 class Field:
     """F_q with q = p^e <= 2^16; elements are canonical ints 0..q-1.
+
+    For e > 1 the irreducible is the first monic one of degree e over F_p
+    when its low coefficients are read as the base-p digits of an integer
+    (Rabin's test, in ``Poly`` over ``field(p)``).  The tables hold the
+    powers of the least g >= 2 with g^((q-1)/l) != 1 for every prime
+    l | q-1 (g = 1 at q = 2).  The search for g and the powers are
+    products from ``backend.convolve_mod``, which reads p, e and the
+    irreducible but never the tables.  Build fields through ``field(q)``,
+    which shares one instance per q between callers and threads.
 
     Arithmetic methods accept ints or int64 numpy arrays (broadcasting like
     ufuncs) and return the same kind.
@@ -148,61 +94,33 @@ class Field:
         self.p = p
         self.e = e
         self.q = q
-        if e == 1:
-            self.irreducible = None
-        else:
-            self.irreducible = tuple(_find_irreducible(p, e))
+        self.irreducible = _find_irreducible(p, e) if e > 1 else None
         self._build_tables()
 
     def _build_tables(self):
         q = self.q
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        g = self._find_generator()
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._mul_slow(acc, g)
-        if acc != 1:
-            raise RuntimeError("generator order mismatch")
-        self._exp = exp
-        self._log = log
-        for a in range(1, q):
-            if self.mul(a, self.inv(a)) != 1:
-                raise RuntimeError("inconsistent multiplication tables")
-
-    def _mul_slow(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        da = [(a // p ** i) % p for i in range(e)]
-        db = [(b // p ** i) % p for i in range(e)]
-        prod = _fp_polymod(_fp_polymul(da, db, p), list(self.irreducible), p)
-        return sum(c * p ** i for i, c in enumerate(prod))
+        # a product by a length-1 array is elementwise, so the powers fill
+        # by doubling: exp[k:2k] = exp[:k] * g^k
+        exp = np.ones(1, dtype=np.int64)
+        step = np.array([self._find_generator()], dtype=np.int64)
+        while exp.size < q - 1:
+            exp = np.concatenate([exp, backend.convolve_mod(exp[: q - 1 - exp.size], step, self)])
+            step = backend.convolve_mod(step, step, self)
+        self._exp = np.concatenate([exp, exp])
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
+        units = np.arange(1, q)
+        if np.any(self.mul(units, self.inv(units)) != 1):
+            raise RuntimeError("inconsistent multiplication tables")
 
     def _find_generator(self):
         q = self.q
-        factors = _prime_factors(q - 1) if q > 2 else set()
-        for g in range(2, q) if q > 2 else [1]:
-            ok = True
-            for ell in factors:
-                if self._pow_slow(g, (q - 1) // ell) == 1:
-                    ok = False
-                    break
-            if ok:
+        ells = _prime_factors(q - 1)
+        one = Poly.one(self)
+        for g in range(2, q):
+            if all(Poly(self, [g]) ** ((q - 1) // ell) != one for ell in ells):
                 return g
-        return 1
-
-    def _pow_slow(self, a, k):
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            k >>= 1
-        return r
+        return 1  # q = 2
 
     # -- vectorised ops ----------------------------------------------------
 
@@ -284,10 +202,21 @@ def _factor_prime_power(q):
     return p, e
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict = {}
+# reentrant: building F_{p^e} asks for field(p)
+_FIELDS_LOCK = threading.RLock()
+
+
 def field(q: int) -> Field:
-    """Shared immutable Field instance for F_q."""
-    return Field(q)
+    """Shared immutable Field instance for F_q: one per q, also when several
+    threads ask for a new q at once."""
+    fld = _FIELDS.get(q)
+    if fld is None:
+        with _FIELDS_LOCK:
+            fld = _FIELDS.get(q)
+            if fld is None:
+                fld = _FIELDS[q] = Field(q)
+    return fld
 
 
 def binary_power(base, k: int, one):

@@ -194,6 +194,17 @@ def test_resource_error_exit_code(capsys):
     assert rc == 3  # margin
 
 
+def test_margin_error_names_a_prec_that_passes(capsys):
+    hunt = ["relations", "hunt", "--q", "3", "--labels", "zeta(1),zeta(2)", "--deg-bound", "5"]
+    assert cli.main(hunt + ["--prec", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "margin rule" in err and err.strip().endswith("raise prec to 31")
+    assert cli.main(hunt + ["--prec", "30"]) == 3
+    capsys.readouterr()
+    assert cli.main(hunt + ["--prec", "31"]) == 0
+    assert "margin rule" not in capsys.readouterr().err
+
+
 def test_value_expressions(capsys):
     fld = field(3)
     v = relations.eval_value_expr(fld, "prod(zeta(1),zeta(2))", 40)

@@ -38,6 +38,17 @@ def test_margin_error():
     vec = ValueVector.of(["a", "b"], [rand_value(fld, 20), rand_value(fld, 20)])
     with pytest.raises(MarginError, match="margin rule"):
         relations.find_relations(vec, 3)  # 8 unknowns need 28 digits, have 21
+    # the named prec is the least that meets the rule at the values' valuations
+
+    def vec_at(prec):
+        values = [Laurent(fld, val, [1] * (prec - val + 1), prec) for val in (2, 5)]
+        return ValueVector.of(["a", "b"], values)
+
+    with pytest.raises(MarginError, match="raise prec to 29$"):
+        relations.find_relations(vec_at(20), 3)
+    with pytest.raises(MarginError):
+        relations.find_relations(vec_at(28), 3)
+    relations.find_relations(vec_at(29), 3)
 
 
 def test_planted_relation_recovery():

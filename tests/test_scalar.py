@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ffzeta.scalar import (
     bracket_D,
     bracket_L,
     carlitz_gamma,
+    enumerate_monic,
     field,
     frobenius_twist,
     inverse_twist,
@@ -54,6 +57,171 @@ def test_field_tables_consistent(q):
     assert acc == 0
 
 
+# -- independent oracle: the table builder on plain F_p coefficient lists ----
+# (the builder scalar.Field had before it ran on Poly and backend.convolve_mod)
+
+def _fp_polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _fp_rem(a, b, p):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b = b[:-1]
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    while a and len(a) - 1 >= db:
+        f = (a[-1] * inv_lead) % p
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - f * c) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _fp_polymod(a, mod, p):
+    # the remainder, padded to deg(mod) coefficients
+    r = _fp_rem(a, mod, p)
+    return r + [0] * (len(mod) - 1 - len(r))
+
+
+def _fp_powmod_x(exp, mod, p):
+    # x^exp mod (mod), coefficients mod p
+    result = [1]
+    base = [0, 1]
+    while exp > 0:
+        if exp & 1:
+            result = _fp_polymod(_fp_polymul(result, base, p), mod, p)
+        base = _fp_polymod(_fp_polymul(base, base, p), mod, p)
+        exp >>= 1
+    return result
+
+
+def _fp_gcd(a, b, p):
+    a, b = list(a), list(b)
+    while any(b):
+        a, b = b, _fp_rem(a, b, p)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _prime_factors(n):
+    return {d for d in range(2, n + 1) if n % d == 0 and all(d % k for k in range(2, d))}
+
+
+def _prime_powers(limit):
+    return [q for q in range(2, limit + 1) if len(_prime_factors(q)) == 1]
+
+
+def _old_is_irreducible(f, p):
+    # Rabin's test, f monic of degree e >= 2
+    e = len(f) - 1
+    probe = _fp_powmod_x(p ** e, f, p)
+    probe[1] = (probe[1] - 1) % p
+    if any(probe):
+        return False
+    for ell in _prime_factors(e):
+        probe = _fp_powmod_x(p ** (e // ell), f, p)
+        probe[1] = (probe[1] - 1) % p
+        if len(_fp_gcd(probe, f, p)) - 1 > 0:
+            return False
+    return True
+
+
+def _old_irreducible(p, e):
+    for code in range(p ** e):
+        f = [code // p ** i % p for i in range(e)] + [1]
+        if f[0] and _old_is_irreducible(f, p):
+            return tuple(f)
+
+
+def _mul_slow(a, b, p, e, irreducible):
+    if e == 1:
+        return (a * b) % p
+    da = [(a // p ** i) % p for i in range(e)]
+    db = [(b // p ** i) % p for i in range(e)]
+    prod = _fp_polymod(_fp_polymul(da, db, p), list(irreducible), p)
+    return sum(c * p ** i for i, c in enumerate(prod))
+
+
+def _old_tables(q):
+    """(irreducible, exp, log) as the list builder made them."""
+    (p,) = _prime_factors(q)
+    e = round(math.log(q, p))
+    irreducible = _old_irreducible(p, e) if e > 1 else None
+
+    def pow_slow(a, k):
+        r = 1
+        while k:
+            if k & 1:
+                r = _mul_slow(r, a, p, e, irreducible)
+            a = _mul_slow(a, a, p, e, irreducible)
+            k >>= 1
+        return r
+
+    ells = _prime_factors(q - 1)
+    g = next((g for g in range(2, q) if all(pow_slow(g, (q - 1) // ell) != 1 for ell in ells)), 1)
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = acc
+        log[acc] = i
+        acc = _mul_slow(acc, g, p, e, irreducible)
+    assert acc == 1
+    return irreducible, exp, log
+
+
+@pytest.mark.parametrize("q", _prime_powers(256) + [1024, 3125])
+def test_field_tables_match_list_builder(q):
+    fld = field(q)
+    irreducible, exp, log = _old_tables(q)
+    assert fld.irreducible == irreducible
+    assert np.array_equal(fld._exp, exp) and np.array_equal(fld._log, log)
+
+
+@pytest.mark.parametrize("q", [q for q in _prime_powers(625) if q not in _prime_factors(q)])
+def test_irreducible_has_no_small_factor(q):
+    fld = field(q)
+    fp = field(fld.p)
+    f = Poly(fp, fld.irreducible)
+    assert f.degree == fld.e and f.is_monic
+    for d in range(1, fld.e // 2 + 1):
+        for g in enumerate_monic(fp, d):
+            assert not (f % g).is_zero, (q, g)
+
+
+def test_field_is_shared_under_concurrent_first_calls():
+    # 2401 = 7^4 is built by no other test, so every thread asks for a new q
+    barrier = threading.Barrier(4)
+    got = []
+
+    def build():
+        barrier.wait()
+        got.append(field(2401))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(f) for f in got}) == 1
+
+
 def test_field_rejects_non_prime_power():
     with pytest.raises(DomainError):
         field(6)
@@ -62,9 +230,11 @@ def test_field_rejects_non_prime_power():
 
 
 def test_extension_field_records_irreducible():
-    fld = field(4)
-    assert fld.irreducible is not None and len(fld.irreducible) == 3
-    assert fld.irreducible[-1] == 1  # monic
+    # the CLI's meta.field.irreducible records these, so runs stay reproducible
+    pinned = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+              25: (2, 0, 1), 27: (1, 2, 0, 1), 3125: (1, 4, 0, 0, 0, 1)}
+    for q, irreducible in pinned.items():
+        assert field(q).irreducible == irreducible
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])
