@@ -9,9 +9,10 @@ psi = Phi^(1) psi^(1), because the forward twist keeps grades integral.
 
 The evaluator uses the derived evaluations Omega^(l)(theta) = 1/(pi~ L_l)
 (a consequence of the difference equation satisfied by Omega) so that the
-normalised value pi~^w * L(theta) stays inside k_infinity.  It sums over
-l_1 > ... > l_r by ``zeta._nested_sum``, the one valuation-pruned walk
-that also serves mzv, amzv and cmpl; it gives only the per-slot
+normalised value pi~^w * L(theta) stays inside k_infinity.  The values,
+the t-series L_{1..j} of the difference systems and the vanishing orders
+all read partial sums of ``zeta._nested_sum``, the one valuation-pruned
+walk that also serves mzv, amzv and cmpl, and give it only a per-slot
 valuation bound and factor.
 """
 
@@ -135,16 +136,10 @@ class GradedSeries:
             )
         return out
 
-    def truncate_prec(self, prec):
+    def truncate(self, prec):
         return GradedSeries(
             self.field, self.grade, [c.truncate(prec) for c in self.coeffs], self.cap
         )
-
-    def min_known_val(self):
-        """Smallest valuation bound over the coefficients (INF when every
-        coefficient is indistinguishable from zero)."""
-        vals = [c.val for c in self.coeffs if c.coeffs.size]
-        return min(vals) if vals else INF
 
     def agrees_with(self, other) -> bool:
         self._check(other)
@@ -172,15 +167,15 @@ def omega_unit(fld: Field, cap: int, prec) -> GradedSeries:
     out = GradedSeries.one(fld, cap)
     i = 1
     while fld.q ** i <= prec:
-        factor = GradedSeries(
-            fld,
-            0,
-            [Laurent.one(fld), Laurent.monomial(fld, fld.neg(1), fld.q ** i)],
-            cap,
-        )
-        out = out * factor
+        out = out * _omega_factor(fld, i, cap)
         i += 1
-    return out.truncate_prec(prec)
+    return out.truncate(prec)
+
+
+def _omega_factor(fld: Field, i: int, cap: int) -> GradedSeries:
+    """1 - t * theta^{-q^i}, one factor of the unit part of Omega."""
+    one_minus = [Laurent.one(fld), Laurent.monomial(fld, fld.neg(1), fld.q ** i)]
+    return GradedSeries(fld, 0, one_minus, cap)
 
 
 def omega(fld: Field, cap: int, prec) -> GradedSeries:
@@ -193,16 +188,7 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
     """The difference equation of Omega in unit-part, forward-twisted form:
     Omega~ = (1 - t*theta^{-q}) * Omega~^(1)."""
     w = omega_unit(fld, cap, prec)
-    twisted = GradedSeries(
-        fld, 0, [c.qth_power(1) for c in w.coeffs], cap
-    )
-    factor = GradedSeries(
-        fld,
-        0,
-        [Laurent.one(fld), Laurent.monomial(fld, fld.neg(1), fld.q)],
-        cap,
-    )
-    return w.agrees_with(factor * twisted)
+    return w.agrees_with(_omega_factor(fld, 1, cap) * w.twist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +276,15 @@ def _coerce_q(fld: Field, item):
     raise DomainError(f"cannot interpret deformation input {item!r}")
 
 
+def _deformation_inputs(fld: Field, s, qs) -> list:
+    """One input per entry of s, as BiPoly or RatFunc, of a convergent series."""
+    qs = [_coerce_q(fld, item) for item in qs]
+    if len(qs) != s.depth:
+        raise InvalidIndexError("one deformation input per index entry required")
+    _require_convergence(fld, s, qs, "deformation")
+    return qs
+
+
 def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -> Laurent:
     """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact or through prec."""
     if isinstance(qpoly, RatFunc):
@@ -308,38 +303,15 @@ def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -
     return acc
 
 
-def _norm_profile(fld: Field, item):
-    """(max theta-degree, t-degree) bounds used for valuation pruning."""
-    m = infty_norm_degree(item)
-    tdeg = item.t_degree if isinstance(item, BiPoly) else 0
-    return int(m), int(tdeg)
-
-
-def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -> Laurent:
-    """The normalised deformation value pi~^{w q^P} * L_{s,Q}(theta^{q^P}).
-
-    For P = 0 this is the plain normalised value: with Anderson-Thakur
-    inputs it equals Gamma-scaled multizeta, with constant inputs the
-    corresponding CMPL, and with a sign vector the remaining eps^l weights
-    reproduce Gamma-scaled alternating multizeta (the fixed (q-1)-th roots
-    cancel analytically against the normalisation).
-    """
-    s = coerce_index(s)
-    prec = _finite_prec(prec)
-    if point_power not in (0, 1):
-        raise DomainError("point_power must be 0 or 1")
-    if point_power and eps is not None:
-        raise DomainError("sign vectors are only supported at the theta point")
-    qs = [_coerce_q(fld, item) for item in qs]
-    if len(qs) != s.depth:
-        raise InvalidIndexError("one deformation input per index entry required")
-    if any(item.is_zero for item in qs):
-        return Laurent.zero(fld)
-    _require_convergence(fld, s, qs, "deformation")
-    signs = _validate_signs(fld, s, eps) if eps is not None else None
+def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:
+    """pi~^{w_j q^P} * L_{s_1..s_j}(theta^{q^P}), w_j = s_1 + ... + s_j, for
+    j = 1..len(qs), from one walk and each exact through prec; the inputs
+    are nonzero, and signs[j]^l weights the slot j term at l."""
     q = fld.q
     P = point_power
-    profiles = [_norm_profile(fld, item) for item in qs]
+    # (max theta-degree, t-degree) of each input, for valuation pruning
+    profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
+                for item in qs]
 
     def denom_deg(j, ell):
         # valuation of L_{ell-P}^{q^P s_j}
@@ -359,9 +331,33 @@ def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -
             return Laurent.zero_to_prec(fld, out_prec)
         linv = _l_power_inverse(fld, ell - P, q ** P * s[j],
                                 out_prec - int(numer.val))
-        return numer * linv
+        term = numer * linv
+        return term if signs is None else term.scale(fld.pow(signs[j], ell))
 
-    return _nested_sum(fld, s.depth, P, val_bound, factor, prec, signs)
+    return [Laurent.zero_to_prec(fld, prec) if part is None else part
+            for part in _nested_sum(len(qs), P, val_bound, factor, prec)]
+
+
+def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -> Laurent:
+    """The normalised deformation value pi~^{w q^P} * L_{s,Q}(theta^{q^P}).
+
+    For P = 0 this is the plain normalised value: with Anderson-Thakur
+    inputs it equals Gamma-scaled multizeta, with constant inputs the
+    corresponding CMPL, and with a sign vector the remaining eps^l weights
+    reproduce Gamma-scaled alternating multizeta (the fixed (q-1)-th roots
+    cancel analytically against the normalisation).
+    """
+    s = coerce_index(s)
+    prec = _finite_prec(prec)
+    if point_power not in (0, 1):
+        raise DomainError("point_power must be 0 or 1")
+    if point_power and eps is not None:
+        raise DomainError("sign vectors are only supported at the theta point")
+    qs = _deformation_inputs(fld, s, qs)
+    if any(item.is_zero for item in qs):
+        return Laurent.zero(fld)
+    signs = _validate_signs(fld, s, eps) if eps is not None else None
+    return _deformation_partials(fld, s, qs, prec, signs, point_power)[-1]
 
 
 def specialization_frobenius_check(fld: Field, s, qs, prec) -> bool:
@@ -380,60 +376,38 @@ def specialization_frobenius_check(fld: Field, s, qs, prec) -> bool:
 
 def deformation_t_series(fld: Field, s, qs, cap: int, prec) -> list:
     """The partial deformation series L_{s,Q;1..j} as graded t-series,
-    j = 1..depth; entry j carries grade -q*(s_1+...+s_j)."""
+    j = 1..depth; entry j carries grade -q*(s_1+...+s_j).  Slot j sums the
+    twists of A_j = Omega~^{s_j} Q_j by ``zeta._nested_sum``; a zero input
+    makes every entry from its slot on zero through prec."""
     s = coerce_index(s)
-    qs = [_coerce_q(fld, item) for item in qs]
-    _require_convergence(fld, s, qs, "deformation")
+    prec = _finite_prec(prec)
+    qs = _deformation_inputs(fld, s, qs)
     base = omega_unit(fld, cap, prec)
-    out = []
-    # suffix[x] = sum over ell >= x of (A_j twisted ell) * suffix_{j-1}[ell+1]
-    prev_suffix = None
-    for j in range(s.depth):
-        qj = qs[j]
+    q = fld.q
+    twists, v0s = [], []
+    for j, qj in enumerate(qs):
         if isinstance(qj, RatFunc):
-            qj_series = GradedSeries(
-                fld, 0, [Laurent.from_ratfunc(qj, prec)], cap
-            )
+            qj_series = GradedSeries(fld, 0, [Laurent.from_ratfunc(qj, prec)], cap)
         else:
             qj_series = GradedSeries.from_bipoly(qj, cap)
-        a = GradedSeries(fld, -fld.q * s[j], (base ** s[j]).coeffs, cap) * qj_series
-        # Coefficient valuations obey v(l+1) = q v(l) + q s_j under twisting,
-        # so with v0 the smallest initial valuation the l-th twist is
-        # invisible through prec once q^l v0 + q s_j (q^l - 1)/(q-1) > prec.
-        v0 = a.min_known_val()
-        twists = [a]
-        if v0 != INF:
-            v0 = int(v0)
-            while v0 <= prec:
-                twists.append(twists[-1].twist())
-                v0 = fld.q * v0 + fld.q * s[j]
-        terms = []
-        for ell, a_tw in enumerate(twists):
-            if prev_suffix is None:
-                terms.append(a_tw)
-            else:
-                tail = prev_suffix[ell + 1] if ell + 1 < len(prev_suffix) else None
-                if tail is None:
-                    zero_tail = GradedSeries(
-                        fld,
-                        prev_suffix[0].grade,
-                        [Laurent.zero_to_prec(fld, prec)],
-                        cap,
-                    )
-                    terms.append(a_tw * zero_tail)
-                else:
-                    terms.append(a_tw * tail)
-        # suffix sums for the next depth, truncated to the working precision
-        suffix = [None] * (len(terms) + 1)
-        grade = terms[0].grade
-        acc = GradedSeries(fld, grade, [Laurent.zero_to_prec(fld, prec)], cap)
-        suffix[len(terms)] = acc
-        for ell in range(len(terms) - 1, -1, -1):
-            acc = (terms[ell] + acc).truncate_prec(prec)
-            suffix[ell] = acc
-        out.append(suffix[0])
-        prev_suffix = suffix
-    return out
+        a = GradedSeries(fld, -q * s[j], (base ** s[j]).coeffs, cap) * qj_series
+        twists.append([a])
+        # INF when no coefficient shows a digit: every entry from j on is zero
+        v0s.append(min((c.val for c in a.coeffs if c.coeffs.size), default=INF))
+
+    def bound(j, ell):
+        # a twist maps a coefficient valuation v to q v + q s_j, so with v0
+        # the smallest one of A_j, the ell-th twist has valuation >= this
+        return q ** ell * v0s[j] + q * s[j] * (q ** ell - 1) // (q - 1)
+
+    def factor(j, ell, p):
+        while len(twists[j]) <= ell:
+            twists[j].append(twists[j][-1].twist())
+        return twists[j][ell].truncate(p)
+
+    zero = [Laurent.zero_to_prec(fld, prec)] * (cap + 1)
+    return [GradedSeries(fld, -q * sum(s[: j + 1]), zero, cap) if part is None else part
+            for j, part in enumerate(_nested_sum(s.depth, 0, bound, factor, prec))]
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +456,9 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
         raise DomainError("family members must share one weight")
     if len(qs_per_index) != len(family) or len(a_coeffs) != len(family):
         raise DomainError("need one input tuple and one coefficient per index")
-    qs_per_index = [[_coerce_q(fld, q) for q in qs] for qs in qs_per_index]
-    for s, qs in zip(family, qs_per_index):
-        if len(qs) != s.depth:
-            raise DomainError(f"index {tuple(s)} needs {s.depth} inputs")
-        if any(isinstance(q, RatFunc) for q in qs):
-            raise DomainError("block systems want exact polynomial inputs")
+    qs_per_index = [_deformation_inputs(fld, s, qs) for s, qs in zip(family, qs_per_index)]
+    if any(isinstance(q, RatFunc) for qs in qs_per_index for q in qs):
+        raise DomainError("block systems want exact polynomial inputs")
     a_polys = [_coerce_t_poly(fld, a) for a in a_coeffs]
 
     size = 1 + sum(s.depth - 1 for s in family) + 1
@@ -569,8 +540,8 @@ def vanishing_order_profile(fld: Field, s, qs, cap: int, prec) -> frozenset:
     the unit part of Omega has a simple zero at theta^q.  Entry j therefore
     vanishes to order t_j exactly when L_{1..j}(theta^q) != 0, and up to the
     factor pi~^{q w} that value is ``deformation_value`` of (s_1..s_j) at
-    point_power 1.  Order j is reported only once that value shows a nonzero
-    digit through prec, which is exact.  A value with no visible digit is
+    point_power 1, all read from one walk.  Order j is reported only once
+    that value shows a nonzero digit through prec, which is exact.  A value with no visible digit is
     never read as zero: it raises ResolutionError naming prec.  ``cap`` is
     the largest order reported; a larger t_j raises ResolutionError naming
     the cap needed."""
@@ -578,21 +549,20 @@ def vanishing_order_profile(fld: Field, s, qs, cap: int, prec) -> frozenset:
     if s.depth == 1:
         return frozenset()
     prec = _finite_prec(prec)
-    qs = [_coerce_q(fld, item) for item in qs]
-    if len(qs) != s.depth:
-        raise InvalidIndexError("one deformation input per index entry required")
-    _require_convergence(fld, s, qs, "deformation")
+    qs = _deformation_inputs(fld, s, qs)
     tails = [sum(s[j:]) for j in range(1, s.depth)]
     if max(tails) > cap:
         raise ResolutionError(
             f"vanishing order {max(tails)} exceeds the largest order reported, "
             f"cap={cap}; raise cap to {max(tails)}"
         )
+    # L_(1..j) is identically zero from the first zero input on
+    live = next((j for j, item in enumerate(qs[:-1]) if item.is_zero), s.depth - 1)
+    values = _deformation_partials(fld, s[:live], qs[:live], prec, point_power=1)
     for j in range(1, s.depth):
-        value = deformation_value(fld, s[:j], qs[:j], prec, point_power=1)
-        if value.is_exact_zero:
+        if j > live:
             raise DomainError(f"L_(1..{j}) vanishes identically: a deformation input is zero")
-        if value.is_zero_to_precision:
+        if values[j - 1].is_zero_to_precision:
             raise ResolutionError(
                 f"L_(1..{j}) at theta^q shows no digit through prec={prec}, so its "
                 f"vanishing order cannot be certified; raise prec (e.g. to {2 * prec})"

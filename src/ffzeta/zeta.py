@@ -23,10 +23,12 @@ one degree therefore pays for the whole pass; ``mzv`` and ``amzv`` walk
 every degree anyway.  Exact power sums, the passes and 1/L_i^s are
 memoised through ``cache.remember``, the package's one memo policy.
 
-mzv, amzv, cmpl and the deformation evaluator in ``anderson`` are nested
-sums over strictly decreasing tuples l_1 > ... > l_r, truncated by an
-additive valuation bound.  One walk, ``_nested_sum``, does that for all
-four; each caller gives only a per-slot bound and factor.
+mzv, amzv, cmpl and the deformation series in ``anderson`` are nested
+sums over l_1 > ... > l_r of one factor per slot, truncated by an additive
+valuation bound.  One suffix-sum walk, ``_nested_sum``, serves them all:
+it calls each (slot, l) factor once, keeps slot j exact through its cap_j,
+and returns every partial sum.  A caller gives a per-slot bound and factor,
+a sign weight eps_j^l included.
 """
 
 from __future__ import annotations
@@ -150,55 +152,64 @@ def _validate_signs(fld: Field, s: Index, eps):
     return out
 
 
-def _nested_sum(fld: Field, r: int, lo: int, bound, factor, prec: int, signs=None) -> Laurent:
-    """Sum over l_1 > ... > l_r >= lo of prod_j factor(j, l_j, p_j), each
-    term weighted by prod_j signs[j]^{l_j} when signs are given.
+def _nested_sum(r: int, lo: int, bound, factor, prec: int) -> list:
+    """[P_0[lo], ..., P_{r-1}[lo]], each exact through prec and truncated
+    to it, or None where a partial has no term (its caller knows the zero).
 
-    bound(j, l) is a lower bound for the valuation of factor(j, l, .) and
-    must increase in l; for the series summed here that is their
-    convergence condition.  The walk fills the slots from the right and
-    keeps the product of the slots already chosen.  Slot pos is visited at
-    l only while need = acc + sum_{k=0..pos} bound(pos-k, l+k) <= prec,
-    where acc is the bound sum of the chosen slots: the least completion,
-    so no node without a leaf is visited.  The slot is asked for
-    p = prec - need + bound(pos, l), prec minus the least sum the other
-    slots can still reach, so every kept product is exact through prec;
-    at the leaf p is prec minus the other slots' bounds.
+    P_j[x] = sum over l >= x of factor(j, l, p) * P_{j-1}[l+1], P_{-1} = 1,
+    is a running sum from the top l down: slot 0 holds the largest index.
+    bound(j, l) <= val factor(j, l, .) must increase in l (the series'
+    convergence condition).  Slot j keeps its sums exact through cap_j =
+    max(prec, cap_{j+1} - bound(j+1, lo)), cap_{r-1} = prec.  With above(l)
+    = sum_{i=1..j} bound(j-i, l+i), the least valuation of slots 0..j-1
+    above l, it visits l from lo while bound(j, l) + above(l) <= cap_j and
+    calls factor(j, l, .) once, for p = cap_j - above(l).  Only *, + and
+    .truncate act on factors, so Laurent and GradedSeries serve alike.
     """
-    total = Laurent.zero(fld)
-    chosen = [0] * r
+    caps = [prec] * r
+    for j in range(r - 2, -1, -1):
+        caps[j] = max(prec, caps[j + 1] - bound(j + 1, lo))
+    partials, below = [], None
+    for j, cap in enumerate(caps):
+        def above(l):
+            return sum(bound(j - i, l + i) for i in range(1, j + 1))
 
-    def walk(pos, first, acc, prod):
-        nonlocal total
-        l = first
-        while (need := acc + sum(bound(pos - k, l + k) for k in range(pos + 1))) <= prec:
-            b = bound(pos, l)
-            term = prod * factor(pos, l, prec - need + b)
-            chosen[pos] = l
-            if pos:
-                walk(pos - 1, l + 1, acc + b, term)
-            else:
-                if signs is not None:
-                    c = 1
-                    for e, lj in zip(signs, chosen):
-                        c = fld.mul(c, fld.pow(e, lj))
-                    term = term.scale(c)
-                total = total + term
-            l += 1
+        top = lo
+        while bound(j, top) + above(top) <= cap:
+            top += 1
+        # sums[l - lo] = P_j[l]; P_{j-1}[l+1] exists for every visited l,
+        # since above(l) <= cap_j - bound(j, lo) <= cap_{j-1}
+        sums, acc = [None] * (top - lo), None
+        for l in range(top - 1, lo - 1, -1):
+            term = factor(j, l, cap - above(l))
+            if j:
+                term = term * below[l + 1 - lo]
+            acc = (term if acc is None else acc + term).truncate(cap)
+            sums[l - lo] = acc
+        partials.append(None if acc is None else acc.truncate(prec))
+        below = sums
+    return partials
 
-    walk(r - 1, lo, 0, Laurent.one(fld))
-    return total.truncate(prec)
+
+def _nested_value(fld: Field, r: int, lo: int, bound, factor, prec: int) -> Laurent:
+    """The whole nested sum: the last partial of ``_nested_sum``."""
+    last = _nested_sum(r, lo, bound, factor, prec)[-1]
+    return Laurent.zero_to_prec(fld, prec) if last is None else last
 
 
 def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
-    """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j).  Every power
-    sum is asked for the full prec: the first call for a (q, n) sets how
-    far its DP pass runs, and a lower one could make a later call rerun it."""
+    """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j) signs[j]^{d_j}.
+    Every power sum is asked for the full prec: the first call for a (q, n)
+    sets how far its DP pass runs, and a lower one could make a later call
+    rerun it."""
     prec = _finite_prec(prec)
-    return _nested_sum(fld, s.depth, 0,
-                       lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
-                       lambda j, d, p: power_sum_series(fld, d, s[j], prec),
-                       prec, signs)
+
+    def factor(j, d, p):
+        layer = power_sum_series(fld, d, s[j], prec)
+        return layer if signs is None else layer.scale(fld.pow(signs[j], d))
+
+    return _nested_value(fld, s.depth, 0, lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
+                         factor, prec)
 
 
 def mzv(fld: Field, s, prec) -> Laurent:
@@ -284,11 +295,9 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
     s = coerce_index(s)
     prec = _finite_prec(prec)
     us = [_as_ratfunc(fld, u) for u in points]
-    if len(us) != s.depth:
-        raise InvalidIndexError("one point per index entry required")
+    _require_convergence(fld, s, us, "CMPL")
     if any(u.is_zero for u in us):
         return Laurent.zero(fld)
-    _require_convergence(fld, s, us, "CMPL")
     q = fld.q
     vus = [-u.infty_degree() for u in us]  # valuations of the points
 
@@ -303,7 +312,7 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
         upart = Laurent.from_ratfunc(us[j], max(u_prec // q ** i + 1, vus[j]))
         return upart.qth_power(i, out_prec=u_prec) * linv
 
-    return _nested_sum(fld, s.depth, 0, phi, factor, prec)
+    return _nested_value(fld, s.depth, 0, phi, factor, prec)
 
 
 def carlitz_log(fld: Field, u, prec) -> Laurent:

@@ -8,7 +8,8 @@ import pytest
 
 from ffzeta import anderson, cache, zeta
 from ffzeta.anderson import GradedSeries
-from ffzeta.errors import BudgetError, ConvergenceError, DomainError, ResolutionError
+from ffzeta.errors import (BudgetError, ConvergenceError, DomainError, InvalidIndexError,
+                           ResolutionError)
 from ffzeta.indices import g_map
 from ffzeta.laurent import Laurent
 from ffzeta.scalar import (
@@ -275,6 +276,119 @@ def test_deformation_t_series_divergence_names_slot():
         anderson.deformation_t_series(fld, (2, 1), [1, Poly.monomial(fld, 1, 2)], 4, 20)
 
 
+def test_deformation_entry_points_share_one_input_check():
+    # the t-series once had no length check of its own and fell through to
+    # the CMPL wording
+    fld = field(3)
+    one = [anderson.at_polynomial(fld, 1)]
+    for call in (lambda: anderson.deformation_t_series(fld, (2, 1), one, 4, 20),
+                 lambda: anderson.deformation_value(fld, (2, 1), one, 20),
+                 lambda: anderson.vanishing_order_profile(fld, (2, 1), one, 4, 20)):
+        with pytest.raises(InvalidIndexError, match="one deformation input per index entry required"):
+            call()
+    for call in (lambda: anderson.deformation_t_series(fld, (1, 1), [1, Poly.monomial(fld, 1, 2)], 4, 20),
+                 lambda: anderson.deformation_value(fld, (1, 1), [1, Poly.monomial(fld, 1, 2)], 20),
+                 lambda: anderson.vanishing_order_profile(fld, (1, 1), [1, Poly.monomial(fld, 1, 2)], 4, 20)):
+        with pytest.raises(ConvergenceError, match=r"deformation series diverges.*slot\(s\) \[1\]"):
+            call()
+
+
+def _old_t_series(fld, s, qs, cap, prec):
+    """Oracle: the t-series summed by its own suffix loop, before it went
+    through ``zeta._nested_sum``."""
+    qs = [anderson._coerce_q(fld, item) for item in qs]
+    base = anderson.omega_unit(fld, cap, prec)
+    out, prev_suffix = [], None
+    for j in range(len(s)):
+        qj = qs[j]
+        if isinstance(qj, RatFunc):
+            qj_series = GradedSeries(fld, 0, [Laurent.from_ratfunc(qj, prec)], cap)
+        else:
+            qj_series = GradedSeries.from_bipoly(qj, cap)
+        a = GradedSeries(fld, -fld.q * s[j], (base ** s[j]).coeffs, cap) * qj_series
+        v0 = min((c.val for c in a.coeffs if c.coeffs.size), default=float("inf"))
+        twists = [a]
+        if v0 != float("inf"):
+            v0 = int(v0)
+            while v0 <= prec:
+                twists.append(twists[-1].twist())
+                v0 = fld.q * v0 + fld.q * s[j]
+        terms = []
+        for ell, a_tw in enumerate(twists):
+            if prev_suffix is None:
+                terms.append(a_tw)
+            elif ell + 1 < len(prev_suffix):
+                terms.append(a_tw * prev_suffix[ell + 1])
+            else:
+                zero_tail = GradedSeries(fld, prev_suffix[0].grade,
+                                         [Laurent.zero_to_prec(fld, prec)], cap)
+                terms.append(a_tw * zero_tail)
+        suffix = [None] * (len(terms) + 1)
+        acc = GradedSeries(fld, terms[0].grade, [Laurent.zero_to_prec(fld, prec)], cap)
+        suffix[len(terms)] = acc
+        for ell in range(len(terms) - 1, -1, -1):
+            acc = (terms[ell] + acc).truncate(prec)
+            suffix[ell] = acc
+        out.append(suffix[0])
+        prev_suffix = suffix
+    return out
+
+
+def _series_key(series):
+    return [(g.grade, g.cap, g.coeffs) for g in series]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_deformation_t_series_matches_its_old_loop(q):
+    fld = field(q)
+    theta = Poly.gen(fld)
+    cases = [((1,), None), ((2, 1), None), ((1, 2, 1), None), ((1, 1, 1, 1), None),
+             ((2, 1, 1), 1), ((1, 2), 0)]
+    for s, zero in cases:
+        qs = at_inputs(fld, s)
+        if zero is not None:
+            qs[zero] = 0
+        for cap, prec in [(4, 20), (8, 40)]:
+            got = anderson.deformation_t_series(fld, s, qs, cap, prec)
+            assert _series_key(got) == _series_key(_old_t_series(fld, s, qs, cap, prec)), (s, zero)
+        if zero is not None:
+            # zero through prec, at the right grade, from the zero slot on
+            for j in range(zero, len(s)):
+                assert got[j].grade == -q * sum(s[: j + 1])
+                assert all(c.is_zero_to_precision and c.prec == 40 for c in got[j].coeffs)
+    rat = [RatFunc(Poly.one(fld), theta + Poly.one(fld)), at_inputs(fld, (1,))[0]]
+    got = anderson.deformation_t_series(fld, (2, 1), rat, 6, 40)
+    assert _series_key(got) == _series_key(_old_t_series(fld, (2, 1), rat, 6, 40))
+
+
+def test_deformation_t_series_keeps_what_the_old_loop_lost():
+    # H_3 at q=3 has theta-degree 3, so slot 1 of (1, 4) starts at valuation
+    # -3; the old loop cut slot 0's sums at prec and so knew some entry-2
+    # coefficients only through prec - 3.  The walk keeps slot 0's sums
+    # through prec + 3: the same digits, through prec.
+    fld = field(3)
+    s, cap, prec = (1, 4), 6, 40
+    qs = at_inputs(fld, s)
+    got = anderson.deformation_t_series(fld, s, qs, cap, prec)
+    old = _old_t_series(fld, s, qs, cap, prec)
+    assert _series_key(got[:1]) == _series_key(old[:1])
+    assert any(c.prec < prec for c in old[1].coeffs)
+    for new_c, old_c in zip(got[1].coeffs, old[1].coeffs):
+        assert new_c.prec >= prec and new_c.truncate(old_c.prec) == old_c
+
+
+def test_deformation_partials_match_separate_values():
+    # the profile reads L_(1..j)(theta^q) as the partials of one walk
+    cases = [(3, (3, 1)), (5, (1, 2, 2, 1)), (5, (2, 2, 2)), (3, (1, 2, 1, 1)), (2, (1, 1, 2, 1))]
+    for q, s in cases:
+        fld = field(q)
+        qs = at_inputs(fld, s)
+        partials = anderson._deformation_partials(fld, s, qs, 200, point_power=1)
+        for j in range(1, len(s) + 1):
+            want = anderson.deformation_value(fld, s[:j], qs[:j], 200, point_power=1)
+            assert partials[j - 1] == want, (q, s, j)
+
+
 def test_specialization_frobenius_check():
     for q in (2, 3):
         fld = field(q)
@@ -420,6 +534,26 @@ def test_vanishing_orders_examples():
     assert p == g_map((3, 1)) == frozenset({1})
     with pytest.raises(DomainError, match="vanishes identically"):
         anderson.vanishing_order_profile(fld, (2, 1), [0, 1], 8, 60)
+
+
+def test_vanishing_orders_walk_once(monkeypatch):
+    fld = field(5)
+    s = (1, 2, 2, 1)
+    calls = []
+    real = anderson._nested_sum
+
+    def spy(r, *args):
+        calls.append(r)
+        return real(r, *args)
+
+    monkeypatch.setattr(anderson, "_nested_sum", spy)
+    assert anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 16, 400) == g_map(s)
+    assert calls == [3]
+    # a zero input: the walk stops before it, and the error names its depth
+    calls.clear()
+    with pytest.raises(DomainError, match=r"L_\(1\.\.3\) vanishes identically"):
+        anderson.vanishing_order_profile(fld, s, at_inputs(fld, s)[:2] + [0, 1], 16, 400)
+    assert calls == [2]
 
 
 def test_vanishing_orders_match_g_small_cases():

@@ -114,50 +114,140 @@ def test_series_memo_order_does_not_change_digits():
 
 # -- the nested-sum walk ----------------------------------------------------------
 
+def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
+    """Oracle: the walk before the suffix form, one product per admissible
+    tuple l_1 > ... > l_r >= lo (sign weights now live in the factors).  Slot pos is visited at l while the least
+    completion keeps the bound sum <= prec, and asked for prec minus the
+    least sum the other slots can still reach."""
+    total = Laurent.zero(fld)
+    chosen = [0] * r
+
+    def walk(pos, first, acc, prod):
+        nonlocal total
+        l = first
+        while (need := acc + sum(bound(pos - k, l + k) for k in range(pos + 1))) <= prec:
+            b = bound(pos, l)
+            p = prec - need + b
+            term = prod * factor(pos, l, p)
+            chosen[pos] = l
+            if visits is not None:
+                visits.append((pos, l, p, tuple(chosen[pos:])))
+            if pos:
+                walk(pos - 1, l + 1, acc + b, term)
+            else:
+                total = total + term
+            l += 1
+
+    walk(r - 1, lo, 0, Laurent.one(fld))
+    return total.truncate(prec)
+
+
+def _over_tuple_walk(fld):
+    """``_nested_sum``'s signature over the oracle: only the last partial."""
+    return lambda r, lo, bound, factor, prec: (
+        [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, factor, prec)])
+
+
 @pytest.mark.parametrize("lo", [0, 1])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_nested_sum_visits_exactly_the_admissible_tuples(r, lo):
     # synthetic bounds, increasing in l; slot 0 starts negative, as the
-    # point theta does in cmpl; signs weight the lo = 1 runs
+    # point theta does in cmpl, and in the second run slot 1 does too; the
+    # lo = 1 runs weight slot j at l by signs[j]^l inside the factor
     fld = field(5)
     prec = 12
     slopes = (1, 3, 2)
+    signs = [1, 1, 1] if lo == 0 else [2, 3, 4]
+    for offsets in [(-4, 1, 1), (-4, -3, 2)]:
+        def bound(j, l):
+            return slopes[j] * l + offsets[j]
 
-    def bound(j, l):
-        return slopes[j] * l + (-4 if j == 0 else 1)
+        def brute(depth):
+            # the slots 0..depth-1 tuples with bound sum <= prec, and their sum
+            box = range(lo, 30)
+            tuples = [ls for ls in itertools.product(box, repeat=depth)
+                      if all(a > b for a, b in zip(ls, ls[1:]))
+                      and sum(bound(j, l) for j, l in enumerate(ls)) <= prec]
+            value = Laurent.zero(fld)
+            for ls in tuples:
+                c = 1
+                for e, l in zip(signs, ls):
+                    c = c * e ** l % 5
+                value = value + Laurent.monomial(fld, c, sum(bound(j, l) for j, l in enumerate(ls)))
+            return tuples, value.truncate(prec)
 
-    signs = None if lo == 0 else [2, 3, 4][:r]
-    calls, leaves, path = [], [], [None] * r
+        def monomial(j, l):
+            return Laurent.monomial(fld, signs[j] ** l % 5, bound(j, l))
 
-    def factor(j, l, p):
-        calls.append((j, l))
-        path[j] = (l, p)
-        if j == 0:
-            leaves.append(list(path))
-        return Laurent.monomial(fld, 1, bound(j, l))
+        want, expect = brute(r)
+        assert want
 
-    got = zeta._nested_sum(fld, r, lo, bound, factor, prec, signs)
+        # the oracle visits no node without a leaf below it, and asks each
+        # leaf's slots for enough digits
+        visits = []
+        oracle = _tuple_walk(fld, r, lo, bound, lambda j, l, p: monomial(j, l), prec,
+                             visits=visits)
+        leaves = [v[3] for v in visits if v[0] == 0]
+        assert sorted(leaves) == sorted(want)
+        prefixes = {ls[j:] for ls in want for j in range(r)}
+        assert len(visits) == len(prefixes)
+        for pos, l, p, suffix in visits:
+            for leaf in want:
+                if leaf[pos:] == suffix:
+                    others = sum(bound(j, lj) for j, lj in enumerate(leaf)) - bound(pos, l)
+                    assert p + others >= prec, (leaf, pos)
+        assert oracle == expect
 
-    box = range(lo, 30)
-    want = [ls for ls in itertools.product(box, repeat=r)
-            if all(a > b for a, b in zip(ls, ls[1:]))
-            and sum(bound(j, l) for j, l in enumerate(ls)) <= prec]
-    assert want and sorted(tuple(l for l, _ in leaf) for leaf in leaves) == sorted(want)
-    # no node without a leaf below it is visited
-    prefixes = {ls[j:] for ls in want for j in range(r)}
-    assert len(calls) == len(prefixes)
-    for leaf in leaves:
-        bounds = [bound(j, l) for j, (l, _) in enumerate(leaf)]
-        for j, (_, p) in enumerate(leaf):
-            assert p + sum(bounds) - bounds[j] >= prec, (leaf, j)
+        # the suffix walk calls each (slot, l) factor once, for a p that the
+        # least valuation of the other slots lifts to prec: above l for the
+        # partial through slot j, below l as well for the whole sum
+        calls = []
 
-    expect = Laurent.zero(fld)
-    for ls in want:
-        c = 1
-        for e, l in zip(signs or [1] * r, ls):
-            c = c * e ** l % 5
-        expect = expect + Laurent.monomial(fld, c, sum(bound(j, l) for j, l in enumerate(ls)))
-    assert got == expect.truncate(prec)
+        def factor(j, l, p):
+            calls.append((j, l, p))
+            return monomial(j, l)
+
+        partials = zeta._nested_sum(r, lo, bound, factor, prec)
+        assert len({(j, l) for j, l, _ in calls}) == len(calls)
+        for j, l, p in calls:
+            above = sum(bound(j - i, l + i) for i in range(1, j + 1))
+            below = sum(bound(k, lo + r - 1 - k) for k in range(j + 1, r))
+            assert p + above >= prec and p + above + below >= prec, (j, l, p)
+        for j, part in enumerate(partials):
+            tuples, value = brute(j + 1)
+            assert (part is None) == (not tuples) and (part is None or part == value), (r, j)
+        assert partials[-1] == expect
+
+
+# -- the suffix walk against the tuple walk ---------------------------------------
+
+@pytest.mark.parametrize("q,s,prec", [(2, (1, 1, 1, 1, 1), 200), (5, (1, 2, 2, 1), 400),
+                                      (3, (2, 1, 2), 150)])
+def test_mzv_matches_the_tuple_walk(monkeypatch, q, s, prec):
+    fld = field(q)
+    eps = [(-1) ** j for j in range(len(s))]
+    new = zeta.mzv(fld, s, prec), zeta.amzv(fld, s, eps, prec)
+    monkeypatch.setattr(zeta, "_nested_sum", _over_tuple_walk(fld))
+    assert new == (zeta.mzv(fld, s, prec), zeta.amzv(fld, s, eps, prec))
+
+
+def test_cmpl_and_deformation_value_match_the_tuple_walk(monkeypatch):
+    fld = field(3)
+    theta = Poly.gen(fld)
+    s = (2, 1, 2)
+    pts = [theta, 1, RatFunc(Poly.one(fld), theta + Poly.one(fld))]
+    at = [anderson.at_polynomial(fld, sj - 1) for sj in s]
+
+    def values():
+        return (zeta.cmpl(fld, s, pts, 200),
+                anderson.deformation_value(fld, s, at, 100),
+                anderson.deformation_value(fld, s, at, 100, eps=[1, -1, 1]),
+                anderson.deformation_value(fld, s, pts, 300, point_power=1))
+
+    new = values()
+    monkeypatch.setattr(zeta, "_nested_sum", _over_tuple_walk(fld))
+    monkeypatch.setattr(anderson, "_nested_sum", _over_tuple_walk(fld))
+    assert new == values()
 
 
 # -- multizeta -------------------------------------------------------------------
@@ -335,6 +425,8 @@ def test_cmpl_divergence_error_names_slot():
     bad = RatFunc.from_poly(Poly.monomial(fld, 1, 2))
     with pytest.raises(ConvergenceError, match=r"slot\(s\) \[1\]"):
         zeta.cmpl(fld, (2, 1), [1, bad], 20)
+    with pytest.raises(InvalidIndexError, match="one point per index entry required"):
+        zeta.cmpl(fld, (2, 1), [0], 20)
 
 
 # -- the period ----------------------------------------------------------------------
