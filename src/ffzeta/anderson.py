@@ -382,7 +382,8 @@ def deformation_t_series(fld: Field, s, qs, cap: int, prec) -> list:
     s = coerce_index(s)
     prec = _finite_prec(prec)
     qs = _deformation_inputs(fld, s, qs)
-    base = omega_unit(fld, cap, prec)
+    # A_j keeps the precision of Omega~^{s_j} less the theta-degree of Q_j
+    base = omega_unit(fld, cap, prec + max(0, *map(infty_norm_degree, qs)))
     q = fld.q
     twists, v0s = [], []
     for j, qj in enumerate(qs):

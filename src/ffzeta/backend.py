@@ -8,7 +8,10 @@ digit planes over F_p.  A product of arrays is computed over F_p, one
 product per pair of planes, and the y-degree is then reduced modulo the
 irreducible; for e = 1 that is the prime-field product alone.  These are
 the inner loops that dominate runtime: polynomial convolution, truncated
-series reciprocals, Gaussian elimination and the power-sum digit DP.
+series reciprocals and Gaussian elimination.  The power-sum digit DP,
+``power_sum_digits``, is no longer called by the package: it stays as the
+tests' oracle for ``zeta.power_sum_series`` and because the benchmark's
+tracer wraps it by name.
 
 Every 1-D product over F_p is ``_mul_p``: ``np.convolve`` while the
 shorter operand has fewer than ``_pack_from(p)`` entries, and above that

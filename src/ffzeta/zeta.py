@@ -3,25 +3,20 @@ multiple polylogarithms at k-rational points, and powers of the Carlitz
 period.
 
 Two independent routes to power sums coexist on purpose: an exact
-enumeration over monic polynomials (budget-limited) and a truncated-series
-digit formula.  The series route expands a^{-n} = theta^{-nd} (1+u)^{-n}
-over a monic a of degree d and sums coefficientwise over F_q; a monomial
-survives only when every one of the d coefficient variables appears with
-exponent a positive multiple of q-1, which both yields a finite DP for the
-digits and proves the valuation bound
+enumeration over monic polynomials (budget-limited) and the
+Anderson-Thakur interpolation identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta)
+/ L_d^n (Ann. of Math. 132 (1990); Thakur, Function Field Arithmetic,
+ch. 5), whose cost grows with the window, not with d.  Summing a^{-n} =
+theta^{-nd} (1+u)^{-n} over the monic a of degree d keeps only monomials
+in which each of the d coefficient variables has an exponent that is a
+positive multiple of q-1, which proves the valuation bound
 
     val(S_d(n)) >= n*d + (q-1)*d*(d+1)/2.
 
-That quadratic growth is what lets multizeta sums truncate after O(sqrt(N))
-degree layers.
-
-The DP state after layer i is the same for every degree d >= i, so one
-pass per (q, n) yields the digits of S_d(n) for every degree whose bound
-is <= prec.  Its memo entry keeps the digits of the highest prec seen
-for each (q, n) and serves lower ones by slicing.  A lone first call for
-one degree therefore pays for the whole pass; ``mzv`` and ``amzv`` walk
-every degree anyway.  Exact power sums, the passes and 1/L_i^s are
-memoised through ``cache.remember``, the package's one memo policy.
+It decides which power sums vanish through prec, and its quadratic growth
+lets multizeta sums truncate after O(sqrt(N)) degree layers.  S_d(n) is
+memoised per (q, d, n) at the highest prec seen; it, the exact power sums
+and 1/L_i^s go through ``cache.remember``, the package's one memo policy.
 
 mzv, amzv, cmpl and the deformation series in ``anderson`` are nested
 sums over l_1 > ... > l_r of one factor per slot, truncated by an additive
@@ -37,11 +32,11 @@ import math
 
 import numpy as np
 
-from . import backend, cache
+from . import cache
 from .errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from .indices import Index, coerce_index
 from .laurent import INF, Laurent
-from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, enumerate_monic
+from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, carlitz_gamma, enumerate_monic
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -90,37 +85,75 @@ def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) ->
                         lambda payload: cache.ratfunc_from_json(fld, payload))
 
 
-def _binom_table(rows: int, p: int) -> np.ndarray:
-    table = np.zeros((rows, rows), dtype=np.int64)
-    table[:, 0] = 1
-    for i in range(1, rows):
-        table[i, 1:i + 1] = (table[i - 1, 1:i + 1] + table[i - 1, 0:i]) % p
-    return table
+def _power_sum_unit(fld: Field, n: int, k: int, width: int) -> Laurent:
+    """theta^{deg Gamma_n} / (Gamma_n U_k^n) through 1/theta^width, where
+    U_k = prod_{i=1..k} (1 - theta^{1-q^i}) = (-1)^k theta^{-e_k} L_k; both
+    factors are units in 1/theta with leading digit 1.  The memo keeps the
+    widest window seen per (q, n, k)."""
+    def compute(_):
+        l_k, gamma = bracket_L(fld, k), carlitz_gamma(fld, n)
+        unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
+        denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
+        return denom.inv(prec=width)
+
+    return cache.remember("power_sum_unit", (fld.q, n, k), lambda e: e.prec >= width,
+                          compute).truncate(width)
 
 
-def _power_sum_digits(fld: Field, d: int, n: int, prec: int) -> np.ndarray:
-    """Digits of theta^{n*d} * S_d(n) for 1/theta exponents 0..prec-n*d.
+def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
+    """S_d(n) for d >= 1, exact through prec, from the interpolation
+    identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n.
 
-    One DP pass per (q, n) yields every degree whose valuation bound is
-    <= prec.  The memo keeps the digits of the highest prec seen; a lower
-    prec slices them, a higher one reruns the pass.
+    With L_d^n = (-1)^{nd} theta^{n e_d} U_d^n, e_d = q + ... + q^d, and
+    c = n e_d + deg Gamma_n, the monomial h_ij t^i theta^j of H_{n-1}
+    contributes h_ij at 1/theta-exponent c - i - j q^d, and the sum of those
+    at exponents <= prec is the numerator window.  Its product with the unit
+    of ``_power_sum_unit`` is S_d(n) up to the sign (-1)^{nd}, and a factor
+    1 - theta^{1-q^k} of U_d with q^k - 1 beyond the window's width changes
+    no digit through prec.
     """
-    def run_pass(_):
-        d_max = d
-        while power_sum_val_bound(fld.q, d_max + 1, n) <= prec:
-            d_max += 1
-        binom = _binom_table(prec + 1, fld.p)
-        return prec, backend.power_sum_digits(d_max, n, fld.q, prec - n, binom, fld.p)
+    from . import anderson  # anderson imports this module: bound at call time
 
-    hit = cache.remember("power_sum_series", (fld.q, n), lambda e: e[0] >= prec, run_pass)
-    return hit[1][d - 1][: prec - n * d + 1]
+    if n - 1 > anderson.AT_BUDGET:
+        raise BudgetError(
+            f"power_sum_series: index entry {n} needs the Anderson-Thakur polynomial "
+            f"H_{n - 1}, beyond the budget n <= AT_BUDGET = {anderson.AT_BUDGET}; entries up "
+            f"to {anderson.AT_BUDGET + 1} are served, and S_{d}({n}) needs no H below "
+            f"prec {power_sum_val_bound(fld.q, d, n)}"
+        )
+    q = fld.q
+    h = anderson.at_polynomial(fld, n - 1).coeffs
+    rows, cols = h.shape
+    step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
+    c = n * (q * (step - 1) // (q - 1)) + int(carlitz_gamma(fld, n).degree)
+    lo = c - (cols - 1) * step - (rows - 1)  # no monomial lands below lo
+    window = np.zeros(max(prec - lo + 1, 0), dtype=np.int64)
+    # column j lands on [c - j q^d - rows + 1, c - j q^d]; only the top
+    # columns reach down to prec once q^d outgrows the window
+    j = cols - 1
+    while j >= 0 and c - j * step - rows + 1 <= prec:
+        first = c - j * step - rows + 1 - lo
+        stop = min(c - j * step, prec) - lo + 1
+        window[first:stop] = fld.add(window[first:stop], h[::-1, j][: stop - first])
+        j -= 1
+    numer = Laurent(fld, lo, window, prec)
+    if numer.is_zero_to_precision:
+        return numer
+    width = prec - int(numer.val)
+    k = 0
+    while k < d and q ** (k + 1) - 1 <= width:
+        k += 1
+    value = numer * _power_sum_unit(fld, n, k, width)
+    return -value if n * d % 2 else value
 
 
 def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
     """S_d(n) as a Laurent approximation, exact through prec.
 
-    S_0(n) = 1 exactly; for d >= 1 the digits come from the coefficient DP
-    (no enumeration), so this works far beyond the exact-path budget.
+    S_0(n) = 1 exactly; for d >= 1 the digits come from the interpolation
+    identity (no enumeration), so this works far beyond the exact-path
+    budget.  It needs H_{n-1}, so an entry n > AT_BUDGET + 1 raises
+    BudgetError wherever the valuation bound leaves a digit through prec.
     """
     if d < 0 or n < 1:
         raise InvalidIndexError("power_sum_series wants d >= 0 and n >= 1")
@@ -128,8 +161,10 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
         return Laurent.one(fld)
     if power_sum_val_bound(fld.q, d, n) > prec:
         return Laurent.zero_to_prec(fld, prec)
-    digits = _power_sum_digits(fld, d, n, _finite_prec(prec))
-    return Laurent(fld, n * d, digits, prec)
+    prec = _finite_prec(prec)
+    hit = cache.remember("power_sum_series", (fld.q, d, n), lambda e: e.prec >= prec,
+                         lambda _: _power_sum_from_identity(fld, d, n, prec))
+    return hit.truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +234,9 @@ def _nested_value(fld: Field, r: int, lo: int, bound, factor, prec: int) -> Laur
 
 def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
     """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j) signs[j]^{d_j}.
-    Every power sum is asked for the full prec: the first call for a (q, n)
-    sets how far its DP pass runs, and a lower one could make a later call
-    rerun it."""
+    Every power sum is asked for the full prec: the memo keeps one entry per
+    (q, d, n) at the highest prec seen, and a lower request could make a
+    later one recompute it."""
     prec = _finite_prec(prec)
 
     def factor(j, d, p):

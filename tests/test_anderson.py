@@ -377,6 +377,19 @@ def test_deformation_t_series_keeps_what_the_old_loop_lost():
         assert new_c.prec >= prec and new_c.truncate(old_c.prec) == old_c
 
 
+def test_deformation_t_series_is_exact_through_prec_for_inputs_of_positive_degree():
+    # H_3 at q=3 has theta-degree 3: Omega~ must be known 3 digits past prec
+    fld = field(3)
+    got = anderson.deformation_t_series(fld, (4,), at_inputs(fld, (4,)), 6, 40)
+    assert all(c.prec >= 40 for c in got[0].coeffs)
+    wider = anderson.deformation_t_series(fld, (4,), at_inputs(fld, (4,)), 6, 60)
+    assert all(a.agrees_with(b, through=40) for a, b in zip(got[0].coeffs, wider[0].coeffs))
+    family = [(4,), (3, 1)]
+    system = anderson.build_block_system(fld, family, [at_inputs(fld, s) for s in family],
+                                         [1, 1], 6, 40)
+    assert all(c.prec >= 40 for entry in system.psi for c in entry.coeffs)
+
+
 def test_deformation_partials_match_separate_values():
     # the profile reads L_(1..j)(theta^q) as the partials of one walk
     cases = [(3, (3, 1)), (5, (1, 2, 2, 1)), (5, (2, 2, 2)), (3, (1, 2, 1, 1)), (2, (1, 1, 2, 1))]

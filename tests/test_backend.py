@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from ffzeta import backend, linalg, zeta
+from ffzeta import backend, cache, linalg, zeta
+from ffzeta.laurent import Laurent
 from ffzeta.scalar import Field, field
 
 QS = [2, 3, 4, 5, 8, 9]
@@ -176,6 +177,15 @@ def test_rref_and_nullspace(q):
             assert all(_dot(fld, row, vec) == 0 for row in a)
 
 
+def _binom_table(rows, p):
+    """Pascal's triangle mod p, rows x rows: the table the digit DP reads."""
+    table = np.zeros((rows, rows), dtype=np.int64)
+    table[:, 0] = 1
+    for i in range(1, rows):
+        table[i, 1:i + 1] = (table[i - 1, 1:i + 1] + table[i - 1, 0:i]) % p
+    return table
+
+
 def _power_sum_digits_one_degree(d, n, q, wmax, binom, p):
     """Reference: the digit DP run from layer 1 for one degree d alone."""
     step = q - 1
@@ -207,9 +217,31 @@ def test_power_sum_pass_matches_per_degree_dp(q):
             d_max = 0
             while zeta.power_sum_val_bound(q, d_max + 1, n) <= prec:
                 d_max += 1
-            binom = zeta._binom_table(prec + 1, fld.p)
+            binom = _binom_table(prec + 1, fld.p)
             got = backend.power_sum_digits(d_max, n, q, prec - n, binom, fld.p)
             assert len(got) == d_max
             for d in range(1, d_max + 1):
                 want = _power_sum_digits_one_degree(d, n, q, prec - n * d, binom, fld.p)
                 assert np.array_equal(got[d - 1], want), (q, n, prec, d)
+
+
+def test_power_sum_series_matches_the_dp():
+    """The interpolation-identity route against the digit DP, bit for bit,
+    requested in a shuffled order so the memos see every cover pattern."""
+    requests, dp = [], {}
+    for q in (2, 3, 4, 5, 9, 25):
+        fld = field(q)
+        for n in range(1, 7):
+            for prec in (60, 200):
+                d_max = 0
+                while zeta.power_sum_val_bound(q, d_max + 1, n) <= prec:
+                    d_max += 1
+                dp[q, n, prec] = backend.power_sum_digits(
+                    d_max, n, q, prec - n, _binom_table(prec + 1, fld.p), fld.p)
+                requests += [(q, d, n, prec) for d in range(1, d_max + 1)]
+    random.Random(12).shuffle(requests)
+    cache.clear_memos()
+    for q, d, n, prec in requests:
+        fld = field(q)
+        want = Laurent(fld, n * d, dp[q, n, prec][d - 1][: prec - n * d + 1], prec)
+        assert zeta.power_sum_series(fld, d, n, prec) == want, (q, d, n, prec)

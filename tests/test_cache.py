@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from ffzeta import anderson, backend, cache, zeta
+from ffzeta import anderson, cache, zeta
 from ffzeta.scalar import field
 
 
@@ -71,19 +71,20 @@ def test_atomic_writes_leave_no_temp_files(store, tmp_path):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Records each digit-DP pass and each run of the H_n tower recursion."""
+    """Records each power-sum memo computation and each run of the H_n tower
+    recursion."""
     calls = []
-    dp, tower = backend.power_sum_digits, anderson._at_tower
+    power_sum, tower = zeta._power_sum_from_identity, anderson._at_tower
 
-    def dp_spy(*args):
-        calls.append("dp")
-        return dp(*args)
+    def power_sum_spy(*args):
+        calls.append("power_sum")
+        return power_sum(*args)
 
     def tower_spy(*args):
         calls.append("tower")
         return tower(*args)
 
-    monkeypatch.setattr(backend, "power_sum_digits", dp_spy)
+    monkeypatch.setattr(zeta, "_power_sum_from_identity", power_sum_spy)
     monkeypatch.setattr(anderson, "_at_tower", tower_spy)
     cache.clear_memos()
     return calls
@@ -99,7 +100,7 @@ def test_clear_memos_recomputes(spy):
     z = zeta.mzv(fld, (2, 1), 60)
     h = anderson.at_polynomial(fld, 7)
     linv = zeta._l_power_inverse(fld, 3, 2, 80)
-    assert "dp" in spy and "tower" in spy
+    assert "power_sum" in spy and "tower" in spy
     spy.clear()
     assert zeta.mzv(fld, (2, 1), 60) == z
     assert anderson.at_polynomial(fld, 7) is h
@@ -109,7 +110,7 @@ def test_clear_memos_recomputes(spy):
     assert zeta.mzv(fld, (2, 1), 60) == z
     h2 = anderson.at_polynomial(fld, 7)
     linv2 = zeta._l_power_inverse(fld, 3, 2, 80)
-    assert "dp" in spy and "tower" in spy
+    assert "power_sum" in spy and "tower" in spy
     assert h2 == h and h2 is not h
     assert linv2 == linv and linv2 is not linv
 
@@ -117,6 +118,7 @@ def test_clear_memos_recomputes(spy):
 def test_covered_request_computes_nothing(spy):
     fld = field(3)
     zeta.power_sum_series(fld, 2, 1, 150)
+    zeta.power_sum_series(fld, 3, 1, 150)
     anderson.at_polynomial(fld, 20)
     spy.clear()
     for prec in (150, 60, 10):
@@ -132,16 +134,16 @@ def test_uncovered_request_replaces_the_entry_whole(spy):
     anderson.at_polynomial(fld, 5)
     zeta.power_sum_series(fld, 2, 1, 60)
     old_tower = entry("at_tower", 3)
-    old_pass = entry("power_sum_series", (3, 1))
-    assert len(old_tower) == 6 and old_pass[0] == 60
+    old_sum = entry("power_sum_series", (3, 2, 1))
+    assert len(old_tower) == 6 and old_sum.prec == 60
     anderson.at_polynomial(fld, 12)
     zeta.power_sum_series(fld, 2, 1, 150)
     new_tower = entry("at_tower", 3)
-    new_pass = entry("power_sum_series", (3, 1))
+    new_sum = entry("power_sum_series", (3, 2, 1))
     assert new_tower is not old_tower and len(new_tower) == 13
-    assert new_pass is not old_pass and new_pass[0] == 150
+    assert new_sum is not old_sum and new_sum.prec == 150
     # the old entries are untouched, and the tower was extended, not rebuilt
-    assert len(old_tower) == 6 and old_pass[0] == 60
+    assert len(old_tower) == 6 and old_sum.prec == 60
     assert all(a is b for a, b in zip(new_tower, old_tower))
 
 

@@ -187,6 +187,9 @@ def test_value_command_labels_round_trip(capsys, argv):
 def test_resource_error_exit_code(capsys):
     rc = cli.main(["atpoly", "--q", "2", "--n", "500"])
     assert rc == 3  # budget
+    rc = cli.main(["zeta", "--q", "3", "--index", "402", "--prec", "500"])
+    assert rc == 3  # the power sums of entry 402 need H_401
+    assert "index entry 402" in capsys.readouterr().err
     rc = cli.main([
         "relations", "hunt", "--q", "3", "--labels", "zeta(1),zeta(2)",
         "--deg-bound", "5", "--prec", "20",

@@ -75,10 +75,29 @@ def test_series_valuation_bounds():
 
 
 def test_series_far_beyond_enumeration_budget():
-    # d = 40 would need q^40 enumerations; the digit DP just returns the tail bound
+    # d = 40 would need q^40 enumerations; the series path just returns the tail bound
     fld = field(2)
     s = zeta.power_sum_series(fld, 40, 1, 500)
     assert s.is_zero_to_precision and s.prec == 500
+
+
+def test_series_past_the_at_budget_raises_before_any_tower_work(monkeypatch):
+    fld = field(3)
+    n = anderson.AT_BUDGET + 2
+    bound = zeta.power_sum_val_bound(3, 1, n)
+    # an entry whose every digit lies past prec is still the exact zero there
+    assert zeta.power_sum_series(fld, 1, n, bound - 1) == Laurent.zero_to_prec(fld, bound - 1)
+    assert zeta.mzv(fld, (n,), bound - 1) == Laurent.one(fld).truncate(bound - 1)
+
+    def no_tower(*args):
+        raise AssertionError("tower work before the budget check")
+
+    monkeypatch.setattr(anderson, "_at_tower", no_tower)
+    cache.clear_memos()
+    for call in (lambda: zeta.power_sum_series(fld, 1, n, bound),
+                 lambda: zeta.mzv(fld, (n, 1), 500)):
+        with pytest.raises(BudgetError, match=f"index entry {n} .*AT_BUDGET = {anderson.AT_BUDGET}"):
+            call()
 
 
 def test_series_memo_order_does_not_change_digits():
@@ -295,6 +314,24 @@ def test_mzv_truncation_soundness():
         a = zeta.mzv(field(q), s, 25)
         b = zeta.mzv(field(q), s, 50)
         assert a.agrees_with(b, through=25)
+
+
+def test_chen_product_formula_through_deep_digits():
+    """zeta(r) zeta(s) = zeta(r+s) + zeta(r,s) + zeta(s,r)
+    + sum over 0 < j < r+s, (q-1) | j, of Delta^j_{r,s} zeta(r+s-j, j), with
+    Delta^j_{r,s} = (-1)^(s-1) C(j-1, s-1) + (-1)^(r-1) C(j-1, r-1) mod p
+    (H.-J. Chen, J. Number Theory 148 (2015)), checked through every digit."""
+    for q, n in [(3, 1200), (5, 1200), (2, 600)]:
+        fld = field(q)
+        for r, s in itertools.product(range(1, 4), repeat=2):
+            lhs = zeta.mzv(fld, (r,), n) * zeta.mzv(fld, (s,), n)
+            rhs = zeta.mzv(fld, (r + s,), n) + zeta.mzv(fld, (r, s), n) + zeta.mzv(fld, (s, r), n)
+            for j in range(q - 1, r + s, q - 1):
+                delta = ((-1) ** (s - 1) * math.comb(j - 1, s - 1)
+                         + (-1) ** (r - 1) * math.comb(j - 1, r - 1))
+                rhs = rhs + zeta.mzv(fld, (r + s - j, j), n).scale(delta)
+            diff = lhs - rhs
+            assert diff.is_zero_to_precision and diff.prec == n, (q, r, s, diff)
 
 
 def test_mzv_invalid_index():
