@@ -195,6 +195,21 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
 # Anderson-Thakur polynomials
 # ---------------------------------------------------------------------------
 
+def _times_f(planes, q: int, i: int):
+    """planes times F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}), one factor
+    at a time: i shifted subtractions, where a dense product with the 2^i
+    terms of F_i costs about deg_theta F_i passes per t-row.  F_i lies in
+    F_p[t, theta], so it acts on each base-p digit plane of an F_q grid
+    alone, and nothing is reduced mod p here (entries stay below 2^i p)."""
+    for j in range(1, i + 1):
+        e, rows, cols = planes.shape
+        out = np.zeros((e, rows + q ** i, cols + q ** j), dtype=np.int64)
+        out[:, q ** i:, :cols] = planes
+        out[:, :rows, q ** j:] -= planes
+        planes = out
+    return planes
+
+
 def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
     """(H_0, ..., H_n), extending the shorter tower (H_0, ...), by the recursion
 
@@ -202,24 +217,17 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
 
     with F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}) and the Carlitz binomial
     B_{m,i} = Gamma_{m+1} / (Gamma_{m+1-q^i} D_i) at theta = t: the series
-    recursion for H_m / Gamma_{m+1}, cleared of denominators."""
-    q = fld.q
-    fs = []
-    while q ** len(fs) <= n:
-        i = len(fs)
-        fi = BiPoly.one(fld)
-        for j in range(1, i + 1):
-            fi = fi * (BiPoly.from_poly(Poly.monomial(fld, 1, q ** i, TVAR))
-                       - BiPoly.from_poly(Poly.monomial(fld, 1, q ** j)))
-        fs.append(fi)
+    recursion for H_m / Gamma_{m+1}, cleared of denominators.  The sum is
+    taken over the integers on base-p digit planes and reduced once per m."""
+    q, p = fld.q, fld.p
+    powers = p ** np.arange(fld.e)
     tower = list(tower) or [BiPoly.one(fld)]
     for m in range(len(tower), n + 1):
         gamma = carlitz_gamma(fld, m + 1)
-        acc = BiPoly.zero(fld)
-        for i, fi in enumerate(fs):
+        parts = []
+        i = 0
+        while q ** i <= m:
             step = q ** i
-            if step > m:
-                break
             term = tower[m - step]
             # with digit i of m nonzero, m - q^i only lowers that digit and
             # B_{m,i} = 1; otherwise the subtraction borrows
@@ -231,8 +239,16 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
                         f"internal: B_({m},{i}) is not a polynomial (q={q})"
                     ) from exc
                 term = term * binom.with_var(TVAR)
-            acc = acc + (fi * term if i else term)
-        tower.append(acc)
+            planes = term.coeffs[None]
+            if fld.e > 1:
+                planes = planes // powers[:, None, None] % p
+            parts.append(_times_f(planes, q, i))
+            i += 1
+        acc = np.zeros(np.max([part.shape for part in parts], axis=0), dtype=np.int64)
+        for part in parts:
+            acc[:, : part.shape[1], : part.shape[2]] += part
+        acc %= p
+        tower.append(BiPoly(fld, acc[0] if fld.e == 1 else np.tensordot(powers, acc, axes=1)))
     return tuple(tower)
 
 

@@ -39,6 +39,12 @@ from .laurent import INF, Laurent
 from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, carlitz_gamma, enumerate_monic
 
 DEFAULT_BUDGET = 10 ** 6
+# The largest index entry whose power sums are served.  S_d(n) needs the
+# whole tower H_0..H_{n-1}, whose cold cost grows about as n^3.4 and is
+# worst at q=2: on one core of an Intel Xeon, the tower to H_149 takes
+# about 1.9 s and 140 MB there (0.4 s and 70 MB at q=3), the one to H_199
+# 5.6 s and 290 MB.
+_ENTRY_BUDGET = 150
 
 
 def _finite_prec(prec) -> int:
@@ -85,21 +91,6 @@ def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) ->
                         lambda payload: cache.ratfunc_from_json(fld, payload))
 
 
-def _power_sum_unit(fld: Field, n: int, k: int, width: int) -> Laurent:
-    """theta^{deg Gamma_n} / (Gamma_n U_k^n) through 1/theta^width, where
-    U_k = prod_{i=1..k} (1 - theta^{1-q^i}) = (-1)^k theta^{-e_k} L_k; both
-    factors are units in 1/theta with leading digit 1.  The memo keeps the
-    widest window seen per (q, n, k)."""
-    def compute(_):
-        l_k, gamma = bracket_L(fld, k), carlitz_gamma(fld, n)
-        unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
-        denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
-        return denom.inv(prec=width)
-
-    return cache.remember("power_sum_unit", (fld.q, n, k), lambda e: e.prec >= width,
-                          compute).truncate(width)
-
-
 def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     """S_d(n) for d >= 1, exact through prec, from the interpolation
     identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n.
@@ -108,17 +99,19 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     c = n e_d + deg Gamma_n, the monomial h_ij t^i theta^j of H_{n-1}
     contributes h_ij at 1/theta-exponent c - i - j q^d, and the sum of those
     at exponents <= prec is the numerator window.  Its product with the unit
-    of ``_power_sum_unit`` is S_d(n) up to the sign (-1)^{nd}, and a factor
+    theta^{deg Gamma_n} / (Gamma_n U_k^n) is S_d(n) up to the sign (-1)^{nd},
+    where U_k is the product of the first k factors of U_d; a factor
     1 - theta^{1-q^k} of U_d with q^k - 1 beyond the window's width changes
-    no digit through prec.
+    no digit through prec.  The unit is not memoised: the memo of
+    ``power_sum_series`` serves repeated S_d(n), and the d that share a
+    unit (q, n, k) each need a wider window than the last.
     """
     from . import anderson  # anderson imports this module: bound at call time
 
-    if n - 1 > anderson.AT_BUDGET:
+    if n > _ENTRY_BUDGET:
         raise BudgetError(
-            f"power_sum_series: index entry {n} needs the Anderson-Thakur polynomial "
-            f"H_{n - 1}, beyond the budget n <= AT_BUDGET = {anderson.AT_BUDGET}; entries up "
-            f"to {anderson.AT_BUDGET + 1} are served, and S_{d}({n}) needs no H below "
+            f"power_sum_series: index entry {n} exceeds the entry budget {_ENTRY_BUDGET}: "
+            f"S_{d}({n}) needs the Anderson-Thakur tower H_0..H_{n - 1}, and no H below "
             f"prec {power_sum_val_bound(fld.q, d, n)}"
         )
     q = fld.q
@@ -143,7 +136,12 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     k = 0
     while k < d and q ** (k + 1) - 1 <= width:
         k += 1
-    value = numer * _power_sum_unit(fld, n, k, width)
+    # U_k = (-1)^k theta^{-e_k} L_k and theta^{-deg Gamma_n} Gamma_n are units
+    # in 1/theta with leading digit 1
+    l_k, gamma = bracket_L(fld, k), carlitz_gamma(fld, n)
+    unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
+    denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
+    value = numer * denom.inv(prec=width)
     return -value if n * d % 2 else value
 
 
@@ -152,7 +150,7 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
 
     S_0(n) = 1 exactly; for d >= 1 the digits come from the interpolation
     identity (no enumeration), so this works far beyond the exact-path
-    budget.  It needs H_{n-1}, so an entry n > AT_BUDGET + 1 raises
+    budget.  It needs H_{n-1}, so an entry n > _ENTRY_BUDGET raises
     BudgetError wherever the valuation bound leaves a digit through prec.
     """
     if d < 0 or n < 1:

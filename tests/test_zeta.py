@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from ffzeta import anderson, cache, zeta
@@ -81,9 +83,9 @@ def test_series_far_beyond_enumeration_budget():
     assert s.is_zero_to_precision and s.prec == 500
 
 
-def test_series_past_the_at_budget_raises_before_any_tower_work(monkeypatch):
+def test_series_past_the_entry_budget_raises_before_any_tower_work(monkeypatch):
     fld = field(3)
-    n = anderson.AT_BUDGET + 2
+    n = zeta._ENTRY_BUDGET + 1
     bound = zeta.power_sum_val_bound(3, 1, n)
     # an entry whose every digit lies past prec is still the exact zero there
     assert zeta.power_sum_series(fld, 1, n, bound - 1) == Laurent.zero_to_prec(fld, bound - 1)
@@ -96,8 +98,30 @@ def test_series_past_the_at_budget_raises_before_any_tower_work(monkeypatch):
     cache.clear_memos()
     for call in (lambda: zeta.power_sum_series(fld, 1, n, bound),
                  lambda: zeta.mzv(fld, (n, 1), 500)):
-        with pytest.raises(BudgetError, match=f"index entry {n} .*AT_BUDGET = {anderson.AT_BUDGET}"):
+        with pytest.raises(BudgetError, match=f"index entry {n} exceeds the entry budget "
+                                              f"{zeta._ENTRY_BUDGET}"):
             call()
+
+
+def test_entry_at_the_budget_is_served_cold_within_seconds():
+    """The largest entry served, at q=2 (the largest towers), from a cold
+    memo: about 2 s on one core, where a dense product by each F_i in the
+    tower recursion took about 11 s."""
+    fld = field(2)
+    n = zeta._ENTRY_BUDGET
+    cache.clear_memos()
+    try:
+        start = time.perf_counter()
+        value = zeta.mzv(fld, (n,), 2 * n)
+        elapsed = time.perf_counter() - start
+    finally:
+        cache.clear_memos()  # the tower to H_{n-1} holds about 100 MB
+    # through 1/theta^(2n) only S_0 = 1 and S_1(n) = theta^-n + (theta+1)^-n
+    # = sum over k >= 1 of C(n+k-1, k) theta^(-n-k) (mod 2) contribute
+    digits = [1] + [0] * n + [math.comb(n + k - 1, k) % 2 for k in range(1, n + 1)]
+    want = Laurent(fld, 0, np.array(digits, dtype=np.int64), 2 * n)
+    assert value.prec == 2 * n and value.agrees_with(want, through=2 * n)
+    assert elapsed < 6.0, f"cold mzv(({n},)) at q=2 took {elapsed:.1f} s"
 
 
 def test_series_memo_order_does_not_change_digits():
