@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, FFZetaError, InvalidIndexError, ResolutionError
+from .errors import BudgetError, DomainError, InvalidIndexError, ResolutionError
 from .indices import coerce_index
 from .laurent import INF, Laurent
 from .scalar import (
@@ -31,9 +31,8 @@ from .scalar import (
     Poly,
     RatFunc,
     TVAR,
+    base_q_digits,
     binary_power,
-    bracket_D,
-    carlitz_gamma,
     frobenius_twist,
     inverse_twist,
 )
@@ -195,19 +194,17 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
 # Anderson-Thakur polynomials
 # ---------------------------------------------------------------------------
 
-def _times_f(planes, q: int, i: int):
-    """planes times F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}), one factor
-    at a time: i shifted subtractions, where a dense product with the 2^i
-    terms of F_i costs about deg_theta F_i passes per t-row.  F_i lies in
-    F_p[t, theta], so it acts on each base-p digit plane of an F_q grid
-    alone, and nothing is reduced mod p here (entries stay below 2^i p)."""
-    for j in range(1, i + 1):
-        e, rows, cols = planes.shape
-        out = np.zeros((e, rows + q ** i, cols + q ** j), dtype=np.int64)
-        out[:, q ** i:, :cols] = planes
-        out[:, :rows, q ** j:] -= planes
-        planes = out
-    return planes
+def _times_binomials(grid, factors):
+    """grid times the product of t^a theta^b - t^c theta^d over the
+    (a, b, c, d) in factors, over the integers: one shifted subtraction per
+    factor, each of which at most doubles the largest |entry|."""
+    for a, b, c, d in factors:
+        rows, cols = grid.shape
+        out = np.zeros((rows + max(a, c), cols + max(b, d)), dtype=np.int64)
+        out[a:a + rows, b:b + cols] = grid
+        out[c:c + rows, d:d + cols] -= grid
+        grid = out
+    return grid
 
 
 def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
@@ -217,38 +214,29 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
 
     with F_i = prod_{j=1}^{i} (t^{q^i} - theta^{q^j}) and the Carlitz binomial
     B_{m,i} = Gamma_{m+1} / (Gamma_{m+1-q^i} D_i) at theta = t: the series
-    recursion for H_m / Gamma_{m+1}, cleared of denominators.  The sum is
-    taken over the integers on base-p digit planes and reduced once per m."""
-    q, p = fld.q, fld.p
-    powers = p ** np.arange(fld.e)
+    recursion for H_m / Gamma_{m+1}, cleared of denominators.  As D_j =
+    [j] D_{j-1}^q, [j] = theta^{q^j} - theta, and m - q^i borrows through the
+    zero digits of m, the quotient telescopes: B_{m,i} = prod_{j=i+1}^{k}
+    (t^{q^j} - t), k the lowest nonzero digit of m at or above i (so B_{m,i}
+    = 1 when digit i is nonzero).  So every H_m lies in F_p[t, theta] for
+    every q = p^e.  Each m's sum is taken over the integers and reduced once
+    by ``Field.from_int``: its at most L + 1 terms, L = floor(log_q m), have
+    at most L factors each, so entries stay below (L + 1) 2^L p < 2^30 for
+    m <= AT_BUDGET and p <= 2^16."""
+    q = fld.q
     tower = list(tower) or [BiPoly.one(fld)]
     for m in range(len(tower), n + 1):
-        gamma = carlitz_gamma(fld, m + 1)
+        digits = base_q_digits(m, q)
         parts = []
-        i = 0
-        while q ** i <= m:
-            step = q ** i
-            term = tower[m - step]
-            # with digit i of m nonzero, m - q^i only lowers that digit and
-            # B_{m,i} = 1; otherwise the subtraction borrows
-            if (m // step) % q == 0:
-                try:
-                    binom = gamma.exact_div(carlitz_gamma(fld, m + 1 - step) * bracket_D(fld, i))
-                except DomainError as exc:
-                    raise FFZetaError(
-                        f"internal: B_({m},{i}) is not a polynomial (q={q})"
-                    ) from exc
-                term = term * binom.with_var(TVAR)
-            planes = term.coeffs[None]
-            if fld.e > 1:
-                planes = planes // powers[:, None, None] % p
-            parts.append(_times_f(planes, q, i))
-            i += 1
+        for i in range(len(digits)):
+            k = next(j for j in range(i, len(digits)) if digits[j])
+            factors = [(q ** i, 0, 0, q ** j) for j in range(1, i + 1)]
+            factors += [(q ** j, 0, 1, 0) for j in range(i + 1, k + 1)]
+            parts.append(_times_binomials(tower[m - q ** i].coeffs, factors))
         acc = np.zeros(np.max([part.shape for part in parts], axis=0), dtype=np.int64)
         for part in parts:
-            acc[:, : part.shape[1], : part.shape[2]] += part
-        acc %= p
-        tower.append(BiPoly(fld, acc[0] if fld.e == 1 else np.tensordot(powers, acc, axes=1)))
+            acc[: part.shape[0], : part.shape[1]] += part
+        tower.append(BiPoly(fld, fld.from_int(acc)))
     return tuple(tower)
 
 

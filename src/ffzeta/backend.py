@@ -74,7 +74,7 @@ def _bipoly_mul_p(a, b, p):
     t-rows of b padded to the product's theta-width w and laid end to end,
     one convolution per nonzero t-row of a gives that row's contribution.
     Each costs about ca*rb*w, so the operand that makes the sum smaller
-    becomes a (a sparse F_i times a dense H_m, say)."""
+    becomes a ((t - theta)^w times a dense twisted H_m, say)."""
     rows_a = np.flatnonzero(a.any(axis=1))
     rows_b = np.flatnonzero(b.any(axis=1))
     if rows_b.size * b.shape[1] * a.shape[0] < rows_a.size * a.shape[1] * b.shape[0]:
@@ -87,8 +87,9 @@ def _bipoly_mul_p(a, b, p):
     out = np.zeros((ra + rb) * w, dtype=np.int64)
     # an entry sums <= ra*ca products < 2^32 (p <= 2^16, Field's limit), so
     # int64 holds it while a has < 2^31 entries: one final reduction suffices.
-    # A row's shorter operand, a theta-row of a, stays below _pack_from in
-    # the AT towers, where _mul_p would add only a reduction per row.
+    # A row's shorter operand, a theta-row of a, stays below _pack_from for
+    # the callers (BiPoly.__mul__ in block systems, t_minus_theta_power and
+    # exact_div_t), where _mul_p would add only a reduction per row.
     for i in rows_a:
         out[i * w : i * w + flat_b.size + ca - 1] += np.convolve(a[i], flat_b)
     return out[: (ra + rb - 1) * w].reshape(ra + rb - 1, w) % p

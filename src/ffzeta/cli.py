@@ -76,6 +76,7 @@ def _cmd_atpoly(args):
 
 
 def _cmd_indices_partitions(args):
+    field(args.q)  # a q that names no field exits 2 with DomainError
     found = []
     for p in indices.q_admissible_partitions(args.w, args.q):
         found.append(indices.partition_to_json(p))
@@ -86,6 +87,7 @@ def _cmd_indices_partitions(args):
 
 
 def _cmd_indices_bound(args):
+    field(args.q)  # a q that names no field exits 2 with DomainError
     b1r, br = indices.dim_lower_bound(args.w, args.r, args.q)
     payload = {
         "w": args.w,
@@ -99,6 +101,7 @@ def _cmd_indices_bound(args):
 
 
 def _cmd_indices_family(args):
+    field(args.q)  # a q that names no field exits 2 with DomainError
     fam = indices.independent_family(args.w, args.r, args.q)
     payload = {
         "w": args.w,

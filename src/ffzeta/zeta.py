@@ -40,10 +40,10 @@ from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, carlitz_gamma, enum
 
 DEFAULT_BUDGET = 10 ** 6
 # The largest index entry whose power sums are served.  S_d(n) needs the
-# whole tower H_0..H_{n-1}, whose cold cost grows about as n^3.4 and is
+# whole tower H_0..H_{n-1}, whose cold cost grows about as n^3.7 and is
 # worst at q=2: on one core of an Intel Xeon, the tower to H_149 takes
-# about 1.9 s and 140 MB there (0.4 s and 70 MB at q=3), the one to H_199
-# 5.6 s and 290 MB.
+# about 0.9 s and 140 MB there (0.2 s and 70 MB at q=3), the one to H_199
+# 2.7 s and 290 MB.
 _ENTRY_BUDGET = 150
 
 
@@ -118,7 +118,8 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     h = anderson.at_polynomial(fld, n - 1).coeffs
     rows, cols = h.shape
     step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
-    c = n * (q * (step - 1) // (q - 1)) + int(carlitz_gamma(fld, n).degree)
+    gamma = carlitz_gamma(fld, n)
+    c = n * (q * (step - 1) // (q - 1)) + int(gamma.degree)
     lo = c - (cols - 1) * step - (rows - 1)  # no monomial lands below lo
     window = np.zeros(max(prec - lo + 1, 0), dtype=np.int64)
     # column j lands on [c - j q^d - rows + 1, c - j q^d]; only the top
@@ -138,7 +139,7 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
         k += 1
     # U_k = (-1)^k theta^{-e_k} L_k and theta^{-deg Gamma_n} Gamma_n are units
     # in 1/theta with leading digit 1
-    l_k, gamma = bracket_L(fld, k), carlitz_gamma(fld, n)
+    l_k = bracket_L(fld, k)
     unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
     denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
     value = numer * denom.inv(prec=width)

@@ -4,6 +4,7 @@ vanishing orders, and the Carlitz tensor-power module."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from ffzeta import anderson, cache, zeta
@@ -18,6 +19,7 @@ from ffzeta.scalar import (
     RatFunc,
     THETA,
     TVAR,
+    base_q_digits,
     bracket_D,
     bracket_L,
     carlitz_gamma,
@@ -174,7 +176,30 @@ def _at_polynomials_by_fractions(fld, n):
             for m, c in enumerate(coeffs)]
 
 
-@pytest.mark.parametrize("q,n", [(2, 22), (3, 30), (4, 24), (5, 40), (8, 20), (9, 20)])
+def _binomial_by_gamma_quotient(fld, m, i):
+    """The Carlitz binomial B_{m,i} = Gamma_{m+1} / (Gamma_{m+1-q^i} D_i) by
+    exact division: the independent route the closed form is checked against."""
+    step = fld.q ** i
+    return carlitz_gamma(fld, m + 1).exact_div(carlitz_gamma(fld, m + 1 - step) * bracket_D(fld, i))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_carlitz_binomial_closed_form(q):
+    """B_{m,i} = 1 when digit i of m is nonzero, else the product of
+    t^{q^j} - t over i < j <= k, with k the lowest nonzero digit above i."""
+    fld = field(q)
+    for m in range(1, 60):
+        digits = base_q_digits(m, q)
+        for i in range(len(digits)):
+            k = i if digits[i] else next(j for j in range(i + 1, len(digits)) if digits[j])
+            factors = [(q ** j, 0, 1, 0) for j in range(i + 1, k + 1)]
+            grid = anderson._times_binomials(np.ones((1, 1), dtype=np.int64), factors)
+            want = _binomial_by_gamma_quotient(fld, m, i).with_var(TVAR)
+            assert BiPoly(fld, fld.from_int(grid)) == BiPoly.from_poly(want), (m, i)
+
+
+@pytest.mark.parametrize("q,n", [(2, 22), (3, 30), (4, 24), (5, 40), (8, 20), (9, 20),
+                                 (25, 30), (27, 30), (2, 32)])
 def test_at_recursion_matches_fraction_route(q, n):
     cache.clear_memos()
     fld = field(q)

@@ -165,6 +165,10 @@ def test_domain_error_exit_code(capsys):
     ])
     assert rc == 2  # malformed label
     assert capsys.readouterr().err.splitlines()[-1] == "error: malformed period power 'x'"
+    for q in ("0", "1", "6"):  # no field of that size
+        for argv in (["bound", "--w", "5", "--r", "2"], ["family", "--w", "5", "--r", "2"],
+                     ["partitions", "--w", "4"]):
+            assert cli.main(["indices", *argv, "--q", q]) == 2, (q, argv)
 
 
 @pytest.mark.parametrize("argv", [

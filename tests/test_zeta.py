@@ -105,7 +105,7 @@ def test_series_past_the_entry_budget_raises_before_any_tower_work(monkeypatch):
 
 def test_entry_at_the_budget_is_served_cold_within_seconds():
     """The largest entry served, at q=2 (the largest towers), from a cold
-    memo: about 2 s on one core, where a dense product by each F_i in the
+    memo: about 1 s on one core, where a dense product by each F_i in the
     tower recursion took about 11 s."""
     fld = field(2)
     n = zeta._ENTRY_BUDGET
