@@ -290,21 +290,13 @@ def _deformation_inputs(fld: Field, s, qs) -> list:
 
 
 def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -> Laurent:
-    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact or through prec."""
+    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec."""
     if isinstance(qpoly, RatFunc):
         base_prec = max(prec // fld.q ** ell + 1, 0)
         return Laurent.from_ratfunc(qpoly, base_prec).qth_power(ell, out_prec=prec)
-    # Q^(ell) evaluated at theta^{q^P} is sum_k c_k(theta)^{q^ell} theta^{k q^P}:
-    # the twist powers the coefficients, the point only dilates the monomials
-    step = fld.q ** point_pow
-    acc = Laurent.zero(fld)
-    for k in range(qpoly.coeffs.shape[0]):
-        c = qpoly.t_coeff(k)
-        if c.is_zero:
-            continue
-        part = Laurent.from_poly(c).qth_power(ell)
-        acc = acc + part.shift(-k * step)
-    return acc
+    # Q^(ell) evaluated at theta^{q^P} is sum_kj h_kj theta^{j q^ell + k q^P}:
+    # the twist dilates the theta-exponents, the point the t-exponents
+    return Laurent.from_bipoly(qpoly, fld.q ** point_pow, fld.q ** ell, prec)
 
 
 def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:

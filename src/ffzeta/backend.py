@@ -13,13 +13,13 @@ series reciprocals and Gaussian elimination.  The power-sum digit DP,
 tests' oracle for ``zeta.power_sum_series`` and because the benchmark's
 tracer wraps it by name.
 
-Every 1-D product over F_p is ``_mul_p``: ``np.convolve`` while the
-shorter operand has fewer than ``_pack_from(p)`` entries, and above that
-one CPython int product (Karatsuba) of operands packed by Kronecker
-substitution, digit i in bytes [i*w, (i+1)*w) with w the least byte count
-such that 2^(8w) > min(len a, len b) * (p-1)^2, so that no entry of the
-product carries into the next.  The series reciprocal is Newton's
-iteration over it, with no scalar field operation per digit.
+Every product over F_p, 2-D ones too, is ``_mul_p``: ``np.convolve``
+while the shorter operand has fewer than ``_pack_from(p)`` entries, and
+above that one CPython int product (Karatsuba) of operands packed by
+Kronecker substitution, digit i in bytes [i*w, (i+1)*w) with w the least
+byte count such that 2^(8w) > min(len a, len b) * (p-1)^2, so that no
+entry of the product carries into the next.  The series reciprocal is
+Newton's iteration over it, with no scalar field operation per digit.
 """
 
 import numpy as np
@@ -69,45 +69,18 @@ def _pack(a, width):
     return int.from_bytes(digits.tobytes(), "little")
 
 
-def _bipoly_mul_p(a, b, p):
-    """2-D product over F_p by Kronecker substitution in theta: with the
-    t-rows of b padded to the product's theta-width w and laid end to end,
-    one convolution per nonzero t-row of a gives that row's contribution.
-    Each costs about ca*rb*w, so the operand that makes the sum smaller
-    becomes a ((t - theta)^w times a dense twisted H_m, say)."""
-    rows_a = np.flatnonzero(a.any(axis=1))
-    rows_b = np.flatnonzero(b.any(axis=1))
-    if rows_b.size * b.shape[1] * a.shape[0] < rows_a.size * a.shape[1] * b.shape[0]:
-        a, b, rows_a = b, a, rows_b
-    ra, ca = a.shape
-    rb, cb = b.shape
-    w = ca + cb - 1
-    flat_b = np.pad(b, ((0, 0), (0, ca - 1))).ravel()
-    # a convolution runs ca - 1 (zero) entries past its rows: one spare row
-    out = np.zeros((ra + rb) * w, dtype=np.int64)
-    # an entry sums <= ra*ca products < 2^32 (p <= 2^16, Field's limit), so
-    # int64 holds it while a has < 2^31 entries: one final reduction suffices.
-    # A row's shorter operand, a theta-row of a, stays below _pack_from for
-    # the callers (BiPoly.__mul__ in block systems, t_minus_theta_power and
-    # exact_div_t), where _mul_p would add only a reduction per row.
-    for i in rows_a:
-        out[i * w : i * w + flat_b.size + ca - 1] += np.convolve(a[i], flat_b)
-    return out[: (ra + rb - 1) * w].reshape(ra + rb - 1, w) % p
-
-
-def _extension_product(product_p, a, b, fld):
+def _extension_product(a, b, fld):
     """Product over F_{p^e} (e > 1) from the F_p products of digit planes."""
     p, e = fld.p, fld.e
     powers = p ** np.arange(e)
-    planes_a = a // powers.reshape((e,) + (1,) * a.ndim) % p
-    planes_b = b // powers.reshape((e,) + (1,) * b.ndim) % p
-    shape = tuple(np.add(a.shape, b.shape) - 1)
-    c = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
+    planes_a = a // powers[:, None] % p
+    planes_b = b // powers[:, None] % p
+    c = np.zeros((2 * e - 1, a.size + b.size - 1), dtype=np.int64)
     for i in range(e):
         if planes_a[i].any():
             for j in range(e):
                 if planes_b[j].any():
-                    c[i + j] += product_p(planes_a[i], planes_b[j], p)
+                    c[i + j] += _mul_p(planes_a[i], planes_b[j], p)
     c %= p
     # y^k = y^(k-e) * y^e and y^e = -(f_0 + f_1 y + ... + f_{e-1} y^(e-1))
     f = fld.irreducible
@@ -127,15 +100,20 @@ def convolve_mod(a, b, fld):
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=np.int64)
     if fld.e > 1:
-        return _extension_product(_mul_p, a, b, fld)
+        return _extension_product(a, b, fld)
     return _mul_p(a, b, fld.p)
 
 
 def bipoly_mul_mod(a, b, fld):
-    """2-D full convolution over F_q (product of bivariate polynomials)."""
-    if fld.e > 1:
-        return _extension_product(_bipoly_mul_p, a, b, fld)
-    return _bipoly_mul_p(a, b, fld.p)
+    """2-D full convolution over F_q (product of bivariate polynomials), by
+    Kronecker substitution in theta: with their rows padded to the product's
+    theta-width w and laid end to end, the operands multiply as 1-D arrays,
+    and no entry of a product row spills into the next."""
+    rows, w = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+    flat_a, flat_b = np.zeros((a.shape[0], w), np.int64), np.zeros((b.shape[0], w), np.int64)
+    flat_a[:, : a.shape[1]], flat_b[:, : b.shape[1]] = a, b
+    # the product runs on for w - 1 zeros past its last row
+    return convolve_mod(flat_a.ravel(), flat_b.ravel(), fld)[: rows * w].reshape(rows, w)
 
 
 def series_recip_mod(c, m, fld):

@@ -149,10 +149,14 @@ def _cmd_relations_hunt(args):
 
 
 def _cmd_relations_verify(args):
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    fld = field(int(data["q"]))
-    certs = [relations.RelationCertificate.from_json(c, fld) for c in data["certificates"]]
+    try:
+        with open(args.cert, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        fld = field(int(data["q"]))
+        certs = [relations.RelationCertificate.from_json(c, fld) for c in data["certificates"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"cannot read certificates from {args.cert}: "
+                          f"{type(exc).__name__}: {exc}") from None
     if not certs:
         raise DomainError(f"no certificates in {args.cert}")
     results = []

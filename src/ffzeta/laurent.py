@@ -23,7 +23,7 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError
-from .scalar import Field, Poly, RatFunc, THETA, binary_power
+from .scalar import BiPoly, Field, Poly, RatFunc, THETA, binary_power
 
 INF = math.inf
 
@@ -78,7 +78,8 @@ class Laurent:
 
     @classmethod
     def zero_to_prec(cls, field, prec):
-        """Indistinguishable from zero at precision prec."""
+        """Indistinguishable from zero at precision prec (the exact zero for
+        prec = INF)."""
         return cls(field, prec + 1, [], prec)
 
     @classmethod
@@ -98,6 +99,33 @@ class Laurent:
         if f.is_zero:
             return cls.zero(f.field)
         return cls(f.field, -int(f.degree), f.coeffs[::-1], INF)
+
+    @classmethod
+    def from_bipoly(cls, h: BiPoly, a: int, b: int, prec=INF):
+        """sum of h_ij theta^{a i + b j} over the monomials t^i theta^j of h,
+        for a, b >= 1: the substitution t <- theta^a, theta <- theta^b, exact
+        through prec.  Column j lands on the 1/theta-exponents -j b - i a, so
+        only the top columns reach an exponent <= prec once b outgrows the
+        window; they are the only ones read, and b may be far past int64.
+        Monomials that collide are summed."""
+        fld = h.field
+        rows, cols = h.coeffs.shape
+        span = (rows - 1) * a  # column j spans exponents -j b - span .. -j b
+        lo = -(cols - 1) * b - span
+        j = cols
+        while j > 0 and -(j - 1) * b - span <= prec:
+            j -= 1
+        if j == cols:  # no column reaches prec, or h is zero
+            return cls.zero_to_prec(fld, prec)
+        # columns j .. cols-1 are read; the highest exponent they reach is -j b
+        top = -j * b if prec == INF else min(int(prec), -j * b)
+        window = np.zeros(top - lo + 1, dtype=np.int64)
+        for k in range(cols - 1, j - 1, -1):
+            first = (cols - 1 - k) * b  # exponent -k b - span, less lo
+            n = min(rows, (top - lo - first) // a + 1)
+            dst = window[first : first + (n - 1) * a + 1 : a]
+            dst[:] = fld.add(dst, h.coeffs[rows - n :, k][::-1])
+        return cls(fld, lo, window, prec)
 
     @classmethod
     def from_ratfunc(cls, r: RatFunc, prec):

@@ -117,6 +117,11 @@ def combine(values, coeffs) -> Laurent:
     return acc
 
 
+def _margin_prec(min_val: int, unknowns: int) -> int:
+    """The least prec that passes the margin rule at least valuation min_val."""
+    return min_val + unknowns + MARGIN_DIGITS - 1
+
+
 def find_relations(vec: ValueVector, degree_bound: int):
     """Kernel basis of the digit linearisation, as certificates.
 
@@ -142,7 +147,7 @@ def find_relations(vec: ValueVector, degree_bound: int):
         raise MarginError(
             f"margin rule: {digits_available} digits available but "
             f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}; "
-            f"raise prec to {min_val + unknowns + MARGIN_DIGITS - 1}"
+            f"raise prec to {_margin_prec(min_val, unknowns)}"
         )
     rows = x_hi - x_lo + 1
     matrix = np.zeros((rows, unknowns), dtype=np.int64)
@@ -253,6 +258,10 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         return ValueVector.of(labels, [eval_value_expr(fld, lab, absprec) for lab in labels])
 
     base = max(valuations) + prec
+    least = _margin_prec(min(valuations), len(labels) * (degree_bound + 1)) - max(valuations)
+    if prec < least:  # find_relations' margin rule at base, on this report's scale
+        raise MarginError(f"margin rule: prec counts digits beyond the deepest valuation, "
+                          f"{max(valuations)}; raise prec to {least}")
     certs = find_relations(vector_at(base), degree_bound)
     survivors = []
     if certs:

@@ -96,13 +96,13 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n.
 
     With L_d^n = (-1)^{nd} theta^{n e_d} U_d^n, e_d = q + ... + q^d, and
-    c = n e_d + deg Gamma_n, the monomial h_ij t^i theta^j of H_{n-1}
-    contributes h_ij at 1/theta-exponent c - i - j q^d, and the sum of those
-    at exponents <= prec is the numerator window.  Its product with the unit
-    theta^{deg Gamma_n} / (Gamma_n U_k^n) is S_d(n) up to the sign (-1)^{nd},
-    where U_k is the product of the first k factors of U_d; a factor
-    1 - theta^{1-q^k} of U_d with q^k - 1 beyond the window's width changes
-    no digit through prec.  The unit is not memoised: the memo of
+    c = n e_d + deg Gamma_n, the numerator is theta^{-c} H_{n-1}^{(d)}(theta),
+    whose monomial h_ij t^i theta^j ``Laurent.from_bipoly`` places at
+    1/theta-exponent c - i - j q^d, reading only the columns that reach prec.
+    Its product with the unit theta^{deg Gamma_n} / (Gamma_n U_k^n) is S_d(n)
+    up to the sign (-1)^{nd}, where U_k is the product of the first k factors
+    of U_d; a factor 1 - theta^{1-q^k} of U_d with q^k - 1 beyond the
+    window's width changes no digit through prec.  The unit is not memoised: the memo of
     ``power_sum_series`` serves repeated S_d(n), and the d that share a
     unit (q, n, k) each need a wider window than the last.
     """
@@ -115,22 +115,10 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
             f"prec {power_sum_val_bound(fld.q, d, n)}"
         )
     q = fld.q
-    h = anderson.at_polynomial(fld, n - 1).coeffs
-    rows, cols = h.shape
     step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
     gamma = carlitz_gamma(fld, n)
     c = n * (q * (step - 1) // (q - 1)) + int(gamma.degree)
-    lo = c - (cols - 1) * step - (rows - 1)  # no monomial lands below lo
-    window = np.zeros(max(prec - lo + 1, 0), dtype=np.int64)
-    # column j lands on [c - j q^d - rows + 1, c - j q^d]; only the top
-    # columns reach down to prec once q^d outgrows the window
-    j = cols - 1
-    while j >= 0 and c - j * step - rows + 1 <= prec:
-        first = c - j * step - rows + 1 - lo
-        stop = min(c - j * step, prec) - lo + 1
-        window[first:stop] = fld.add(window[first:stop], h[::-1, j][: stop - first])
-        j -= 1
-    numer = Laurent(fld, lo, window, prec)
+    numer = Laurent.from_bipoly(anderson.at_polynomial(fld, n - 1), 1, step, prec - c).shift(c)
     if numer.is_zero_to_precision:
         return numer
     width = prec - int(numer.val)

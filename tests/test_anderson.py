@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ffzeta import anderson, cache, zeta
+from ffzeta import anderson, cache, relations, zeta
 from ffzeta.anderson import GradedSeries
 from ffzeta.errors import (BudgetError, ConvergenceError, DomainError, InvalidIndexError,
                            ResolutionError)
@@ -226,13 +226,31 @@ def test_at_polynomial_thread_safety():
 
 # -- deformation values ---------------------------------------------------------------
 
+def _gamma_zeta(fld, w, prec):
+    """Gamma_w zeta(w), exact through prec."""
+    gamma = carlitz_gamma(fld, w)
+    return Laurent.from_poly(gamma) * zeta.mzv(fld, (w,), prec + int(gamma.degree))
+
+
 def test_deformation_depth1_matches_gamma_zeta():
     for q in (2, 3):
         fld = field(q)
         for n in (1, 2, 4):
             dv = anderson.deformation_value(fld, (n,), at_inputs(fld, (n,)), 50)
-            gz = Laurent.from_poly(carlitz_gamma(fld, n)) * zeta.mzv(fld, (n,), 60)
-            assert dv.agrees_with(gz), (q, n)
+            assert dv.agrees_with(_gamma_zeta(fld, n, 50)), (q, n)
+    # H_{w-1} lacks the corner t^{tdeg} theta^m that the valuation bound
+    # assumes, so at some precs (the named one among them) a term shows no
+    # digit through prec, and 1/L^s must not be asked for a prec below its
+    # valuation
+    for q, w, named in [(2, 3, 57), (2, 5, 16), (3, 4, 72), (5, 7, 80), (7, 8, 98)]:
+        fld = field(q)
+        gz = _gamma_zeta(fld, w, 160)
+        qs = at_inputs(fld, (w,))
+        for prec in range(160):
+            dv = anderson.deformation_value(fld, (w,), qs, prec)
+            assert dv.prec == prec and dv.agrees_with(gz), (q, w, prec)
+        label = relations.eval_value_expr(fld, f"gnzeta({w})", named)
+        assert label == anderson.deformation_value(fld, (w,), qs, named)
 
 
 def test_deformation_depth2_and_depth3():
@@ -441,6 +459,12 @@ def test_specialization_frobenius_check_nonconstant_inputs():
     assert anderson.specialization_frobenius_check(fld, (4, 1), at_inputs(fld, (4, 1)), 40)
     f2 = field(2)
     assert anderson.specialization_frobenius_check(f2, (3,), at_inputs(f2, (3,)), 40)
+    # precs at which a term's numerator shows no digit through prec, at theta
+    # and at theta^q alike
+    for q, s, prec in [(2, (3,), 57), (2, (5,), 16), (2, (3, 1), 25), (3, (4, 1), 19),
+                       (3, (5,), 32)]:
+        fld = field(q)
+        assert anderson.specialization_frobenius_check(fld, s, at_inputs(fld, s), prec), (q, s)
 
 
 def test_depth1_l_recursion_standalone():
@@ -570,6 +594,10 @@ def test_vanishing_orders_examples():
     assert anderson.vanishing_order_profile(fld, (4,), at_inputs(fld, (4,)), 8, 60) == frozenset()
     p = anderson.vanishing_order_profile(fld, (3, 1), at_inputs(fld, (3, 1)), 8, 60)
     assert p == g_map((3, 1)) == frozenset({1})
+    # precs at which a term of the walk at theta^q shows no digit
+    assert anderson.vanishing_order_profile(fld, (4, 1), at_inputs(fld, (4, 1)), 16, 55) == {1}
+    f2 = field(2)
+    assert anderson.vanishing_order_profile(f2, (3, 1), at_inputs(f2, (3, 1)), 16, 19) == {1}
     with pytest.raises(DomainError, match="vanishes identically"):
         anderson.vanishing_order_profile(fld, (2, 1), [0, 1], 8, 60)
 

@@ -83,6 +83,26 @@ def test_bipoly_mul_matches_schoolbook(q):
         assert np.array_equal(backend.bipoly_mul_mod(a, b, fld), _schoolbook(fld, a, b))
 
 
+@pytest.mark.parametrize("q", QS + [251])
+def test_bipoly_mul_matches_row_products_when_packed(q):
+    # operands whose flattened rows are long enough for _mul_p to pack them;
+    # the oracle sums one 1-D product per pair of rows, or of columns when
+    # there are fewer of those
+    fld = field(q)
+    cut = backend._pack_from(fld.p)
+    for sa, sb in [((cut // 40 + 2, 30), (cut // 40 + 2, 20)), ((1, cut + 5), (2, cut + 1)),
+                   ((cut + 3, 1), (cut + 1, 1))]:
+        a, b = _rand(q, sa), _rand(q, sb)
+        by_columns = sa[0] * sb[0] > sa[1] * sb[1]
+        x, y = (a.T, b.T) if by_columns else (a, b)
+        want = np.zeros(tuple(np.add(x.shape, y.shape) - 1), dtype=np.int64)
+        for i in range(x.shape[0]):
+            for k in range(y.shape[0]):
+                want[i + k] = fld.add(want[i + k], backend.convolve_mod(x[i], y[k], fld))
+        want = want.T if by_columns else want
+        assert np.array_equal(backend.bipoly_mul_mod(a, b, fld), want), (sa, sb)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_series_recip_is_an_inverse(q):
     fld = field(q)

@@ -154,7 +154,7 @@ def test_cache_transparency(capsys, tmp_path):
     assert strip_meta(json.loads(cold)) == strip_meta(json.loads(warm)) == strip_meta(json.loads(nocache))
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(capsys, tmp_path):
     rc = cli.main(["zeta", "--q", "3", "--index", "2,x", "--prec", "10"])
     assert rc == 2
     rc = cli.main(["cmpl", "--q", "2", "--index", "1", "--points", "theta^2", "--prec", "10"])
@@ -169,6 +169,15 @@ def test_domain_error_exit_code(capsys):
         for argv in (["bound", "--w", "5", "--r", "2"], ["family", "--w", "5", "--r", "2"],
                      ["partitions", "--w", "4"]):
             assert cli.main(["indices", *argv, "--q", q]) == 2, (q, argv)
+    # certificate files that are missing, not JSON, or without a q
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    (tmp_path / "no_q.json").write_text('{"certificates": []}', encoding="utf-8")
+    capsys.readouterr()
+    for name in ("missing.json", "broken.json", "no_q.json"):
+        path = str(tmp_path / name)
+        assert cli.main(["relations", "verify", "--cert", path]) == 2, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read certificates from {path}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,6 +218,16 @@ def test_margin_error_names_a_prec_that_passes(capsys):
     assert cli.main(hunt + ["--prec", "30"]) == 3
     capsys.readouterr()
     assert cli.main(hunt + ["--prec", "31"]) == 0
+    assert "margin rule" not in capsys.readouterr().err
+    # the report's prec counts digits beyond the deepest valuation, and so
+    # does the prec its error names
+    report = ["relations", "report", "--q", "3", "--indices", "4", "--deg-bound", "0"]
+    assert cli.main(report + ["--prec", "17"]) == 3
+    err = capsys.readouterr().err
+    assert "margin rule" in err and err.strip().endswith("raise prec to 20")
+    assert cli.main(report + ["--prec", "19"]) == 3
+    capsys.readouterr()
+    assert cli.main(report + ["--prec", "20"]) == 0
     assert "margin rule" not in capsys.readouterr().err
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from ffzeta.errors import DomainError
 from ffzeta.laurent import INF, Laurent, format_laurent
-from ffzeta.scalar import Poly, RatFunc, bracket_L, field
+from ffzeta.scalar import (BiPoly, Poly, RatFunc, bracket_L, field, frobenius_twist,
+                           poly_eval_at_theta_power)
 
 rng = random.Random(23)
 
@@ -36,6 +37,45 @@ def test_from_ratfunc_monomials_and_zero():
     assert theta.val == -1 and theta.is_exact and list(theta.coeffs) == [1]
     z = Laurent.from_ratfunc(RatFunc.zero(fld), 10)
     assert z.is_exact_zero
+
+
+def _bipoly_grids(fld):
+    """The zero grid, one-row and one-column grids, then random ones."""
+    q = fld.q
+    draw = random.Random(q)  # its own stream: the module's rng feeds other tests
+    shapes = [(1, 1), (1, 6), (5, 1), (3, 4), (4, 7), (6, 2)]
+    return [BiPoly.zero(fld)] + [
+        BiPoly(fld, [[draw.randrange(q) for _ in range(cols)] for _ in range(rows)])
+        for rows, cols in shapes]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_from_bipoly_matches_the_exact_substitution(q):
+    # sum h_ij theta^{q^P i + q^ell j} is H^(ell) evaluated at t = theta^{q^P}
+    fld = field(q)
+    for h in _bipoly_grids(fld):
+        for P in (0, 1):
+            for ell in range(4):
+                exact = Laurent.from_poly(poly_eval_at_theta_power(frobenius_twist(h, ell), P))
+                assert Laurent.from_bipoly(h, q ** P, q ** ell) == exact
+                top = -int(exact.val) if not h.is_zero else 0  # the top monomial's exponent
+                for prec in (-top - 3, -top - 1, -top, -top + 2, -q ** ell - 1, -5, -1, 0, 7):
+                    got = Laurent.from_bipoly(h, q ** P, q ** ell, prec)
+                    assert got == exact.truncate(prec), (h, P, ell, prec)
+
+
+def test_from_bipoly_reads_only_the_columns_that_reach_prec():
+    # b = 3^50: the columns lie 3^50 apart, and only the top one reaches prec
+    fld = field(3)
+    h = BiPoly(fld, [[1, 2, 1], [0, 1, 2], [2, 0, 1]])
+    b = 3 ** 50
+    got = Laurent.from_bipoly(h, 1, b, -2 * b)
+    assert got.prec == -2 * b and got.val == -2 * b - 2
+    assert list(got.coeffs) == [1, 2, 1]  # theta^2 t^i, i = 2, 1, 0
+    assert got.shift(2 * b) == Laurent(fld, -2, [1, 2, 1], 0)
+    assert Laurent.from_bipoly(h, 1, b, -2 * b - 3).is_zero_to_precision
+    # one exponent short of the middle column's lowest monomial
+    assert Laurent.from_bipoly(h, 1, b, -b - 3) == Laurent(fld, -2 * b - 2, [1, 2, 1], -b - 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 4])
