@@ -36,7 +36,7 @@ from .scalar import (
     frobenius_twist,
     inverse_twist,
 )
-from .zeta import (_finite_prec, _l_power_inverse, _nested_sum, _require_convergence,
+from .zeta import (_finite_prec, _nested_sum, _over_l_power, _require_convergence,
                    _validate_signs, infty_norm_degree)
 from . import cache, linalg
 
@@ -320,14 +320,8 @@ def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power:
         return denom_deg(j, ell) - m * q ** ell - tdeg * q ** P
 
     def factor(j, ell, out_prec):
-        dd = denom_deg(j, ell)
-        numer = _twisted_value_at_point(fld, qs[j], ell, P, out_prec - dd)
-        if numer.is_zero_to_precision:
-            # nothing visible through out_prec once the denominator shifts it
-            return Laurent.zero_to_prec(fld, out_prec)
-        linv = _l_power_inverse(fld, ell - P, q ** P * s[j],
-                                out_prec - int(numer.val))
-        term = numer * linv
+        numer = _twisted_value_at_point(fld, qs[j], ell, P, out_prec - denom_deg(j, ell))
+        term = _over_l_power(numer, ell - P, q ** P * s[j])
         return term if signs is None else term.scale(fld.pow(signs[j], ell))
 
     return [Laurent.zero_to_prec(fld, prec) if part is None else part

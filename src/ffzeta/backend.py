@@ -8,7 +8,8 @@ digit planes over F_p.  A product of arrays is computed over F_p, one
 product per pair of planes, and the y-degree is then reduced modulo the
 irreducible; for e = 1 that is the prime-field product alone.  These are
 the inner loops that dominate runtime: polynomial convolution, truncated
-series reciprocals and Gaussian elimination.  The power-sum digit DP,
+series reciprocals, quotients by products of units (1 - x^gap)^m, and
+Gaussian elimination.  The power-sum digit DP,
 ``power_sum_digits``, is no longer called by the package: it stays as the
 tests' oracle for ``zeta.power_sum_series`` and because the benchmark's
 tracer wraps it by name.
@@ -20,6 +21,9 @@ Kronecker substitution, digit i in bytes [i*w, (i+1)*w) with w the least
 byte count such that 2^(8w) > min(len a, len b) * (p-1)^2, so that no
 entry of the product carries into the next.  The series reciprocal is
 Newton's iteration over it, with no scalar field operation per digit.
+The Carlitz units L_i, Gamma_n and pi~^{q-1} need neither: a quotient by
+their factors 1 - x^gap is ``unit_quotient_mod``, running sums at stride
+gap on the digit planes.
 """
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "ACTIVE_BACKEND",
     "convolve_mod",
     "series_recip_mod",
+    "unit_quotient_mod",
     "rref_mod",
     "bipoly_mul_mod",
     "power_sum_digits",
@@ -88,7 +93,7 @@ def _extension_product(a, b, fld):
         for i in range(e):
             if f[i]:
                 c[k - e + i] = (c[k - e + i] - f[i] * c[k]) % p
-    return np.tensordot(powers, c[:e], axes=1)
+    return powers @ c[:e]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,43 @@ def series_recip_mod(c, m, fld):
         gh = convolve_mod(g[:k], h, fld)[: n - k]
         g[k : k + gh.size] = fld.neg(gh)
     return g
+
+
+def unit_quotient_mod(a, factors, fld):
+    """The first len(a) digits of a / prod (1 - x^gap)^m over the (gap, m)
+    in ``factors``; gap >= 1, and m < 0 multiplies.
+
+    The factors have coefficients in F_p, so they act on each F_p digit
+    plane of a alone.  In characteristic p, (1 - y)^m = prod_r (1 -
+    y^(p^r))^(m_r) for the base-p digits m_r of m >= 0, so every pass is a
+    difference or a running sum at stride gap p^r: no product and no
+    reciprocal.  Factors with gap >= len(a) change no digit and are skipped;
+    equal gaps are merged, since their exponents add.
+    """
+    n, p, e = a.size, fld.p, fld.e
+    merged = {}
+    for gap, m in factors:
+        if gap < n and m:
+            merged[gap] = merged.get(gap, 0) + m
+    powers = p ** np.arange(e)
+    b = (a[None, :] if e == 1 else a // powers[:, None] % p).copy()
+    for gap, m in merged.items():
+        k, stride = abs(m), gap
+        while k and stride < n:
+            if m < 0:  # times (1 - x^stride)^(k mod p)
+                for _ in range(k % p):
+                    b[:, stride:] = (b[:, stride:] - b[:, :-stride]) % p
+            elif k % p:  # over it: running sums down each residue class mod stride
+                rows = -(-n // stride)
+                padded = np.zeros((e, rows * stride), dtype=np.int64)
+                padded[:, :n] = b
+                classes = padded.reshape(e, rows, stride)
+                for _ in range(k % p):
+                    np.cumsum(classes, axis=1, out=classes)
+                    classes %= p
+                b = padded[:, :n]
+            k, stride = k // p, stride * p
+    return b[0] if e == 1 else powers @ b
 
 
 def rref_mod(a, fld):

@@ -80,14 +80,16 @@ class Field:
     powers of the least g >= 2 with g^((q-1)/l) != 1 for every prime
     l | q-1 (g = 1 at q = 2).  The search for g and the powers are
     products from ``backend.convolve_mod``, which reads p, e and the
-    irreducible but never the tables.  Build fields through ``field(q)``,
+    irreducible but never the tables.  For e > 1, ``neg`` reads a q-entry
+    table, and ``add`` and ``sub`` act on the base-p digits in one pass
+    (XOR at p = 2).  Build fields through ``field(q)``,
     which shares one instance per q between callers and threads.
 
     Arithmetic methods accept ints or int64 numpy arrays (broadcasting like
     ufuncs) and return the same kind.
     """
 
-    __slots__ = ("p", "e", "q", "irreducible", "_exp", "_log")
+    __slots__ = ("p", "e", "q", "irreducible", "_exp", "_log", "_powers", "_neg")
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
@@ -95,6 +97,8 @@ class Field:
         self.e = e
         self.q = q
         self.irreducible = _find_irreducible(p, e) if e > 1 else None
+        self._powers = p ** np.arange(e)
+        self._neg = self._digitwise(0, np.arange(q), -1) if e > 1 else None
         self._build_tables()
 
     def _build_tables(self):
@@ -127,25 +131,31 @@ class Field:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
+        return self._digitwise(a, b, 1)
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return self._digitwise(a, b, lambda x, y: (x - y) % self.p)
+        return self._digitwise(a, b, -1)
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        return self._digitwise(a, 0, lambda x, y: (-x) % self.p)
+        out = self._neg[np.asarray(a, dtype=np.int64)]
+        return out if out.shape else int(out)
 
-    def _digitwise(self, a, b, op):
+    def _digitwise(self, a, b, sign):
+        """a + sign * b for e > 1: XOR at p = 2, else one pass over the
+        base-p digits, the last axis of a // p^i (whose residue mod p is
+        digit i)."""
         a_arr = np.asarray(a, dtype=np.int64)
         b_arr = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a_arr, b_arr).shape, dtype=np.int64)
-        p = self.p
-        for i in range(self.e):
-            out += op((a_arr // p ** i) % p, (b_arr // p ** i) % p) * p ** i
+        if self.p == 2:
+            out = a_arr ^ b_arr
+        else:
+            powers = self._powers
+            out = ((a_arr[..., None] // powers + sign * (b_arr[..., None] // powers))
+                   % self.p) @ powers
         return out if out.shape else int(out)
 
     def mul(self, a, b):

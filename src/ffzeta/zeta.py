@@ -15,8 +15,13 @@ positive multiple of q-1, which proves the valuation bound
 
 It decides which power sums vanish through prec, and its quadratic growth
 lets multizeta sums truncate after O(sqrt(N)) degree layers.  S_d(n) is
-memoised per (q, d, n) at the highest prec seen; it, the exact power sums
-and 1/L_i^s go through ``cache.remember``, the package's one memo policy.
+memoised per (q, d, n) at the highest prec seen; it and the exact power
+sums go through ``cache.remember``, the package's one memo policy.
+
+L_i, Gamma_n and pi~^{q-1} are each a power of theta times a product of
+factors (1 - theta^{-gap}), so every division by them (``_over_l_power``,
+the power sums, ``carlitz_period_power``) is a few strided running sums,
+``backend.unit_quotient_mod``, with no memo and no Newton reciprocal.
 
 mzv, amzv, cmpl and the deformation series in ``anderson`` are nested
 sums over l_1 > ... > l_r of one factor per slot, truncated by an additive
@@ -32,11 +37,11 @@ import math
 
 import numpy as np
 
-from . import cache
+from . import backend, cache
 from .errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from .indices import Index, coerce_index
-from .laurent import INF, Laurent
-from .scalar import BiPoly, Field, Poly, RatFunc, bracket_L, carlitz_gamma, enumerate_monic
+from .laurent import Laurent
+from .scalar import BiPoly, Field, Poly, RatFunc, base_q_digits, enumerate_monic
 
 DEFAULT_BUDGET = 10 ** 6
 # The largest index entry whose power sums are served.  S_d(n) needs the
@@ -91,20 +96,42 @@ def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) ->
                         lambda payload: cache.ratfunc_from_json(fld, payload))
 
 
+def _divide_by_units(x: Laurent, factors) -> Laurent:
+    """x / prod (1 - theta^{-gap})^m over the (gap, m) in factors, exact
+    through x.prec, which is finite: the quotient by a unit with leading
+    digit 1 keeps x's valuation and precision."""
+    if x.is_zero_to_precision:
+        return x
+    # the window runs to x.prec: Laurent drops trailing zeros, and a digit
+    # below prec may be zero in x but not in the quotient
+    window = np.zeros(int(x.prec) - int(x.val) + 1, dtype=np.int64)
+    window[: x.coeffs.size] = x.coeffs
+    return Laurent(x.field, x.val, backend.unit_quotient_mod(window, factors, x.field), x.prec)
+
+
+def _over_l_power(x: Laurent, i: int, s: int) -> Laurent:
+    """x / L_i^s, exact through x.prec + s deg L_i (x.prec finite), from
+    L_i = (-1)^i theta^{e_i} prod_{j=1..i} (1 - theta^{1-q^j}) with
+    e_i = q + ... + q^i = deg L_i."""
+    q = x.field.q
+    value = _divide_by_units(x.shift(s * ((q ** (i + 1) - q) // (q - 1))),
+                             [(q ** j - 1, s) for j in range(1, i + 1)])
+    return -value if i * s % 2 else value
+
+
 def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
     """S_d(n) for d >= 1, exact through prec, from the interpolation
     identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n.
 
-    With L_d^n = (-1)^{nd} theta^{n e_d} U_d^n, e_d = q + ... + q^d, and
+    With D_i = theta^{i q^i} prod_{j<i} (1 - theta^{q^j-q^i}) and n - 1 =
+    sum n_i q^i, Gamma_n = prod D_i^{n_i} is theta^{deg Gamma_n} times a unit
+    with leading digit 1, and so is (-1)^d L_d (``_over_l_power``).  With
     c = n e_d + deg Gamma_n, the numerator is theta^{-c} H_{n-1}^{(d)}(theta),
     whose monomial h_ij t^i theta^j ``Laurent.from_bipoly`` places at
     1/theta-exponent c - i - j q^d, reading only the columns that reach prec.
-    Its product with the unit theta^{deg Gamma_n} / (Gamma_n U_k^n) is S_d(n)
-    up to the sign (-1)^{nd}, where U_k is the product of the first k factors
-    of U_d; a factor 1 - theta^{1-q^k} of U_d with q^k - 1 beyond the
-    window's width changes no digit through prec.  The unit is not memoised: the memo of
-    ``power_sum_series`` serves repeated S_d(n), and the d that share a
-    unit (q, n, k) each need a wider window than the last.
+    Dividing it by both units, strided running sums in ``backend``, gives
+    S_d(n) up to the sign (-1)^{nd}.  The memo of ``power_sum_series``
+    serves repeated S_d(n).
     """
     from . import anderson  # anderson imports this module: bound at call time
 
@@ -116,21 +143,14 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
         )
     q = fld.q
     step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
-    gamma = carlitz_gamma(fld, n)
-    c = n * (q * (step - 1) // (q - 1)) + int(gamma.degree)
+    units = [(q ** j - 1, n) for j in range(1, d + 1)]
+    deg_gamma = 0
+    for i, digit in enumerate(base_q_digits(n - 1, q)):
+        units += [(q ** i - q ** j, digit) for j in range(i)]
+        deg_gamma += digit * i * q ** i
+    c = n * (q * (step - 1) // (q - 1)) + deg_gamma
     numer = Laurent.from_bipoly(anderson.at_polynomial(fld, n - 1), 1, step, prec - c).shift(c)
-    if numer.is_zero_to_precision:
-        return numer
-    width = prec - int(numer.val)
-    k = 0
-    while k < d and q ** (k + 1) - 1 <= width:
-        k += 1
-    # U_k = (-1)^k theta^{-e_k} L_k and theta^{-deg Gamma_n} Gamma_n are units
-    # in 1/theta with leading digit 1
-    l_k = bracket_L(fld, k)
-    unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
-    denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
-    value = numer * denom.inv(prec=width)
+    value = _divide_by_units(numer, units)
     return -value if n * d % 2 else value
 
 
@@ -300,17 +320,6 @@ def convergence_check(fld: Field, s, items) -> bool:
     return not _diverging_slots(fld, coerce_index(s), items)
 
 
-def _l_power_inverse(fld: Field, i: int, s: int, prec) -> Laurent:
-    """1/L_i^s exact through prec (memoized per precision high-water mark)."""
-    # 1/L_i^s starts at theta^{-s deg L_i}: decided before the memo, so a
-    # request with no digit through prec raises whatever the memo holds
-    if i > 0 and prec < s * bracket_L(fld, i).degree:
-        raise DomainError("no digits representable at the requested precision")
-    hit = cache.remember("l_power_inverse", (fld.q, i, s), lambda e: e.prec >= prec,
-                         lambda _: Laurent.from_poly(bracket_L(fld, i) ** s).inv(prec=prec))
-    return hit.truncate(prec)
-
-
 def cmpl(fld: Field, s, points, prec) -> Laurent:
     """Li_s(u_1, ..., u_r) over decreasing Frobenius heights i_1 > ... > i_r,
     with each slot contributing u_j^{q^{i_j}} / L_{i_j}^{s_j}."""
@@ -328,11 +337,9 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
         return q ** i * vus[j] + s[j] * ((q ** (i + 1) - q) // (q - 1))
 
     def factor(j, i, out_prec):
-        deg_l = s[j] * ((q ** (i + 1) - q) // (q - 1))
-        linv = _l_power_inverse(fld, i, s[j], out_prec - q ** i * vus[j])
-        u_prec = out_prec - deg_l
+        u_prec = out_prec - s[j] * ((q ** (i + 1) - q) // (q - 1))
         upart = Laurent.from_ratfunc(us[j], max(u_prec // q ** i + 1, vus[j]))
-        return upart.qth_power(i, out_prec=u_prec) * linv
+        return _over_l_power(upart.qth_power(i, out_prec=u_prec), i, s[j])
 
     return _nested_value(fld, s.depth, 0, phi, factor, prec)
 
@@ -349,24 +356,19 @@ def carlitz_log(fld: Field, u, prec) -> Laurent:
 def carlitz_period_power(fld: Field, m: int, prec) -> Laurent:
     """pi~^{(q-1)m}, the only powers of the period that live in k_infinity.
 
-    Computed as [(-theta)^q * prod_{i>=1} (1 - theta^{1-q^i})^{-(q-1)}]^m,
-    truncating the product once an omitted factor differs from 1 beyond the
-    working precision.
+    pi~^{(q-1)m} = (-theta)^{qm} prod_{i>=1} (1 - y_i)^{-(q-1)m} with
+    y_i = theta^{1-q^i}, and (1 - y)^{-(q-1)m} = (1 - y)^m / (1 - y^q)^m
+    in characteristic p.  The unit is taken through its first prec + qm
+    digits; a factor whose gap lies beyond them changes none of those.
     """
     if m <= 0:
         raise InvalidIndexError("carlitz_period_power wants m >= 1")
     q = fld.q
-    prec = _finite_prec(prec)
-    work = prec + q * m
-    unit = Laurent.one(fld)
-    i = 1
-    while q ** i - 1 <= work:
-        gap = q ** i - 1
-        coeffs = np.zeros(gap + 1, dtype=np.int64)
-        coeffs[0] = 1
-        coeffs[gap] = fld.neg(1)
-        unit = (unit * Laurent(fld, 0, coeffs, INF)).truncate(work)
-        i += 1
-    unit_inv_pow = unit.inv(prec=work) ** ((q - 1) * m)
+    work = _finite_prec(prec) + q * m
+    units, gap = [], q - 1
+    while gap <= work:
+        units += [(gap, -m), (q * gap, m)]
+        gap = q * gap + q - 1
+    unit = _divide_by_units(Laurent(fld, 0, [1], work), units)
     sign = fld.pow(fld.from_int(-1), q * m)
-    return unit_inv_pow.scale(sign).shift(-q * m).truncate(prec)
+    return unit.scale(sign).shift(-q * m)

@@ -170,6 +170,44 @@ def test_series_recip_makes_no_per_digit_calls(monkeypatch):
     assert calls["scalar"] == 0
 
 
+def _newton_unit_quotient(a, factors, fld):
+    """Reference for ``unit_quotient_mod``: a times the explicit series
+    (1 - x^gap)^-m, the power by products and, for m > 0, its inverse by
+    the Newton reciprocal."""
+    width = a.size
+    out = a
+    for gap, m in factors:
+        if gap >= width or m == 0:
+            continue
+        base = np.zeros(gap + 1, dtype=np.int64)
+        base[0], base[gap] = 1, fld.neg(1)
+        power = np.ones(1, dtype=np.int64)
+        for _ in range(abs(m)):
+            power = backend.convolve_mod(power, base, fld)[:width]
+        series = backend.series_recip_mod(power, width, fld) if m > 0 else power
+        out = backend.convolve_mod(out, series, fld)[:width]
+    return out
+
+
+def _unit_factor_lists(p, width):
+    """Factor lists with m = 0, m < p, m >= p, multiples of p, products
+    (m < 0), a repeated gap whose exponents carry, and gaps >= width."""
+    return [[], [(1, 0)], [(1, 1)], [(3, p - 1)], [(2, p)], [(1, p * p)], [(4, 2 * p + 1)],
+            [(5, -1)], [(2, -(p + 1))], [(width, 3)], [(width + 7, -2)],
+            [(3, p - 1), (3, 2), (6, -p), (1, 3 * p), (max(width - 1, 1), 1), (width, 5)]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
+def test_unit_quotient_matches_newton_quotient(q):
+    fld, draw = field(q), np.random.default_rng(q)
+    for width in (1, 2, 9, 64):
+        for factors in _unit_factor_lists(fld.p, width):
+            for a in (draw.integers(0, q, width), np.zeros(width, dtype=np.int64)):
+                want = _newton_unit_quotient(a, factors, fld)
+                got = backend.unit_quotient_mod(a, factors, fld)
+                assert np.array_equal(got, want), (width, factors)
+
+
 def _assert_reduced_echelon(r, piv, rank):
     assert rank == len(piv)
     assert list(piv) == sorted(set(piv))

@@ -247,6 +247,31 @@ def test_field_vector_ops_match_scalar(q):
         assert fld.mul(a, b)[i] == fld.mul(int(a[i]), int(b[i]))
 
 
+def _digit_loop(fld, a, b, op):
+    """Reference for e > 1 addition: op on each base-p digit, one at a time."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(fld.e):
+        out += op(a // fld.p ** i % fld.p, b // fld.p ** i % fld.p) % fld.p * fld.p ** i
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 256, 6561])
+def test_extension_add_sub_neg_match_digit_loop(q):
+    fld = field(q)
+    # every pair below 256, a random sample above
+    a, b = (np.arange(q * q) // q, np.arange(q * q) % q) if q < 256 else \
+        np.random.default_rng(q).integers(0, q, (2, 3000))
+    grid, row = np.resize(a, (4, 6)), np.resize(b, 6)
+    for name, op in (("add", np.add), ("sub", np.subtract)):
+        assert np.array_equal(getattr(fld, name)(a, b), _digit_loop(fld, a, b, op))
+        assert np.array_equal(getattr(fld, name)(grid, row), _digit_loop(fld, grid, row, op))
+        x, y = getattr(fld, name)(int(a[-1]), b[-2]), _digit_loop(fld, a[-1], b[-2], op)
+        assert type(x) is int and x == y
+    assert np.array_equal(fld.neg(a), _digit_loop(fld, 0, a, np.subtract))
+    assert type(fld.neg(b[-1])) is int
+
+
 # -- polynomials ---------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

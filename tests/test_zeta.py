@@ -12,7 +12,7 @@ import pytest
 from ffzeta import anderson, cache, zeta
 from ffzeta.errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from ffzeta.laurent import Laurent
-from ffzeta.scalar import Poly, RatFunc, bracket_L, field
+from ffzeta.scalar import Poly, RatFunc, bracket_L, carlitz_gamma, field
 
 rng = random.Random(31)
 
@@ -492,17 +492,85 @@ def test_cmpl_divergence_error_names_slot():
 
 # -- the period ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("first", [(), (200,)], ids=["cold", "after-prec-200"])
-def test_l_power_inverse_without_digits_raises_in_any_memo_state(first):
-    # 1/L_4^3 at q=2 starts at theta^-90: nothing through prec 80, whether
-    # or not the memo holds an entry at a higher prec
+def test_over_l_power_without_digits_is_zero_to_prec():
+    # x / L_4^3 at q=2 starts 90 places past val x: x = 1 + O(theta^11)
+    # leaves no digit through prec 80, which the quotient says, not raises
     fld = field(2)
-    cache.clear_memos()
-    for prec in first:
-        assert zeta._l_power_inverse(fld, 4, 3, prec).val == 90
-    with pytest.raises(DomainError, match="no digits"):
-        zeta._l_power_inverse(fld, 4, 3, 80)
-    assert zeta._l_power_inverse(fld, 4, 3, 90).val == 90
+    empty = zeta._over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
+    assert empty.is_zero_to_precision and not empty.is_exact_zero and empty.prec == 80
+    first = zeta._over_l_power(Laurent(fld, 0, [1], 0), 4, 3)
+    assert (first.val, first.prec, first.coeffs.tolist()) == (90, 90, [1])
+
+
+def _newton_period_power(fld, m, prec):
+    """Reference for ``carlitz_period_power``: the unit prod (1 - theta^{1-q^i})
+    by products, then its Newton inverse raised to the (q-1)m-th power."""
+    q = fld.q
+    work = prec + q * m
+    unit = Laurent.one(fld)
+    i = 1
+    while q ** i - 1 <= work:
+        coeffs = np.zeros(q ** i, dtype=np.int64)
+        coeffs[0], coeffs[-1] = 1, fld.neg(1)
+        unit = (unit * Laurent(fld, 0, coeffs, math.inf)).truncate(work)
+        i += 1
+    sign = fld.pow(fld.from_int(-1), q * m)
+    return (unit.inv(prec=work) ** ((q - 1) * m)).scale(sign).shift(-q * m).truncate(prec)
+
+
+@pytest.mark.parametrize("q,precs", [(2, (1, 40, 200)), (3, (5, 80)), (4, (40,)), (9, (100,)),
+                                     (25, (60,)), (49, (30,)), (251, (30,)),
+                                     (65521, (30,)), (65536, (30,))])
+def test_period_power_matches_newton_route(q, precs):
+    fld = field(q)
+    for m in (1, 2, 3) if q < 251 else (1,):
+        for prec in precs:
+            assert zeta.carlitz_period_power(fld, m, prec) == _newton_period_power(fld, m, prec)
+
+
+def _newton_power_sum(fld, d, n, prec):
+    """Reference for the unit quotient in ``power_sum_series``: the numerator
+    window times the Newton inverse of U_k^n Gamma_n theta^{-deg Gamma_n}."""
+    q = fld.q
+    gamma = carlitz_gamma(fld, n)
+    c = n * (q * (q ** d - 1) // (q - 1)) + int(gamma.degree)
+    numer = Laurent.from_bipoly(anderson.at_polynomial(fld, n - 1), 1, q ** d, prec - c).shift(c)
+    if numer.is_zero_to_precision:
+        return numer
+    width = prec - int(numer.val)
+    k = 0
+    while k < d and q ** (k + 1) - 1 <= width:
+        k += 1
+    l_k = bracket_L(fld, k)
+    unit = Laurent.from_poly(l_k).shift(int(l_k.degree)).scale(fld.pow(fld.neg(1), k))
+    denom = unit.truncate(width) ** n * Laurent.from_poly(gamma).shift(int(gamma.degree))
+    value = numer * denom.inv(prec=width)
+    return -value if n * d % 2 else value
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_power_sum_series_matches_newton_route(q):
+    fld = field(q)
+    for d in (1, 2, 3):
+        for n in (1, 2, q - 1, q, q + 1, q * q + 1, min(2 * q * q - 1, 100)):
+            # a prec some digits past the valuation bound
+            prec = zeta.power_sum_val_bound(q, d, n) + 3 * q ** d
+            assert zeta.power_sum_series(fld, d, n, prec) == _newton_power_sum(fld, d, n, prec), \
+                (d, n, prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_over_l_power_matches_newton_inverse(q):
+    fld, draw = field(q), random.Random(q)
+    for i in range(4):
+        deg_l = int(bracket_L(fld, i).degree)
+        for s in (1, 2, fld.p, fld.p + 1, 2 * q):
+            for prec in (-3, 0, 17, 90):
+                x = Laurent(fld, -3, [draw.randrange(q) for _ in range(prec + 4)], prec)
+                if x.is_zero_to_precision:
+                    continue
+                inv = Laurent.from_poly(bracket_L(fld, i) ** s).inv(prec=prec + s * deg_l - int(x.val))
+                assert zeta._over_l_power(x, i, s) == x * inv, (i, s, prec)
 
 
 def test_period_valuation_and_power_law():
