@@ -502,6 +502,23 @@ def test_over_l_power_without_digits_is_zero_to_prec():
     assert (first.val, first.prec, first.coeffs.tolist()) == (90, 90, [1])
 
 
+@pytest.mark.parametrize("first", [(), (200,)], ids=["cold", "after-prec-200"])
+def test_l_power_inverse_without_digits_raises_in_any_memo_state(first):
+    # 1/L_4^3 at q=2 starts at theta^-90: its Newton inverse has nothing
+    # through prec 80 and raises, and the unit quotient gives zero to prec,
+    # whether or not a higher-prec quotient was taken first
+    fld = field(2)
+    l_cube = Laurent.from_poly(bracket_L(fld, 4) ** 3)
+    cache.clear_memos()
+    for prec in first:
+        assert zeta._over_l_power(Laurent(fld, 0, [1], prec - 90), 4, 3).val == 90
+    with pytest.raises(DomainError, match="no digits"):
+        l_cube.inv(prec=80)
+    empty = zeta._over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
+    assert empty.is_zero_to_precision and empty.prec == 80
+    assert zeta._over_l_power(Laurent(fld, 0, [1], 0), 4, 3) == l_cube.inv(prec=90)
+
+
 def _newton_period_power(fld, m, prec):
     """Reference for ``carlitz_period_power``: the unit prod (1 - theta^{1-q^i})
     by products, then its Newton inverse raised to the (q-1)m-th power."""
