@@ -13,9 +13,17 @@ made before and after a cleared field could no longer be combined.
 
 Persistent entries are keyed by kind and integer key tuple, carry the
 artifact version (a mismatch invalidates), and are written with atomic
-renames so concurrent readers never see a torn file.  Payloads stay JSON
-because they are small at desk scale and a human-inspectable cache makes
-debugging exact arithmetic much easier.
+renames so concurrent readers never see a torn file.  Payloads stay JSON,
+because a human-inspectable cache makes debugging exact arithmetic much
+easier; the largest H_n an evaluator asks for (q = 2, n = 149) is about
+0.8 MB of it.  An entry is encoded by one ``json.dumps`` and written by
+one ``write``: ``json.dump`` to a file never uses the C encoder and
+streams through the pure-Python one, which costs more than building the
+H_n.  Arrays go out through ``tolist`` and come back through one
+``np.asarray``.  A payload that is valid JSON but not a valid value (an
+entry outside 0..q-1 or not an int, a grid that is not 2-D, a zero
+denominator) counts as a miss, like a corrupted file: it is logged,
+recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import json
 import logging
 import os
 import tempfile
+
+import numpy as np
 
 from . import __version__, scalar
 
@@ -60,7 +70,11 @@ def recall(kind: str, key, compute, encode, decode):
         if store is not None:
             payload = store.get(kind, key)
             if payload is not None:
-                return decode(payload)
+                try:
+                    return decode(payload)
+                except (KeyError, TypeError, ValueError) as exc:  # a payload of the wrong shape
+                    log.warning("ignoring corrupted cache file %s (%s); recomputing",
+                                store._path(kind, key), exc)
         value = compute()
         if store is not None:
             store.put(kind, key, encode(value))
@@ -74,25 +88,43 @@ def clear_memos() -> None:
     _MEMOS.clear()
 
 
+def _elements(fld: scalar.Field, values, ndim: int) -> np.ndarray:
+    """``values`` as an int64 array of F_q elements with ``ndim`` axes;
+    ValueError for anything else (floats, bools, strings, entries outside
+    0..q-1, another shape)."""
+    arr = np.asarray(values)
+    if arr.ndim != ndim:
+        raise ValueError(f"not a {ndim}-D array")
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= fld.q):
+        raise ValueError(f"entries are not ints in 0..{fld.q - 1}")
+    return arr.astype(np.int64, copy=False)
+
+
 def ratfunc_to_json(r: scalar.RatFunc) -> dict:
-    return {"num": [int(c) for c in r.num.coeffs], "den": [int(c) for c in r.den.coeffs]}
+    return {"num": r.num.coeffs.tolist(), "den": r.den.coeffs.tolist()}
 
 
 def ratfunc_from_json(fld: scalar.Field, data: dict) -> scalar.RatFunc:
-    return scalar.RatFunc(scalar.Poly(fld, data["num"]), scalar.Poly(fld, data["den"]))
+    num, den = _elements(fld, data["num"], 1), _elements(fld, data["den"], 1)
+    if not den.any():
+        raise ValueError("zero denominator")
+    return scalar.RatFunc(scalar.Poly(fld, num), scalar.Poly(fld, den))
 
 
 def bipoly_to_json(b: scalar.BiPoly) -> dict:
-    return {"rows": [[int(c) for c in row] for row in b.coeffs]}
+    return {"rows": b.coeffs.tolist()}
 
 
 def bipoly_from_json(fld: scalar.Field, data: dict) -> scalar.BiPoly:
     rows = data["rows"]
-    if not rows:
+    try:
+        grid = np.asarray(rows)
+    except ValueError:  # ragged rows, as in a hand-edited file
+        width = max(len(r) for r in rows)
+        grid = [list(r) + [0] * (width - len(r)) for r in rows]
+    if np.shape(grid) == (0,):
         return scalar.BiPoly.zero(fld)
-    width = max(len(r) for r in rows)
-    grid = [list(r) + [0] * (width - len(r)) for r in rows]
-    return scalar.BiPoly(fld, grid)
+    return scalar.BiPoly(fld, _elements(fld, grid, 2))
 
 
 class JsonCache:
@@ -111,9 +143,11 @@ class JsonCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
+            if not isinstance(entry, dict):
+                raise ValueError("not a JSON object")
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # bad JSON or UTF-8 is a ValueError too
             log.warning("ignoring corrupted cache file %s (%s); recomputing", path, exc)
             return None
         if entry.get("version") != __version__ or entry.get("kind") != kind:
@@ -131,7 +165,7 @@ class JsonCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

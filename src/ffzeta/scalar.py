@@ -3,10 +3,11 @@
 Field elements are canonical integers 0..q-1.  For q = p^e with e > 1 the
 integer's base-p digits are the coefficients of the residue polynomial
 modulo a fixed irreducible; multiplication goes through exp/log tables
-(q <= 2^16).  The irreducible is found by Rabin's test and the tables are
-filled by ``backend.convolve_mod``, both on the same ``Poly`` and F_p
-product as every other polynomial, so F_p[y] arithmetic exists once.  The
-chosen irreducible is exposed so runs are reproducible.
+(q <= 2^16).  The irreducible is found by Rabin's test, on the same
+``Poly`` and F_p product as every other polynomial, and the tables start
+from one ``backend.convolve_mod`` per candidate generator, so F_p[y]
+arithmetic exists once.  The chosen irreducible is exposed so runs are
+reproducible.
 
 ``field(q)`` hands out one shared instance per q, also to threads that
 ask for a new q at the same time.  Everything is immutable after
@@ -60,6 +61,18 @@ def _prime_factors(n):
     return out
 
 
+def _matrix_power(m, k: int, p: int):
+    """m^k mod p for a square int64 matrix m and k >= 1."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else out @ m % p
+        k >>= 1
+        if not k:
+            return out
+        m = m @ m % p
+
+
 def _find_irreducible(p, e):
     # first monic irreducible of degree e in lexicographic order of the
     # low-coefficient integer encoding; recorded for reproducibility
@@ -78,12 +91,14 @@ class Field:
     when its low coefficients are read as the base-p digits of an integer
     (Rabin's test, in ``Poly`` over ``field(p)``).  The tables hold the
     powers of the least g >= 2 with g^((q-1)/l) != 1 for every prime
-    l | q-1 (g = 1 at q = 2).  The search for g and the powers are
-    products from ``backend.convolve_mod``, which reads p, e and the
-    irreducible but never the tables.  For e > 1, ``neg`` reads a q-entry
-    table, and ``add`` and ``sub`` act on the base-p digits in one pass
-    (XOR at p = 2).  Build fields through ``field(q)``,
-    which shares one instance per q between callers and threads.
+    l | q-1 (g = 1 at q = 2).  Multiplying by g is one F_p-linear map on
+    the e digits, whose matrix comes from one ``backend.convolve_mod``
+    (which reads p, e and the irreducible but never the tables); the
+    search for g and the powers are products of such matrices mod p.  For
+    e > 1, ``neg`` reads a q-entry table, and ``add`` and ``sub`` act on
+    the base-p digits in one pass (XOR at p = 2).  Build fields through
+    ``field(q)``, which shares one instance per q between callers and
+    threads.
 
     Arithmetic methods accept ints or int64 numpy arrays (broadcasting like
     ufuncs) and return the same kind.
@@ -102,14 +117,15 @@ class Field:
         self._build_tables()
 
     def _build_tables(self):
-        q = self.q
-        # a product by a length-1 array is elementwise, so the powers fill
-        # by doubling: exp[k:2k] = exp[:k] * g^k
-        exp = np.ones(1, dtype=np.int64)
-        step = np.array([self._find_generator()], dtype=np.int64)
-        while exp.size < q - 1:
-            exp = np.concatenate([exp, backend.convolve_mod(exp[: q - 1 - exp.size], step, self)])
-            step = backend.convolve_mod(step, step, self)
+        q, p = self.q, self.p
+        # the digits of g^k, k < q - 1, fill by doubling: rows [k, 2k) are
+        # rows [0, k) times the matrix of g^k, which then squares
+        planes = np.eye(1, self.e, dtype=np.int64)
+        times = self._generator_matrix()
+        while planes.shape[0] < q - 1:
+            planes = np.concatenate([planes, planes[: q - 1 - planes.shape[0]] @ times % p])
+            times = times @ times % p
+        exp = planes @ self._powers
         self._exp = np.concatenate([exp, exp])
         self._log = np.zeros(q, dtype=np.int64)
         self._log[exp] = np.arange(q - 1)
@@ -117,14 +133,23 @@ class Field:
         if np.any(self.mul(units, self.inv(units)) != 1):
             raise RuntimeError("inconsistent multiplication tables")
 
-    def _find_generator(self):
-        q = self.q
+    def _generator_matrix(self):
+        """The matrix of x -> g*x for the least g >= 2 with g^((q-1)/l) != 1
+        for every prime l | q-1 (g = 1 at q = 2).  Multiplying by c is an
+        F_p-linear map on the base-p digits: row j of its matrix holds the
+        digits of c*y^j, and a product of elements has the product of their
+        matrices.  For e > 1 the search starts at p, since the elements
+        below p lie in F_p, whose units have orders dividing p - 1."""
+        q, p, powers = self.q, self.p, self._powers
         ells = _prime_factors(q - 1)
-        one = Poly.one(self)
-        for g in range(2, q):
-            if all(Poly(self, [g]) ** ((q - 1) // ell) != one for ell in ells):
-                return g
-        return 1  # q = 2
+        one = np.eye(1, self.e, dtype=np.int64)[0]
+        for g in range(p if self.e > 1 else 2, q):
+            c = np.array([g], dtype=np.int64)
+            times = backend.convolve_mod(powers, c, self)[:, None] // powers % p
+            # row 0 of a power of the matrix holds the digits of that power of g
+            if all((_matrix_power(times, (q - 1) // ell, p)[0] != one).any() for ell in ells):
+                return times
+        return np.ones((1, 1), dtype=np.int64)  # q = 2
 
     # -- vectorised ops ----------------------------------------------------
 
@@ -474,12 +499,10 @@ class BiPoly:
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim != 2:
             raise DomainError("BiPoly wants a 2-D coefficient grid")
-        rows = arr.shape[0]
-        while rows > 0 and not arr[rows - 1].any():
-            rows -= 1
-        cols = arr.shape[1] if rows else 0
-        while cols > 0 and not arr[:rows, cols - 1].any():
-            cols -= 1
+        live = np.flatnonzero(arr.any(axis=1))
+        rows = live[-1] + 1 if live.size else 0
+        live = np.flatnonzero(arr[:rows].any(axis=0))
+        cols = live[-1] + 1 if live.size else 0
         arr = arr[:rows, :cols].copy()
         arr.flags.writeable = False
         self.field = field

@@ -1,13 +1,15 @@
 """In-process memos (one cover-or-replace policy, one clear) and the
-persistent cache: hits, corruption handling, version invalidation."""
+persistent cache: hits, the file format, corruption and malformed
+payloads, version invalidation."""
 
 import json
+import logging
 import os
 
 import pytest
 
-from ffzeta import anderson, cache, zeta
-from ffzeta.scalar import field
+from ffzeta import __version__, anderson, cache, zeta
+from ffzeta.scalar import BiPoly, field
 
 
 @pytest.fixture
@@ -48,6 +50,84 @@ def test_corrupted_file_ignored(store, tmp_path):
     with open(path, "w") as fh:
         fh.write("{not json")
     assert store.get("power_sum", (3, 1, 1)) is None  # warns and recomputes
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b"7", b'"text"', b"\xff\xfe{}"])
+def test_file_that_is_not_an_entry_is_ignored(store, caplog, content):
+    # valid JSON that is not an object, and bytes that are not UTF-8
+    path = store._path("power_sum", (3, 1, 1))
+    with open(path, "wb") as fh:
+        fh.write(content)
+    with caplog.at_level(logging.WARNING, logger="ffzeta.cache"):
+        assert store.get("power_sum", (3, 1, 1)) is None
+    assert "ignoring corrupted cache file" in caplog.text
+
+
+@pytest.mark.parametrize("kind, key", [("at_poly", (2, 17)), ("at_poly", (3, 40)),
+                                       ("at_poly", (9, 12)), ("power_sum", (3, 2, 3))])
+def test_put_writes_what_json_dump_writes(store, tmp_path, kind, key):
+    cache.clear_memos()
+    if kind == "at_poly":
+        payload = cache.bipoly_to_json(anderson.at_polynomial(field(key[0]), key[1]))
+    else:
+        payload = cache.ratfunc_to_json(zeta.power_sum_exact(field(key[0]), *key[1:]))
+    store.put(kind, key, payload)
+    entry = {"kind": kind, "key": list(key), "version": __version__, "payload": payload}
+    with open(tmp_path / "expected.json", "w", encoding="utf-8") as fh:
+        json.dump(entry, fh, sort_keys=True)
+    with open(store._path(kind, key), "rb") as got, open(tmp_path / "expected.json", "rb") as want:
+        assert got.read() == want.read()
+
+
+def test_ragged_and_empty_rows_load(store, monkeypatch):
+    fld = field(3)
+    cache.clear_memos()
+    h = anderson.at_polynomial(fld, 5)
+    # the rows as a hand edit would leave them: trailing zeros dropped
+    ragged = [[int(c) for c in row] for row in h.coeffs]
+    for row in ragged:
+        while row and row[-1] == 0:
+            row.pop()
+    assert len({len(row) for row in ragged}) > 1
+    store.put("at_poly", (3, 5), {"rows": ragged})
+    cache.clear_memos()
+    monkeypatch.setattr(anderson, "_at_tower", lambda *args: pytest.fail("H_5 recomputed"))
+    assert anderson.at_polynomial(fld, 5) == h
+    assert cache.bipoly_from_json(fld, {"rows": []}).is_zero
+    assert cache.bipoly_from_json(fld, {"rows": [[]]}).is_zero
+    assert cache.bipoly_from_json(fld, {"rows": [[1, 2], [0, 0]]}) == BiPoly(fld, [[1, 2]])
+
+
+_BAD_AT_POLY = [{"rows": [[7, 1], [2]]}, {"rows": [[7, 1], [2, 0]]}, {"rows": [[-1]]},
+                {"rows": "oops"}, {"rows": [1, 2]}, {"rows": [[[1]]]}, {"rows": [[1.0]]},
+                {"rows": [[True]]}, {"rows": [["1"]]}, {"rows": [[None]]}, {"rows": [[2 ** 70]]},
+                {"rows": [[1], 3]}, {"rows": {"0": [1]}}, {}, [[1]], 5]
+_BAD_POWER_SUM = [{"num": [5], "den": [1]}, {"num": [1], "den": [0]}, {"num": [1], "den": []},
+                  {"num": [1], "den": [-2]}, {"num": [[1]], "den": [1]}, {"num": "x", "den": [1]},
+                  {"num": [1], "den": [1.0]}, {"den": [1]}, "1/1"]
+
+# kind: (key, the value at that key, its encoder)
+_KINDS = {"at_poly": ((3, 5), lambda fld: anderson.at_polynomial(fld, 5), cache.bipoly_to_json),
+          "power_sum": ((3, 1, 2), lambda fld: zeta.power_sum_exact(fld, 1, 2),
+                        cache.ratfunc_to_json)}
+
+
+@pytest.mark.parametrize("kind, payload", [("at_poly", b) for b in _BAD_AT_POLY]
+                         + [("power_sum", b) for b in _BAD_POWER_SUM])
+def test_malformed_payload_is_a_miss(store, caplog, kind, payload):
+    fld = field(3)
+    key, value, encode = _KINDS[kind]
+    cache.set_active(None)
+    cache.clear_memos()
+    want = value(fld)
+    cache.set_active(store)
+    cache.clear_memos()
+    store.put(kind, key, payload)
+    with caplog.at_level(logging.WARNING, logger="ffzeta.cache"):
+        got = value(fld)
+    assert got == want
+    assert "ignoring corrupted cache file" in caplog.text and store._path(kind, key) in caplog.text
+    assert store.get(kind, key) == encode(want)  # the entry was overwritten
 
 
 def test_version_mismatch_invalidates(store):

@@ -319,6 +319,41 @@ def test_bipoly_exact_div_t(q):
         assert BiPoly.zero(fld).exact_div_t(den).is_zero
 
 
+def _loop_trim(arr):
+    """The trim as one row, then one column, at a time."""
+    rows = arr.shape[0]
+    while rows > 0 and not arr[rows - 1].any():
+        rows -= 1
+    cols = arr.shape[1] if rows else 0
+    while cols > 0 and not arr[:rows, cols - 1].any():
+        cols -= 1
+    return arr[:rows, :cols]
+
+
+def _trim_grids():
+    draw = random.Random(5)
+    grids = [np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((3, 5)),
+             np.array([[0]]), np.array([[2]]),
+             np.array([[1, 2], [0, 1], [0, 0], [0, 0]]),  # zero trailing rows only
+             np.array([[1, 0, 0], [2, 1, 0]]),  # zero trailing columns only
+             np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+             np.array([[0, 0, 1], [0, 0, 0]])]  # the widest column is not in the last row
+    for _ in range(20):
+        rows, cols = draw.randrange(1, 6), draw.randrange(1, 6)
+        grids.append(np.array([[draw.choice((0, 0, 0, 1, 2)) for _ in range(cols)]
+                               for _ in range(rows)]))
+    return [g.astype(np.int64) for g in grids]
+
+
+@pytest.mark.parametrize("grid", _trim_grids())
+def test_bipoly_trim_matches_the_loop(grid):
+    b = BiPoly(field(3), grid)
+    want = _loop_trim(grid)
+    assert b.coeffs.shape == want.shape and np.array_equal(b.coeffs, want)
+    assert b.is_zero == (want.size == 0)
+    assert not b.coeffs.flags.writeable and not np.shares_memory(b.coeffs, grid)
+
+
 def test_poly_gcd_normalised():
     fld = field(3)
     g = Poly(fld, [1, 1])  # theta + 1
