@@ -8,22 +8,24 @@ digit planes over F_p.  A product of arrays is computed over F_p, one
 product per pair of planes, and the y-degree is then reduced modulo the
 irreducible; for e = 1 that is the prime-field product alone.  These are
 the inner loops that dominate runtime: polynomial convolution, truncated
-series reciprocals, quotients by products of units (1 - x^gap)^m, and
-Gaussian elimination.  The power-sum digit DP,
+series reciprocals, quotients by products of units (1 - x^gap)^m, matrix
+products and Gaussian elimination.  The power-sum digit DP,
 ``power_sum_digits``, is no longer called by the package: it stays as the
 tests' oracle for ``zeta.power_sum_series`` and because the benchmark's
 tracer wraps it by name.
 
-Every product over F_p, 2-D ones too, is ``_mul_p``: ``np.convolve``
-while the shorter operand has fewer than ``_pack_from(p)`` entries, and
-above that one CPython int product (Karatsuba) of operands packed by
-Kronecker substitution, digit i in bytes [i*w, (i+1)*w) with w the least
-byte count such that 2^(8w) > min(len a, len b) * (p-1)^2, so that no
-entry of the product carries into the next.  The series reciprocal is
-Newton's iteration over it, with no scalar field operation per digit.
-The Carlitz units L_i, Gamma_n and pi~^{q-1} need neither: a quotient by
-their factors 1 - x^gap is ``unit_quotient_mod``, running sums at stride
-gap on the digit planes.
+Every polynomial product over F_p, 2-D ones too, is ``_mul_p``:
+``np.convolve`` while the shorter operand has fewer than
+``_pack_from(p)`` entries, and above that one CPython int product
+(Karatsuba) of operands packed by Kronecker substitution, digit i in
+bytes [i*w, (i+1)*w) with w the least byte count such that 2^(8w) >
+min(len a, len b) * (p-1)^2, so that no entry of the product carries
+into the next.  The series reciprocal is Newton's iteration over it,
+with no scalar field operation per digit.  The Carlitz units L_i,
+Gamma_n and pi~^{q-1} need neither: a quotient by their factors
+1 - x^gap is ``unit_quotient_mod``, running sums at stride gap on the
+digit planes.  A matrix product, ``matmul_mod``, is one int64 ``@`` per
+pair of planes.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "series_recip_mod",
     "unit_quotient_mod",
     "rref_mod",
+    "matmul_mod",
     "bipoly_mul_mod",
     "power_sum_digits",
 ]
@@ -74,18 +77,17 @@ def _pack(a, width):
     return int.from_bytes(digits.tobytes(), "little")
 
 
-def _extension_product(a, b, fld):
-    """Product over F_{p^e} (e > 1) from the F_p products of digit planes."""
+def _planes(a, fld):
+    """The e base-p digit planes of an F_q array, stacked on a new first axis."""
+    powers = fld.p ** np.arange(fld.e)
+    return a // powers.reshape((-1,) + (1,) * a.ndim) % fld.p
+
+
+def _reduce_y(c, fld):
+    """The F_q array whose digit planes are the F_p[y] polynomial with
+    coefficient planes c[0..2e-2] (int64, any size), reduced modulo the
+    irreducible; c is overwritten."""
     p, e = fld.p, fld.e
-    powers = p ** np.arange(e)
-    planes_a = a // powers[:, None] % p
-    planes_b = b // powers[:, None] % p
-    c = np.zeros((2 * e - 1, a.size + b.size - 1), dtype=np.int64)
-    for i in range(e):
-        if planes_a[i].any():
-            for j in range(e):
-                if planes_b[j].any():
-                    c[i + j] += _mul_p(planes_a[i], planes_b[j], p)
     c %= p
     # y^k = y^(k-e) * y^e and y^e = -(f_0 + f_1 y + ... + f_{e-1} y^(e-1))
     f = fld.irreducible
@@ -93,7 +95,22 @@ def _extension_product(a, b, fld):
         for i in range(e):
             if f[i]:
                 c[k - e + i] = (c[k - e + i] - f[i] * c[k]) % p
-    return powers @ c[:e]
+    return (p ** np.arange(e) @ c[:e].reshape(e, -1)).reshape(c.shape[1:])
+
+
+def _extension_product(a, b, fld, mul, shape):
+    """Product over F_{p^e} (e > 1) of two arrays whose F_p product ``mul``
+    has the given shape: ``mul`` runs once per pair of nonzero digit
+    planes, and the y-degree is then reduced."""
+    e = fld.e
+    planes_a, planes_b = _planes(a, fld), _planes(b, fld)
+    c = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
+    for i in range(e):
+        if planes_a[i].any():
+            for j in range(e):
+                if planes_b[j].any():
+                    c[i + j] += mul(planes_a[i], planes_b[j])
+    return _reduce_y(c, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +122,18 @@ def convolve_mod(a, b, fld):
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=np.int64)
     if fld.e > 1:
-        return _extension_product(a, b, fld)
+        return _extension_product(a, b, fld, lambda x, y: _mul_p(x, y, fld.p),
+                                  (a.size + b.size - 1,))
     return _mul_p(a, b, fld.p)
+
+
+def matmul_mod(a, b, fld):
+    """Matrix product of 2-D F_q arrays.  An entry of an F_p product is
+    below cols (p-1)^2 < 2^63, so int64 holds it before the one reduction;
+    for e > 1 the digit planes multiply pairwise, as in a convolution."""
+    if fld.e == 1:
+        return a @ b % fld.p
+    return _extension_product(a, b, fld, np.matmul, (a.shape[0], b.shape[1]))
 
 
 def bipoly_mul_mod(a, b, fld):
@@ -155,8 +182,7 @@ def unit_quotient_mod(a, factors, fld):
     for gap, m in factors:
         if gap < n and m:
             merged[gap] = merged.get(gap, 0) + m
-    powers = p ** np.arange(e)
-    b = (a[None, :] if e == 1 else a // powers[:, None] % p).copy()
+    b = a[None, :].copy() if e == 1 else _planes(a, fld)
     for gap, m in merged.items():
         k, stride = abs(m), gap
         while k and stride < n:
@@ -173,7 +199,7 @@ def unit_quotient_mod(a, factors, fld):
                     classes %= p
                 b = padded[:, :n]
             k, stride = k // p, stride * p
-    return b[0] if e == 1 else powers @ b
+    return b[0] if e == 1 else p ** np.arange(e) @ b
 
 
 def rref_mod(a, fld):

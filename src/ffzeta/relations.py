@@ -132,6 +132,14 @@ def find_relations(vec: ValueVector, degree_bound: int):
     Refuses with MarginError unless the digit count beats the unknown
     count by MARGIN_DIGITS; the error names the least prec that would, at
     the values' valuations.
+
+    The rows outnumber the unknowns many times over and the kernel is
+    usually small, so ``linalg.nullspace`` reads the rows block by block,
+    shrinking the kernel of the rows seen so far.  Its basis is canonical
+    (one vector per free unknown, that unknown set to 1, in unknown
+    order), so the certificates do not depend on how the rows are split.
+    A vector whose residual does not vanish through the precision is
+    dropped.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")

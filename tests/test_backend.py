@@ -235,6 +235,99 @@ def test_rref_and_nullspace(q):
             assert all(_dot(fld, row, vec) == 0 for row in a)
 
 
+def _gauss_jordan_nullspace(fld, a):
+    """Reference: the kernel basis read off one Gauss-Jordan elimination of
+    every row, one vector per free column with the free coordinate 1."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
+        n = a.shape[1] if a.ndim == 2 else 0
+        return [np.eye(n, dtype=np.int64)[i] for i in range(n)]
+    r, piv, rank = linalg.rref(fld, a)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in piv]
+    basis = []
+    for fc in free:
+        vec = np.zeros(cols, dtype=np.int64)
+        vec[fc] = 1
+        for row, pc in enumerate(piv):
+            vec[pc] = fld.neg(int(r[row, fc]))
+        basis.append(vec)
+    return basis
+
+
+def _planted(fld, draw, rows, cols, relations):
+    """A random rows x cols matrix in which each of ``relations`` columns is
+    a combination of the columns before it, so the kernel has at least
+    that dimension and its free columns are spread out."""
+    a = draw.integers(0, fld.q, (rows, cols))
+    for j in draw.choice(np.arange(1, cols), size=min(relations, cols - 1), replace=False):
+        for i in range(j):
+            a[:, j] = fld.add(a[:, j], fld.mul(int(draw.integers(fld.q)), a[:, i]))
+    return a
+
+
+def _nullspace_cases(fld, draw):
+    q = fld.q
+    cases = [_planted(fld, draw, rows, cols, rel)
+             for rows, cols, rel in [(300, 12, 3), (80, 18, 1), (45, 9, 0),
+                                     (5, 12, 2), (3, 20, 6), (40, 40, 5)]]
+    # one constraint, in the last row, after blocks that leave K unchanged
+    # (the block doubles: 27, 54, 108, ...)
+    late = np.zeros((400, 7), dtype=np.int64)
+    late[-1] = draw.integers(1, q, 7)
+    cases.append(late)
+    # a first block that shrinks K, then zero rows, then one more constraint
+    shrink = np.zeros((500, 6), dtype=np.int64)
+    shrink[:3] = draw.integers(0, q, (3, 6))
+    shrink[-1, 4] = 1
+    cases.append(shrink)
+    lead = _planted(fld, draw, 60, 10, 2)
+    lead[:35] = 0  # leading zero rows
+    cases.append(lead)
+    cases += [np.zeros((50, 8), dtype=np.int64), np.zeros((3, 4), dtype=np.int64),
+              draw.integers(0, q, (1, 6)), draw.integers(0, q, (2, 1)),
+              np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+              np.zeros((0, 0), dtype=np.int64)]
+    return cases
+
+
+@pytest.mark.parametrize("q", QS + [25, 65536])
+def test_nullspace_is_the_gauss_jordan_basis(q):
+    fld, draw = field(q), np.random.default_rng(q)
+    for a in _nullspace_cases(fld, draw):
+        want = _gauss_jordan_nullspace(fld, a)
+        got = linalg.nullspace(fld, a)
+        assert len(got) == len(want), a.shape
+        for u, v in zip(got, want):
+            assert u.dtype == np.int64 and np.array_equal(u, v), a.shape
+
+
+@pytest.mark.parametrize("q", QS + [65536])
+def test_matmul_matches_entrywise_dot(q):
+    fld, draw = field(q), np.random.default_rng(q)
+    for rows, inner, cols in [(1, 1, 1), (5, 0, 3), (9, 7, 1), (30, 18, 4), (4, 25, 6)]:
+        a = draw.integers(0, q, (rows, inner))
+        b = draw.integers(0, q, (inner, cols))
+        got = backend.matmul_mod(a, b, fld)
+        assert got.shape == (rows, cols) and got.dtype == np.int64
+        want = [[_dot(fld, a[i], b[:, j]) for j in range(cols)] for i in range(rows)]
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(rows, cols))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 65536])
+def test_extension_convolution_matches_entrywise_dot(q):
+    """The F_{p^e} lift that convolve_mod shares with matmul_mod, on both
+    sides of the packing crossover."""
+    fld, draw = field(q), np.random.default_rng(q)
+    for n, m in [(1, 1), (5, 3), (40, 17), (230, 260)]:
+        a, b = draw.integers(0, q, n), draw.integers(0, q, m)
+        want = []
+        for k in range(n + m - 1):
+            i = np.arange(max(0, k - m + 1), min(k, n - 1) + 1)
+            want.append(_dot(fld, a[i], b[k - i]))
+        assert np.array_equal(backend.convolve_mod(a, b, fld), np.array(want))
+
+
 def _binom_table(rows, p):
     """Pascal's triangle mod p, rows x rows: the table the digit DP reads."""
     table = np.zeros((rows, rows), dtype=np.int64)
