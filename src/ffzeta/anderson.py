@@ -9,11 +9,11 @@ psi = Phi^(1) psi^(1), because the forward twist keeps grades integral.
 
 The evaluator uses the derived evaluations Omega^(l)(theta) = 1/(pi~ L_l)
 (a consequence of the difference equation satisfied by Omega) so that the
-normalised value pi~^w * L(theta) stays inside k_infinity.  The values,
-the t-series L_{1..j} of the difference systems and the vanishing orders
-all read partial sums of ``zeta._nested_sum``, the one valuation-pruned
-walk that also serves mzv, amzv and cmpl, and give it only a per-slot
-valuation bound and factor.
+normalised value pi~^w * L(theta) stays inside k_infinity.  The values
+and the vanishing orders read partial sums of ``zeta._deformation_partials``,
+the twisted walk, which is also ``zeta.cmpl`` at constant inputs.  The
+t-series L_{1..j} of the difference systems give ``zeta._nested_sum``, the
+one valuation-pruned walk, their own per-slot bound and factor.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .scalar import (
     frobenius_twist,
     inverse_twist,
 )
-from .zeta import (_finite_prec, _nested_sum, _over_l_power, _require_convergence,
+from .zeta import (_deformation_partials, _finite_prec, _nested_sum, _require_convergence,
                    _validate_signs, infty_norm_degree)
 from . import cache, linalg
 
@@ -287,45 +287,6 @@ def _deformation_inputs(fld: Field, s, qs) -> list:
         raise InvalidIndexError("one deformation input per index entry required")
     _require_convergence(fld, s, qs, "deformation")
     return qs
-
-
-def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -> Laurent:
-    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec."""
-    if isinstance(qpoly, RatFunc):
-        base_prec = max(prec // fld.q ** ell + 1, 0)
-        return Laurent.from_ratfunc(qpoly, base_prec).qth_power(ell, out_prec=prec)
-    # Q^(ell) evaluated at theta^{q^P} is sum_kj h_kj theta^{j q^ell + k q^P}:
-    # the twist dilates the theta-exponents, the point the t-exponents
-    return Laurent.from_bipoly(qpoly, fld.q ** point_pow, fld.q ** ell, prec)
-
-
-def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:
-    """pi~^{w_j q^P} * L_{s_1..s_j}(theta^{q^P}), w_j = s_1 + ... + s_j, for
-    j = 1..len(qs), from one walk and each exact through prec; the inputs
-    are nonzero, and signs[j]^l weights the slot j term at l."""
-    q = fld.q
-    P = point_power
-    # (max theta-degree, t-degree) of each input, for valuation pruning
-    profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
-                for item in qs]
-
-    def denom_deg(j, ell):
-        # valuation of L_{ell-P}^{q^P s_j}
-        return q ** P * s[j] * ((q ** (ell - P + 1) - q) // (q - 1))
-
-    def val_bound(j, ell):
-        # val(Q^(ell)(theta^{q^P})) >= -(m q^ell + tdeg q^P); increasing in
-        # ell exactly under the strict convergence condition
-        m, tdeg = profiles[j]
-        return denom_deg(j, ell) - m * q ** ell - tdeg * q ** P
-
-    def factor(j, ell, out_prec):
-        numer = _twisted_value_at_point(fld, qs[j], ell, P, out_prec - denom_deg(j, ell))
-        term = _over_l_power(numer, ell - P, q ** P * s[j])
-        return term if signs is None else term.scale(fld.pow(signs[j], ell))
-
-    return [Laurent.zero_to_prec(fld, prec) if part is None else part
-            for part in _nested_sum(len(qs), P, val_bound, factor, prec)]
 
 
 def deformation_value(fld: Field, s, qs, prec, eps=None, point_power: int = 0) -> Laurent:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__, anderson, backend, indices, relations
 from . import cache as cache_mod
@@ -27,7 +26,6 @@ def _meta(fld: Field = None) -> dict:
     meta = {
         "version": __version__,
         "backend": backend.ACTIVE_BACKEND,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if fld is not None:
         meta["field"] = {"q": fld.q, "p": fld.p, "e": fld.e}

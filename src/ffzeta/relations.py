@@ -22,7 +22,7 @@ import numpy as np
 
 from . import anderson, linalg, zeta
 from .errors import DomainError, MarginError
-from .indices import Index, coerce_index, g_map
+from .indices import Index, coerce_index, g_map, is_g_independent
 from .laurent import INF, Laurent
 from .scalar import Field, Poly, RatFunc
 
@@ -228,11 +228,7 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     if not family:
         raise DomainError("empty family")
     g_images = [g_map(s) for s in family]
-    disjoint = all(
-        not (g_images[i] & g_images[j])
-        for i in range(len(family))
-        for j in range(i + 1, len(family))
-    )
+    disjoint = is_g_independent(family)
     labels = [f"gnzeta({','.join(str(x) for x in s)})" for s in family]
     report = {
         "family": [list(s) for s in family],

@@ -28,7 +28,16 @@ sums over l_1 > ... > l_r of one factor per slot, truncated by an additive
 valuation bound.  One suffix-sum walk, ``_nested_sum``, serves them all:
 it calls each (slot, l) factor once, keeps slot j exact through its cap_j,
 and returns every partial sum.  A caller gives a per-slot bound and factor,
-a sign weight eps_j^l included.
+a sign weight eps_j^l included.  Two walks give it those, both here:
+
+* the power-sum walk, ``_power_sum_walk``, over degrees d_j with factors
+  S_{d_j}(s_j), serves mzv and amzv;
+* the twisted walk, ``_deformation_partials``, over Frobenius heights
+  with factors Q_j^{(l)}(theta^{q^P}) / L_{l-P}^{q^P s_j} at the point
+  theta^{q^P}, P = 0 or 1, serves the
+  deformation values and vanishing orders of ``anderson``, and cmpl and
+  carlitz_log as its constant-input case: a constant's twist is its
+  q^l-th power.
 """
 
 from __future__ import annotations
@@ -77,10 +86,6 @@ def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) ->
         raise InvalidIndexError("power_sum_exact wants d >= 0 and n >= 1")
 
     def enumerate_and_merge():
-        if fld.q ** d > budget:
-            raise BudgetError(
-                f"power_sum_exact: q^d = {fld.q ** d} monic enumerations exceed the budget {budget}"
-            )
         one = Poly.one(fld)
         terms = [RatFunc(one, a ** n) for a in enumerate_monic(fld, d, budget)]
         while len(terms) > 1:
@@ -175,7 +180,7 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# multizeta and alternating multizeta
+# the power-sum walk: multizeta and alternating multizeta
 # ---------------------------------------------------------------------------
 
 def _validate_signs(fld: Field, s: Index, eps):
@@ -233,12 +238,6 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int) -> list:
     return partials
 
 
-def _nested_value(fld: Field, r: int, lo: int, bound, factor, prec: int) -> Laurent:
-    """The whole nested sum: the last partial of ``_nested_sum``."""
-    last = _nested_sum(r, lo, bound, factor, prec)[-1]
-    return Laurent.zero_to_prec(fld, prec) if last is None else last
-
-
 def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
     """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j) signs[j]^{d_j}.
     Every power sum is asked for the full prec: the memo keeps one entry per
@@ -250,8 +249,9 @@ def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
         layer = power_sum_series(fld, d, s[j], prec)
         return layer if signs is None else layer.scale(fld.pow(signs[j], d))
 
-    return _nested_value(fld, s.depth, 0, lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
-                         factor, prec)
+    last = _nested_sum(s.depth, 0, lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
+                       factor, prec)[-1]
+    return Laurent.zero_to_prec(fld, prec) if last is None else last
 
 
 def mzv(fld: Field, s, prec) -> Laurent:
@@ -269,7 +269,7 @@ def amzv(fld: Field, s, eps, prec) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# Carlitz multiple polylogarithms at k-rational points
+# the twisted walk: deformation values and Carlitz multiple polylogarithms
 # ---------------------------------------------------------------------------
 
 def _as_ratfunc(fld: Field, u) -> RatFunc:
@@ -320,28 +320,56 @@ def convergence_check(fld: Field, s, items) -> bool:
     return not _diverging_slots(fld, coerce_index(s), items)
 
 
+def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -> Laurent:
+    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec."""
+    if isinstance(qpoly, RatFunc):
+        base_prec = max(prec // fld.q ** ell + 1, 0)
+        return Laurent.from_ratfunc(qpoly, base_prec).qth_power(ell, out_prec=prec)
+    # Q^(ell) evaluated at theta^{q^P} is sum_kj h_kj theta^{j q^ell + k q^P}:
+    # the twist dilates the theta-exponents, the point the t-exponents
+    return Laurent.from_bipoly(qpoly, fld.q ** point_pow, fld.q ** ell, prec)
+
+
+def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:
+    """pi~^{w_j q^P} * L_{s_1..s_j}(theta^{q^P}), w_j = s_1 + ... + s_j, for
+    j = 1..len(qs), from one walk and each exact through prec; the inputs
+    are nonzero, and signs[j]^l weights the slot j term at l."""
+    q = fld.q
+    P = point_power
+    # (max theta-degree, t-degree) of each input, for valuation pruning
+    profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
+                for item in qs]
+
+    def denom_deg(j, ell):
+        # valuation of L_{ell-P}^{q^P s_j}
+        return q ** P * s[j] * ((q ** (ell - P + 1) - q) // (q - 1))
+
+    def val_bound(j, ell):
+        # val(Q^(ell)(theta^{q^P})) >= -(m q^ell + tdeg q^P); increasing in
+        # ell exactly under the strict convergence condition
+        m, tdeg = profiles[j]
+        return denom_deg(j, ell) - m * q ** ell - tdeg * q ** P
+
+    def factor(j, ell, out_prec):
+        numer = _twisted_value_at_point(fld, qs[j], ell, P, out_prec - denom_deg(j, ell))
+        term = _over_l_power(numer, ell - P, q ** P * s[j])
+        return term if signs is None else term.scale(fld.pow(signs[j], ell))
+
+    return [Laurent.zero_to_prec(fld, prec) if part is None else part
+            for part in _nested_sum(len(qs), P, val_bound, factor, prec)]
+
+
 def cmpl(fld: Field, s, points, prec) -> Laurent:
     """Li_s(u_1, ..., u_r) over decreasing Frobenius heights i_1 > ... > i_r,
-    with each slot contributing u_j^{q^{i_j}} / L_{i_j}^{s_j}."""
+    with each slot contributing u_j^{q^{i_j}} / L_{i_j}^{s_j}: the twisted
+    walk at constant inputs, whose twists are q^i-th powers."""
     s = coerce_index(s)
     prec = _finite_prec(prec)
     us = [_as_ratfunc(fld, u) for u in points]
     _require_convergence(fld, s, us, "CMPL")
     if any(u.is_zero for u in us):
         return Laurent.zero(fld)
-    q = fld.q
-    vus = [-u.infty_degree() for u in us]  # valuations of the points
-
-    def phi(j, i):
-        # exact valuation of u_j^{q^i} / L_i^{s_j}
-        return q ** i * vus[j] + s[j] * ((q ** (i + 1) - q) // (q - 1))
-
-    def factor(j, i, out_prec):
-        u_prec = out_prec - s[j] * ((q ** (i + 1) - q) // (q - 1))
-        upart = Laurent.from_ratfunc(us[j], max(u_prec // q ** i + 1, vus[j]))
-        return _over_l_power(upart.qth_power(i, out_prec=u_prec), i, s[j])
-
-    return _nested_value(fld, s.depth, 0, phi, factor, prec)
+    return _deformation_partials(fld, s, us, prec)[-1]
 
 
 def carlitz_log(fld: Field, u, prec) -> Laurent:
