@@ -31,7 +31,11 @@ and returns every partial sum.  A caller gives a per-slot bound and factor,
 a sign weight eps_j^l included.  Two walks give it those, both here:
 
 * the power-sum walk, ``_power_sum_walk``, over degrees d_j with factors
-  S_{d_j}(s_j), serves mzv and amzv;
+  S_{d_j}(s_j), serves mzv and amzv.  Its slot j sums depend only on q,
+  s_1..s_{j+1}, their signs and prec, so the memo ``power_sum_walk`` holds
+  the running sums of every prefix seen, one entry per (q, index prefix,
+  sign prefix) at the highest prec seen, and a call sweeps only the slots
+  past its longest prefix already walked;
 * the twisted walk, ``_deformation_partials``, over Frobenius heights
   with factors Q_j^{(l)}(theta^{q^P}) / L_{l-P}^{q^P s_j} at the point
   theta^{q^P}, P = 0 or 1, serves the
@@ -199,7 +203,7 @@ def _validate_signs(fld: Field, s: Index, eps):
     return out
 
 
-def _nested_sum(r: int, lo: int, bound, factor, prec: int) -> list:
+def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None) -> list:
     """[P_0[lo], ..., P_{r-1}[lo]], each exact through prec and truncated
     to it, or None where a partial has no term (its caller knows the zero).
 
@@ -212,6 +216,12 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int) -> list:
     above l, it visits l from lo while bound(j, l) + above(l) <= cap_j and
     calls factor(j, l, .) once, for p = cap_j - above(l).  Only *, + and
     .truncate act on factors, so Laurent and GradedSeries serve alike.
+
+    Slot j's running sums [P_j[lo], P_j[lo+1], ...] come from
+    ``level(j, sweep)`` when a caller gives one, else from ``sweep()``,
+    which computes them from slot j-1's: a caller whose sums depend only on
+    the slots so far can serve them from a memo, exact through cap_j or
+    beyond.
     """
     caps = [prec] * r
     for j in range(r - 2, -1, -1):
@@ -221,20 +231,23 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int) -> list:
         def above(l):
             return sum(bound(j - i, l + i) for i in range(1, j + 1))
 
-        top = lo
-        while bound(j, top) + above(top) <= cap:
-            top += 1
-        # sums[l - lo] = P_j[l]; P_{j-1}[l+1] exists for every visited l,
-        # since above(l) <= cap_j - bound(j, lo) <= cap_{j-1}
-        sums, acc = [None] * (top - lo), None
-        for l in range(top - 1, lo - 1, -1):
-            term = factor(j, l, cap - above(l))
-            if j:
-                term = term * below[l + 1 - lo]
-            acc = (term if acc is None else acc + term).truncate(cap)
-            sums[l - lo] = acc
-        partials.append(None if acc is None else acc.truncate(prec))
-        below = sums
+        def sweep():
+            top = lo
+            while bound(j, top) + above(top) <= cap:
+                top += 1
+            # sums[l - lo] = P_j[l]; P_{j-1}[l+1] exists for every visited l,
+            # since above(l) <= cap_j - bound(j, lo) <= cap_{j-1}
+            sums, acc = [None] * (top - lo), None
+            for l in range(top - 1, lo - 1, -1):
+                term = factor(j, l, cap - above(l))
+                if j:
+                    term = term * below[l + 1 - lo]
+                acc = (term if acc is None else acc + term).truncate(cap)
+                sums[l - lo] = acc
+            return sums
+
+        below = sweep() if level is None else level(j, sweep)
+        partials.append(below[0].truncate(prec) if below else None)
     return partials
 
 
@@ -242,15 +255,26 @@ def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
     """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j) signs[j]^{d_j}.
     Every power sum is asked for the full prec: the memo keeps one entry per
     (q, d, n) at the highest prec seen, and a lower request could make a
-    later one recompute it."""
+    later one recompute it.
+
+    bound(j, 0) = val S_0 = 0, so every cap is prec, and slot j's running
+    sums depend only on q, s_1..s_{j+1}, their signs and prec: the memo
+    ``power_sum_walk`` keeps them per prefix with ``power_sum_series``'s
+    policy.  Sums kept for a higher prec serve a lower one as they are:
+    ``_nested_sum`` truncates every product and partial to its cap."""
     prec = _finite_prec(prec)
 
     def factor(j, d, p):
         layer = power_sum_series(fld, d, s[j], prec)
         return layer if signs is None else layer.scale(fld.pow(signs[j], d))
 
+    def level(j, sweep):
+        key = (fld.q, s[: j + 1], None if signs is None else tuple(signs[: j + 1]))
+        return cache.remember("power_sum_walk", key, lambda e: e[0] >= prec,
+                              lambda _: (prec, sweep()))[1]
+
     last = _nested_sum(s.depth, 0, lambda j, d: power_sum_val_bound(fld.q, d, s[j]),
-                       factor, prec)[-1]
+                       factor, prec, level)[-1]
     return Laurent.zero_to_prec(fld, prec) if last is None else last
 
 

@@ -146,6 +146,24 @@ def test_stuffle_closure_weight_three():
     assert all(relations.verify_relation(vec2, c) for c in expressing)
 
 
+def test_thakur_relation_at_q3():
+    # (theta - theta^q) zeta(1, q-1) = zeta(q), here at q = 3 and D = 3
+    fld = field(3)
+    labels = ["zeta(1,2)", "zeta(3)"]
+    n = 200
+
+    def vec_at(prec):
+        return ValueVector.of(labels, [relations.eval_value_expr(fld, lab, prec)
+                                       for lab in labels])
+
+    certs = relations.find_relations(vec_at(n), 3)
+    assert len(certs) == 1
+    a, b = certs[0].coeffs
+    assert b.degree == 0
+    assert a == Poly(fld, [0, fld.neg(1), 0, 1]).scale(int(b.coeffs[0]))
+    assert relations.verify_relation(vec_at(2 * n), certs[0])
+
+
 def test_independence_report_trivial_family():
     fld = field(3)
     report = relations.independence_report(fld, [(4,)], 2, 60)

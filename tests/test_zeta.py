@@ -155,6 +155,77 @@ def test_series_memo_order_does_not_change_digits():
     assert high.truncate(60) == low
 
 
+def _compositions(w):
+    """Every composition of w, as a tuple of positive entries."""
+    for k in range(w):
+        for cuts in itertools.combinations(range(1, w), k):
+            ends = (0,) + cuts + (w,)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+def test_walk_memo_order_does_not_change_digits():
+    # the walk memo keeps every prefix's running sums at the highest prec
+    # seen and serves lower ones from them, so no order of requests can
+    # change a digit
+    srng = random.Random(53)
+    grid = []
+    for q in (2, 3, 4, 5, 9):
+        for w in range(1, 6):
+            for s in _compositions(w):
+                eps = tuple(srng.randrange(1, q) for _ in s)
+                grid += [(q, s, None), (q, s, eps)]
+
+    def value(q, s, eps, prec):
+        fld = field(q)
+        return zeta.mzv(fld, s, prec) if eps is None else zeta.amzv(fld, s, eps, prec)
+
+    precs = (150, 60, 300)
+    want = {}
+    for q, s, eps in grid:
+        for prec in precs:
+            cache.clear_memos()
+            want[q, s, eps, prec] = value(q, s, eps, prec)
+    requests = [(q, s, eps, prec) for q, s, eps in grid for prec in precs]
+    srng.shuffle(requests)
+    cache.clear_memos()
+    for key in requests:
+        assert value(*key) == want[key], key
+
+
+def test_walk_memo_sweeps_only_the_slots_past_its_prefix(monkeypatch):
+    fld = field(3)
+    prec = 150
+    calls = []
+    series = zeta.power_sum_series
+
+    def spy(fld, d, n, prec):
+        calls.append((d, n, prec))
+        return series(fld, d, n, prec)
+
+    cache.clear_memos()
+    want = zeta.mzv(fld, (2, 1, 1), prec)
+    cache.clear_memos()
+    zeta.mzv(fld, (2, 1), prec)
+    monkeypatch.setattr(zeta, "power_sum_series", spy)
+    assert zeta.mzv(fld, (2, 1, 1), prec) == want
+
+    # slot 2 (entry 1) visits d while S_d(1) S_{d+1}(1) S_{d+2}(2) can
+    # reach prec, from the top d down; slots 0 and 1 come from the memo
+    def bound(d):
+        return sum(zeta.power_sum_val_bound(3, d + k, n) for k, n in enumerate((1, 1, 2)))
+
+    top = 0
+    while bound(top) <= prec:
+        top += 1
+    assert calls == [(d, 1, prec) for d in range(top - 1, -1, -1)]
+
+    # clear_memos empties the walk memo: slot 0 (entry 2) is swept again
+    calls.clear()
+    cache.clear_memos()
+    assert zeta.mzv(fld, (2, 1, 1), prec) == want
+    assert any(n == 2 for _, n, _ in calls)
+
+
 # -- the nested-sum walk ----------------------------------------------------------
 
 def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
@@ -185,10 +256,15 @@ def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
     return total.truncate(prec)
 
 
-def _over_tuple_walk(fld):
-    """``_nested_sum``'s signature over the oracle: only the last partial."""
-    return lambda r, lo, bound, factor, prec: (
-        [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, factor, prec)])
+def _over_tuple_walk(fld, calls=None):
+    """``_nested_sum``'s signature over the oracle: only the last partial,
+    with no per-level memo; each call is counted in ``calls``."""
+    def walk(r, lo, bound, factor, prec, level=None):
+        if calls is not None:
+            calls.append(r)
+        return [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, factor, prec)]
+
+    return walk
 
 
 @pytest.mark.parametrize("lo", [0, 1])
@@ -270,8 +346,13 @@ def test_mzv_matches_the_tuple_walk(monkeypatch, q, s, prec):
     fld = field(q)
     eps = [(-1) ** j for j in range(len(s))]
     new = zeta.mzv(fld, s, prec), zeta.amzv(fld, s, eps, prec)
-    monkeypatch.setattr(zeta, "_nested_sum", _over_tuple_walk(fld))
+    # cold memos, and the oracle called for both values: no memo may
+    # answer the patched run in place of the walk
+    cache.clear_memos()
+    calls = []
+    monkeypatch.setattr(zeta, "_nested_sum", _over_tuple_walk(fld, calls))
     assert new == (zeta.mzv(fld, s, prec), zeta.amzv(fld, s, eps, prec))
+    assert calls == [len(s), len(s)]
 
 
 def test_cmpl_and_deformation_value_match_the_tuple_walk(monkeypatch):
