@@ -140,7 +140,7 @@ def criterion_6_vanishing_orders():
 def criterion_7_combinatorics():
     """g-map round trips, Theorem-style depth-2 bounds, the q=5 w=6 partition."""
     for w in range(1, 11):
-        for s in _compositions(w):
+        for s in indices.compositions(w):
             assert g_inverse(g_map(s), w) == s, s
     for q in (2, 3, 4, 5):
         for w in range(2, 31):
@@ -156,15 +156,6 @@ def criterion_7_combinatorics():
     fam = sorted(g_inverse(t, 6) for t in found)
     assert fam == [Index((1, 2, 2, 1)), Index((2, 2, 2))], fam
     return "g-inverse round trip (w <= 10), depth-2 bounds (w <= 30), q=5 w=6 partition"
-
-
-def _compositions(w):
-    if w == 0:
-        yield ()
-        return
-    for first in range(1, w + 1):
-        for rest in _compositions(w - first):
-            yield Index((first,) + tuple(rest))
 
 
 def criterion_8_relation_hunter():

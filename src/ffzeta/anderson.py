@@ -120,20 +120,14 @@ class GradedSeries:
             raise DomainError("negative GradedSeries power")
         return binary_power(self, k, GradedSeries.one(self.field, self.cap))
 
-    def twist(self, steps: int = 1):
+    def twist(self):
         """Forward Frobenius twist of the represented value."""
-        out = self
         fld = self.field
-        for _ in range(steps):
-            sign = fld.pow(fld.from_int(-1), out.grade)
-            mono = Laurent.monomial(fld, sign, -out.grade)  # (-theta)^grade
-            out = GradedSeries(
-                fld,
-                out.grade,
-                [c.qth_power(1) * mono for c in out.coeffs],
-                out.cap,
-            )
-        return out
+        sign = fld.pow(fld.from_int(-1), self.grade)
+        mono = Laurent.monomial(fld, sign, -self.grade)  # (-theta)^grade
+        return GradedSeries(
+            fld, self.grade, [c.qth_power(1) * mono for c in self.coeffs], self.cap
+        )
 
     def truncate(self, prec):
         return GradedSeries(

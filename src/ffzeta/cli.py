@@ -15,7 +15,7 @@ from . import __version__, anderson, backend, indices, relations
 from . import cache as cache_mod
 from .errors import DomainError, FFZetaError, ResourceError
 from .laurent import format_laurent
-from .scalar import Field, field, format_poly
+from .scalar import Field, field, format_bipoly, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +65,7 @@ def _cmd_atpoly(args):
     h = anderson.at_polynomial(fld, args.n)
     rows = [[int(c) for c in row] for row in h.coeffs]
     payload = {"n": args.n, "coeffs_t_by_theta": rows, "meta": _meta(fld)}
-    terms = [
-        f"t^{i}*({format_poly(h.t_coeff(i))})"
-        for i in range(h.coeffs.shape[0])
-        if not h.t_coeff(i).is_zero
-    ] or ["0"]
-    _emit(args, payload, f"H_{args.n} = " + " + ".join(terms))
+    _emit(args, payload, f"H_{args.n} = {format_bipoly(h)}")
 
 
 def _cmd_indices_partitions(args):

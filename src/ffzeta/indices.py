@@ -44,6 +44,18 @@ def coerce_index(s) -> Index:
     return s if isinstance(s, Index) else Index(s)
 
 
+def compositions(w: int):
+    """Lazily enumerate the 2^(w-1) compositions of w as Index values:
+    first entry ascending, and for each first entry the compositions of
+    the rest in this same order."""
+    if w < 1:
+        raise DomainError("weight must be >= 1")
+    for first in range(1, w):
+        for rest in compositions(w - first):
+            yield Index((first,) + rest)
+    yield Index((w,))
+
+
 def g_map(s) -> frozenset:
     """g(s): {0} for depth 1, else the r-1 partial-sum complements."""
     s = coerce_index(s)

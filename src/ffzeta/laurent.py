@@ -177,15 +177,6 @@ class Laurent:
         v = int(self.val)
         return Fraction(1, self.field.q ** v) if v >= 0 else Fraction(self.field.q ** (-v))
 
-    def digit(self, exponent: int) -> int:
-        """Digit at a given 1/theta exponent (must be within precision)."""
-        if exponent > self.prec:
-            raise DomainError(f"digit {exponent} beyond precision {self.prec}")
-        if self.coeffs.size == 0 or exponent < self.val:
-            return 0
-        off = exponent - int(self.val)
-        return int(self.coeffs[off]) if off < self.coeffs.size else 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
@@ -334,14 +325,11 @@ class Laurent:
     def __hash__(self):
         return hash((self.field.q, self.val, self.prec, self.coeffs.tobytes()))
 
-    def common_precision(self, other):
-        return min(self.prec, other.prec)
-
     def agrees_with(self, other, through=None) -> bool:
         """Digit-for-digit agreement through the common precision (or an
         explicit exponent bound)."""
         self._check(other)
-        bound = self.common_precision(other) if through is None else through
+        bound = min(self.prec, other.prec) if through is None else through
         if bound == INF:
             return self.val == other.val and np.array_equal(self.coeffs, other.coeffs)
         diff = self - other

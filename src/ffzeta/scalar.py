@@ -9,6 +9,14 @@ from one ``backend.convolve_mod`` per candidate generator, so F_p[y]
 arithmetic exists once.  The chosen irreducible is exposed so runs are
 reproducible.
 
+``Poly`` and ``BiPoly`` are one dense core, ``_Dense``: a trimmed int64
+grid whose last axis is the variable that a Frobenius twist dilates (theta
+for a ``BiPoly``).  Addition, negation, subtraction, scaling, powers,
+equality, hashing, the operand check and ``dilate`` are written once
+there, so ``frobenius_twist`` is ``dilate(q^n)`` and ``inverse_twist`` one
+strided read of the last axis.  Products, division and the gcd stay on
+each class.
+
 ``field(q)`` hands out one shared instance per q, also to threads that
 ask for a new q at the same time.  Everything is immutable after
 construction and all operations are pure functions, so values can be
@@ -222,19 +230,11 @@ class Field:
 def _factor_prime_power(q):
     if q < 2 or q > _MAX_Q:
         raise DomainError(f"q must be a prime power in [2, {_MAX_Q}], got {q}")
-    p = q
-    for d in range(2, int(q ** 0.5) + 1):
-        if q % d == 0:
-            p = d
-            break
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
-    return p, e
+    (p,) = primes
+    return p, len(base_q_digits(q, p)) - 1  # p^e has e + 1 base-p digits
 
 
 _FIELDS: dict = {}
@@ -269,10 +269,93 @@ def binary_power(base, k: int, one):
 
 
 # ---------------------------------------------------------------------------
+# the dense core shared by Poly and BiPoly
+# ---------------------------------------------------------------------------
+
+class _Dense:
+    """A trimmed, read-only int64 grid of F_q coefficients whose last axis
+    holds the powers of ``var``: the one variable of a ``Poly``, theta for a
+    ``BiPoly``.  Each subclass keeps its constructor and trimming and builds
+    values of its own kind through ``_like(coeffs)``; the arithmetic that
+    reads the grid alone lives here once.  Operands must share the class,
+    the field and ``var``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self):
+        return self.coeffs.size == 0
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.field is other.field
+            and self.var == other.var
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self):
+        return hash((self.field.q, self.var, self.coeffs.shape, self.coeffs.tobytes()))
+
+    def _check(self, other):
+        if type(other) is not type(self) or self.field is not other.field or self.var != other.var:
+            raise DomainError("mixed fields, variables or polynomial kinds")
+
+    def __add__(self, other):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if a.shape != b.shape:
+            shape = tuple(map(max, a.shape, b.shape))
+            a, b = _padded(a, shape), _padded(b, shape)
+        return self._like(self.field.add(a, b))
+
+    def __neg__(self):
+        if self.is_zero:
+            return self
+        return self._like(self.field.neg(self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: int):
+        if not 0 <= c < self.field.q:
+            c = self.field.from_int(c)
+        if c == 0 or self.is_zero:
+            return self._like(self.coeffs[:0])
+        return self._like(self.field.mul(c, self.coeffs))
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise DomainError(f"negative {type(self).__name__} power")
+        one = np.ones((1,) * self.coeffs.ndim, dtype=np.int64)
+        return binary_power(self, k, self._like(one))
+
+    def dilate(self, k: int):
+        """Substitute var -> var^k (k >= 1) on the last axis."""
+        if self.is_zero or k == 1:
+            return self
+        *rows, cols = self.coeffs.shape
+        out = np.zeros((*rows, (cols - 1) * k + 1), dtype=np.int64)
+        out[..., ::k] = self.coeffs
+        return self._like(out)
+
+
+def _padded(a, shape):
+    """a zero-padded at the high end of each axis to ``shape``."""
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape, dtype=np.int64)
+    out[tuple(map(slice, a.shape))] = a
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense univariate polynomials
 # ---------------------------------------------------------------------------
 
-class Poly:
+class Poly(_Dense):
     """Dense polynomial over F_q in one named variable (theta or t).
 
     coeffs[i] is the coefficient of x^i; the leading coefficient is nonzero
@@ -327,10 +410,6 @@ class Poly:
         return self.coeffs.size - 1 if self.coeffs.size else -math.inf
 
     @property
-    def is_zero(self):
-        return self.coeffs.size == 0
-
-    @property
     def is_one(self):
         return self.coeffs.size == 1 and self.coeffs[0] == 1
 
@@ -343,40 +422,10 @@ class Poly:
     def is_monic(self):
         return not self.is_zero and self.coeffs[-1] == 1
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.var == other.var
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.var, self.coeffs.tobytes()))
-
-    def _check(self, other):
-        if self.field is not other.field or self.var != other.var:
-            raise DomainError("mixed fields or variables")
+    def _like(self, coeffs):
+        return Poly(self.field, coeffs, self.var)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        return Poly(self.field, self.field.add(a, b), self.var)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return Poly(self.field, self.field.neg(self.coeffs), self.var)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -386,17 +435,6 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(f, self.var)
         return Poly(f, backend.convolve_mod(self.coeffs, other.coeffs, f), self.var)
-
-    def scale(self, c: int):
-        c = c % self.field.q if 0 <= c < self.field.q else self.field.from_int(c)
-        if c == 0 or self.is_zero:
-            return Poly.zero(self.field, self.var)
-        return Poly(self.field, self.field.mul(c, self.coeffs), self.var)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise DomainError("negative polynomial power")
-        return binary_power(self, k, Poly.one(self.field, self.var))
 
     def shift(self, k: int):
         """Multiply by x^k."""
@@ -447,16 +485,6 @@ class Poly:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
 
-    # -- specialisations ----------------------------------------------------
-
-    def dilate(self, k: int):
-        """Substitute x -> x^k (k >= 1)."""
-        if self.is_zero or k == 1:
-            return self
-        out = np.zeros((self.coeffs.size - 1) * k + 1, dtype=np.int64)
-        out[:: k] = self.coeffs
-        return Poly(self.field, out, self.var)
-
     def with_var(self, var: str):
         return Poly(self.field, self.coeffs, var) if var != self.var else self
 
@@ -464,9 +492,8 @@ class Poly:
         return f"Poly({self.var}; {format_poly(self)})"
 
 
-def format_poly(f: Poly, var=None) -> str:
-    var = var or f.var
-    sym = "θ" if var == THETA else var
+def format_poly(f: Poly) -> str:
+    sym = "θ" if f.var == THETA else f.var
     if f.is_zero:
         return "0"
     parts = []
@@ -486,7 +513,7 @@ def format_poly(f: Poly, var=None) -> str:
 # bivariate polynomials: F_q[theta][t], canonical 2-D coefficient grid
 # ---------------------------------------------------------------------------
 
-class BiPoly:
+class BiPoly(_Dense):
     """Polynomial in t whose coefficients are polynomials in theta.
 
     coeffs[i, j] is the coefficient of t^i * theta^j; the grid is trimmed so
@@ -494,6 +521,7 @@ class BiPoly:
     """
 
     __slots__ = ("field", "coeffs")
+    var = THETA  # the variable of the last axis, which ``dilate`` substitutes
 
     def __init__(self, field: Field, coeffs):
         arr = np.asarray(coeffs, dtype=np.int64)
@@ -532,9 +560,8 @@ class BiPoly:
         base[1, 0] = 1
         return cls(field, base) ** n
 
-    @property
-    def is_zero(self):
-        return self.coeffs.size == 0
+    def _like(self, coeffs):
+        return BiPoly(self.field, coeffs)
 
     @property
     def t_degree(self):
@@ -547,43 +574,6 @@ class BiPoly:
         nz = np.nonzero(self.coeffs.any(axis=0))[0]
         return int(nz[-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.field is other.field and self.coeffs.shape == other.coeffs.shape and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.coeffs.shape, self.coeffs.tobytes()))
-
-    def _check(self, other):
-        if self.field is not other.field:
-            raise DomainError("mixed fields")
-
-    def __add__(self, other):
-        self._check(other)
-        rows = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        cols = max(
-            self.coeffs.shape[1] if self.coeffs.size else 0,
-            other.coeffs.shape[1] if other.coeffs.size else 0,
-        )
-        a = np.zeros((rows, cols), dtype=np.int64)
-        b = np.zeros((rows, cols), dtype=np.int64)
-        if self.coeffs.size:
-            a[: self.coeffs.shape[0], : self.coeffs.shape[1]] = self.coeffs
-        if other.coeffs.size:
-            b[: other.coeffs.shape[0], : other.coeffs.shape[1]] = other.coeffs
-        return BiPoly(self.field, self.field.add(a, b))
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return BiPoly(self.field, self.field.neg(self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             other = BiPoly.from_poly(other)
@@ -592,18 +582,6 @@ class BiPoly:
         if self.is_zero or other.is_zero:
             return BiPoly.zero(f)
         return BiPoly(f, backend.bipoly_mul_mod(self.coeffs, other.coeffs, f))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise DomainError("negative BiPoly power")
-        return binary_power(self, k, BiPoly.one(self.field))
-
-    def scale(self, c: int):
-        if not 0 <= c < self.field.q:
-            c = self.field.from_int(c)
-        if c == 0 or self.is_zero:
-            return BiPoly.zero(self.field)
-        return BiPoly(self.field, self.field.mul(c, self.coeffs))
 
     # -- t-polynomial view ---------------------------------------------------
 
@@ -634,14 +612,14 @@ class BiPoly:
         return quo
 
     def __repr__(self):
-        if self.is_zero:
-            return "BiPoly(0)"
-        rows = [
-            f"t^{i}*({format_poly(self.t_coeff(i))})"
-            for i in range(self.coeffs.shape[0])
-            if not self.t_coeff(i).is_zero
-        ]
-        return "BiPoly(" + " + ".join(rows) + ")"
+        return f"BiPoly({format_bipoly(self)})"
+
+
+def format_bipoly(f: BiPoly) -> str:
+    """The nonzero t-rows as t^i*(theta-polynomial), joined by " + "; "0"
+    for the zero polynomial."""
+    rows = [f"t^{i}*({format_poly(c)})" for i, c in enumerate(f.t_coeffs()) if not c.is_zero]
+    return " + ".join(rows) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -802,48 +780,29 @@ def carlitz_gamma(fld: Field, n: int) -> Poly:
 def frobenius_twist(f, n: int):
     """n-fold Frobenius twist: every theta-coefficient a goes to a^{q^n}.
 
-    For a theta-polynomial this is the exact q^n-th power (coefficients in
-    F_q are fixed, so exponents dilate); a t-polynomial over F_q is fixed;
-    for a BiPoly each theta-coefficient polynomial is raised exactly.
+    Coefficients in F_q are fixed, so theta-exponents dilate by q^n: for a
+    theta-polynomial this is the exact q^n-th power, a BiPoly raises each
+    theta-coefficient exactly, and a t-polynomial over F_q is fixed.
     """
     if n < 0:
         raise InvalidIndexError("frobenius_twist wants n >= 0")
-    if n == 0 or (isinstance(f, Poly) and f.is_zero) or (isinstance(f, BiPoly) and f.is_zero):
-        return f
-    if isinstance(f, Poly):
-        if f.var == TVAR:
-            return f
-        return f.dilate(f.field.q ** n)
-    if isinstance(f, BiPoly):
-        k = f.field.q ** n
-        rows, cols = f.coeffs.shape
-        out = np.zeros((rows, (cols - 1) * k + 1), dtype=np.int64)
-        out[:, ::k] = f.coeffs
-        return BiPoly(f.field, out)
-    raise DomainError(f"cannot twist {type(f).__name__}")
+    if not isinstance(f, _Dense):
+        raise DomainError(f"cannot twist {type(f).__name__}")
+    return f if f.var == TVAR else f.dilate(f.field.q ** n)
 
 
 def inverse_twist(f):
     """One-step inverse twist; defined only when all theta-exponents are
     divisible by q (coefficients in F_q have unique q-th roots, namely
     themselves)."""
-    if isinstance(f, Poly):
-        if f.var == TVAR or f.is_zero:
-            return f
-        q = f.field.q
-        if any(int(c) and k % q for k, c in enumerate(f.coeffs)):
-            raise DomainError("inverse twist: theta-exponent not divisible by q")
-        return Poly(f.field, f.coeffs[::q], f.var)
-    if isinstance(f, BiPoly):
-        if f.is_zero:
-            return f
-        q = f.field.q
-        cols = f.coeffs.shape[1]
-        bad = [j for j in range(cols) if j % q and f.coeffs[:, j].any()]
-        if bad:
-            raise DomainError("inverse twist: theta-exponent not divisible by q")
-        return BiPoly(f.field, f.coeffs[:, ::q])
-    raise DomainError(f"cannot inverse-twist {type(f).__name__}")
+    if not isinstance(f, _Dense):
+        raise DomainError(f"cannot inverse-twist {type(f).__name__}")
+    if f.var == TVAR:
+        return f
+    kept = f.coeffs[..., :: f.field.q]
+    if np.count_nonzero(kept) != np.count_nonzero(f.coeffs):
+        raise DomainError("inverse twist: theta-exponent not divisible by q")
+    return f._like(kept)
 
 
 def poly_eval_at_theta_power(f: BiPoly, n: int) -> Poly:

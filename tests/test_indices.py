@@ -5,6 +5,7 @@ import pytest
 from ffzeta.errors import DomainError, InvalidIndexError
 from ffzeta.indices import (
     Index,
+    compositions,
     dim_lower_bound,
     g_inverse,
     g_map,
@@ -13,15 +14,6 @@ from ffzeta.indices import (
     partition_to_json,
     q_admissible_partitions,
 )
-
-
-def all_compositions(w):
-    if w == 0:
-        yield ()
-        return
-    for first in range(1, w + 1):
-        for rest in all_compositions(w - first):
-            yield (first,) + rest
 
 
 def test_index_validation():
@@ -53,8 +45,18 @@ def test_g_inverse_examples():
 
 def test_g_roundtrip_up_to_weight_12():
     for w in range(1, 13):
-        for s in all_compositions(w):
-            assert g_inverse(g_map(s), w) == Index(s)
+        for s in compositions(w):
+            assert g_inverse(g_map(s), w) == s
+
+
+def test_compositions_count_distinct_and_weight():
+    for w in range(1, 11):
+        found = list(compositions(w))
+        assert len(found) == len(set(found)) == 2 ** (w - 1)
+        assert all(isinstance(s, Index) and s.weight == w for s in found)
+    assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    with pytest.raises(DomainError):
+        list(compositions(0))
 
 
 def test_is_g_independent():

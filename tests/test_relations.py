@@ -6,7 +6,7 @@ import pytest
 
 from ffzeta import relations, zeta
 from ffzeta.errors import DomainError, MarginError
-from ffzeta.indices import independent_family
+from ffzeta.indices import compositions, independent_family
 from ffzeta.laurent import Laurent
 from ffzeta.relations import RelationCertificate, ValueVector
 from ffzeta.scalar import Poly, field
@@ -162,6 +162,28 @@ def test_thakur_relation_at_q3():
     assert b.degree == 0
     assert a == Poly(fld, [0, fld.neg(1), 0, 1]).scale(int(b.coeffs[0]))
     assert relations.verify_relation(vec_at(2 * n), certs[0])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: near-relations among same-weight "
+                   "MZVs pass the margin rule and the 2N reverification")
+def test_certificates_verified_at_2n_vanish_at_4n():
+    # the 32 MZVs of weight 6 at q = 3, D = 9 (= q^2), N = 800: five of the
+    # certificates that verify at 2N have residuals of valuation 1623 < 4N
+    fld = field(3)
+    labels = ["zeta(%s)" % ",".join(map(str, s)) for s in compositions(6)]
+    n = 800
+
+    def vec_at(prec):
+        return ValueVector.of(labels, [relations.eval_value_expr(fld, lab, prec)
+                                       for lab in labels])
+
+    certs = relations.find_relations(vec_at(n), 9)
+    at_2n, at_4n = vec_at(2 * n), vec_at(4 * n)
+    verified = [c for c in certs if relations.verify_relation(at_2n, c)]
+    assert verified
+    false = [c for c in verified
+             if not relations.combine(at_4n.values, c.coeffs).is_zero_to_precision]
+    assert not false, f"{len(false)} of {len(verified)} verified certificates fail at 4N"
 
 
 def test_independence_report_trivial_family():

@@ -223,10 +223,12 @@ def test_field_is_shared_under_concurrent_first_calls():
 
 
 def test_field_rejects_non_prime_power():
-    with pytest.raises(DomainError):
-        field(6)
-    with pytest.raises(DomainError):
-        field(1 << 17)
+    for q in (0, 1, 65537, 131072):
+        with pytest.raises(DomainError, match=rf"^q must be a prime power in \[2, 65536\], got {q}$"):
+            field(q)
+    for q in (6, 12, 100):
+        with pytest.raises(DomainError, match=rf"^q = {q} is not a prime power$"):
+            field(q)
 
 
 def test_extension_field_records_irreducible():
@@ -464,6 +466,105 @@ def test_inverse_twist_roundtrip_and_failure():
     assert inverse_twist(frobenius_twist(f, 1)) == f
     with pytest.raises(DomainError):
         inverse_twist(BiPoly(fld, [[0, 1]]))  # theta has exponent 1
+
+
+# -- the dense core shared by Poly and BiPoly ------------------------------------
+
+DENSE_QS = [2, 3, 4, 9, 25]
+
+
+def rand_bipoly(fld, rows, cols):
+    return BiPoly(fld, [[rng.randrange(fld.q) for _ in range(cols)] for _ in range(rows)])
+
+
+def _dense_samples(fld):
+    """Random theta-Polys, t-Polys and BiPolys of mismatched shapes, with the
+    zero of each kind."""
+    return {
+        "theta": [rand_poly(fld, d) for d in (0, 3, 7)] + [Poly.zero(fld)],
+        "t": [rand_poly(fld, d, "t") for d in (1, 5)] + [Poly.zero(fld, "t")],
+        "bipoly": [rand_bipoly(fld, r, c) for r, c in ((1, 4), (3, 2), (5, 9))]
+        + [BiPoly.zero(fld)],
+    }
+
+
+def _constant_like(a, c):
+    const = Poly.constant(a.field, c, a.var)
+    return BiPoly.from_poly(const) if isinstance(a, BiPoly) else const
+
+
+@pytest.mark.parametrize("q", DENSE_QS)
+def test_dense_core_add_neg_sub_scale_hash(q):
+    fld = field(q)
+    for values in _dense_samples(fld).values():
+        for a in values:
+            assert (a + (-a)).is_zero and (-a + a).is_zero
+            padded = np.zeros(tuple(n + 2 for n in a.coeffs.shape), dtype=np.int64)
+            padded[tuple(map(slice, a.coeffs.shape))] = a.coeffs
+            same = BiPoly(fld, padded) if isinstance(a, BiPoly) else Poly(fld, padded, a.var)
+            assert same == a and hash(same) == hash(a)
+            for c in (0, 1, q - 1, -1, q + 1, rng.randrange(q)):
+                assert a.scale(c) == a * _constant_like(a, c), c
+            for b in values:
+                assert (a + b) - b == a
+                assert a + b == b + a and hash(a + b) == hash(b + a)
+                assert a - b == a + (-b)
+
+
+@pytest.mark.parametrize("q", DENSE_QS)
+def test_bipoly_from_poly_is_additive(q):
+    fld = field(q)
+    samples = _dense_samples(fld)
+    for var in ("theta", "t"):
+        for f in samples[var]:
+            for g in samples[var]:
+                assert BiPoly.from_poly(f + g) == BiPoly.from_poly(f) + BiPoly.from_poly(g)
+
+
+@pytest.mark.parametrize("q", DENSE_QS)
+def test_twist_is_the_q_power_and_inverts(q):
+    fld = field(q)
+    samples = _dense_samples(fld)
+    for f in samples["theta"]:
+        for n in (0, 1, 2):
+            assert f ** (q ** n) == frobenius_twist(f, n), (f, n)
+    for f in samples["t"]:
+        assert frobenius_twist(f, 2) == f
+    for a in samples["bipoly"]:
+        for b in samples["bipoly"]:
+            assert frobenius_twist(a * b, 1) == frobenius_twist(a, 1) * frobenius_twist(b, 1)
+    for h in samples["theta"] + samples["t"] + samples["bipoly"]:
+        assert inverse_twist(frobenius_twist(h, 1)) == h
+
+
+@pytest.mark.parametrize("q", DENSE_QS)
+def test_inverse_twist_rejects_any_row_off_the_q_lattice(q):
+    fld = field(q)
+    h = frobenius_twist(rand_bipoly(fld, 4, 3) + BiPoly.t_minus_theta_power(fld, 1, 3), 1)
+    rows, cols = h.coeffs.shape
+    for i in range(rows):
+        for j in (1, q - 1, q + 1):
+            bad = np.zeros((rows, max(cols, j + 1)), dtype=np.int64)
+            bad[i, j] = 1
+            with pytest.raises(DomainError, match="not divisible by q"):
+                inverse_twist(h + BiPoly(fld, bad))
+    with pytest.raises(DomainError, match="not divisible by q"):
+        inverse_twist(Poly.gen(fld).dilate(q) + Poly.gen(fld))
+
+
+def test_dense_core_rejects_mixed_operands():
+    f3 = field(3)
+    theta, t = Poly.gen(f3), Poly.gen(f3, "t")
+    bi = BiPoly.from_poly(theta)
+    for a, b in ((theta, bi), (bi, theta), (theta, t), (t, theta), (bi, t),
+                 (theta, Poly.gen(field(9)))):
+        with pytest.raises(DomainError):
+            a + b
+        with pytest.raises(DomainError):
+            a - b
+    for a in (theta, bi):
+        with pytest.raises(DomainError):
+            a ** -1
 
 
 def test_poly_eval_at_theta_power():
