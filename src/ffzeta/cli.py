@@ -35,10 +35,13 @@ def _meta(fld: Field = None) -> dict:
 
 
 def _emit(args, payload: dict, pretty: str):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(pretty)
+    out = json.dumps(payload, sort_keys=True, indent=2) if getattr(args, "json", False) else pretty
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:  # the reader stopped early (| head): end the output, not the command
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the final flush at exit stays silent
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +123,7 @@ def _cmd_indices_gmap(args):
 def _cmd_relations_hunt(args):
     fld = field(args.q)
     labels = [t.strip() for t in relations.split_top(args.labels, ",") if t.strip()]
-    values = [relations.eval_value_expr(fld, lab, args.prec) for lab in labels]
-    vec = relations.ValueVector.of(labels, values)
+    vec = relations.ValueVector.evaluate(fld, labels, args.prec)
     certs = relations.find_relations(vec, args.deg_bound)
     payload = {
         "labels": labels,
@@ -152,12 +154,12 @@ def _cmd_relations_verify(args):
                           f"{type(exc).__name__}: {exc}") from None
     if not certs:
         raise DomainError(f"no certificates in {args.cert}")
-    results = []
+    vectors, results = {}, []  # one evaluation per label set and doubled precision
     for cert in certs:
-        n2 = 2 * cert.prec
-        values = [relations.eval_value_expr(fld, lab, n2) for lab in cert.labels]
-        vec = relations.ValueVector.of(cert.labels, values)
-        results.append(relations.verify_relation(vec, cert))
+        key = (cert.labels, 2 * cert.prec)
+        if key not in vectors:
+            vectors[key] = relations.ValueVector.evaluate(fld, *key)
+        results.append(relations.verify_relation(vectors[key], cert))
     payload = {
         "cert_file": args.cert,
         "verified": results,
@@ -167,9 +169,7 @@ def _cmd_relations_verify(args):
     _emit(args, payload, "\n".join(
         f"certificate {i}: {'VERIFIED' if ok else 'FAILED'}" for i, ok in enumerate(results)
     ))
-    if not all(results):
-        return 2
-    return 0
+    return 0 if all(results) else 2
 
 
 def _cmd_relations_report(args):

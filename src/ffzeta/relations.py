@@ -5,12 +5,15 @@ of degree <= D annihilating the value vector through the working
 precision.  Vanishing of each 1/theta digit of sum c_i v_i is one F_q-linear
 equation in the m*(D+1) digit unknowns; the kernel of that system is the
 certificate list.  The margin rule (available digits >= unknowns + 20)
-keeps spurious kernels vanishingly rare (probability ~ q^{-20}), and every
-certificate must reverify at doubled precision before it is believed.
+and the reverification of every certificate at doubled precision keep
+most spurious kernels out, but not a near-relation that first shows past 2N.
 
-Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``;
-``eval_value_expr`` is the one grammar that turns a label into its value,
-for the value commands, the hunter, the verifier and the reports alike.
+Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``,
+which ``eval_value_expr`` evaluates.  ``ValueVector.evaluate`` is the one
+path from labels to a value vector, for the hunter, the verifier, the
+reports and the acceptance suite, and ``probe_valuation`` the one probe for
+a value's first digit.  A value vector refuses an entry that shows no digit,
+so a value that cannot be told from zero is never certified as zero.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anderson, linalg, zeta
-from .errors import DomainError, MarginError
+from .errors import DomainError, MarginError, ResolutionError
 from .indices import Index, coerce_index, g_map, is_g_independent
 from .laurent import INF, Laurent
 from .scalar import Field, Poly, RatFunc
@@ -42,10 +45,13 @@ class ValueVector:
         if not self.values:
             raise DomainError("empty value vector")
         fld = self.values[0].field
-        if any(v.field is not fld for v in self.values):
-            raise DomainError("mixed fields in value vector")
-        if any(v.is_exact_zero for v in self.values):
-            raise DomainError("exact-zero entries are not allowed in a value vector")
+        for label, v in zip(self.labels, self.values):
+            if v.field is not fld:
+                raise DomainError("mixed fields in value vector")
+            if v.is_exact_zero:
+                raise DomainError("exact-zero entries are not allowed in a value vector")
+            if v.is_zero_to_precision:
+                raise ResolutionError(f"{label} shows no digit through precision {v.prec}")
         precs = {v.prec for v in self.values}
         if len(precs) != 1 or INF in precs:
             raise MarginError(f"mixed precisions in value vector: {sorted(precs)}")
@@ -57,6 +63,19 @@ class ValueVector:
         if prec == INF:
             raise DomainError("at least one value must carry finite precision")
         return cls(tuple(labels), tuple(v.truncate(prec) for v in values))
+
+    @classmethod
+    def evaluate(cls, fld: Field, labels, prec: int):
+        """Evaluate every label at absolute precision prec, refusing a value
+        that shows no digit with the precision where the probe finds one."""
+        values = []
+        for label in labels:
+            v = eval_value_expr(fld, label, prec)
+            if v.is_zero_to_precision and not v.is_exact_zero:
+                raise ResolutionError(f"{label} shows no digit through precision {prec}; raise "
+                                      f"prec to at least {probe_valuation(fld, label, prec)}")
+            values.append(v)
+        return cls.of(labels, values)
 
     @property
     def field(self) -> Field:
@@ -120,6 +139,18 @@ def combine(values, coeffs) -> Laurent:
 def _margin_prec(min_val: int, unknowns: int) -> int:
     """The least prec that passes the margin rule at least valuation min_val."""
     return min_val + unknowns + MARGIN_DIGITS - 1
+
+
+def probe_valuation(fld: Field, label: str, prec: int):
+    """The valuation of a label's value, evaluated at prec, 2 prec, ...,
+    16 prec until a digit shows.  Nonvanishing is only ever checked
+    numerically, so a value that shows none raises ResolutionError."""
+    for probe in (prec, 2 * prec, 4 * prec, 8 * prec, 16 * prec):
+        v = eval_value_expr(fld, label, probe)
+        if not v.is_zero_to_precision:
+            return int(v.val)
+    raise ResolutionError(f"nonvanishing hypothesis unresolved for {label} "
+                          f"(no digit through precision {16 * prec})")
 
 
 def find_relations(vec: ValueVector, degree_bound: int):
@@ -217,9 +248,9 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     valuations can be large (a leading power-sum product can start hundreds
     of digits down), so every value is first probed for its valuation and
     then recomputed at a common absolute precision deep enough for the
-    margin rule.  A value whose leading digit stays invisible under probe
-    escalation makes the run inconclusive (the nonvanishing hypothesis is
-    only ever checked numerically).  A surviving certificate on a
+    margin rule.  A value whose leading digit ``probe_valuation`` does not
+    find makes the run inconclusive (the nonvanishing hypothesis is only
+    ever checked numerically).  A surviving certificate on a
     g-independent family is either a bug or a counterexample, so it must
     also reverify at quadrupled digit depth before the report flags an
     anomaly.
@@ -241,39 +272,21 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         "verdict": "",
     }
 
-    # probe pass: find each value's valuation, escalating while invisible
-    valuations = []
-    for label in labels:
-        probe = prec
-        while True:
-            v = eval_value_expr(fld, label, probe)
-            if not v.is_zero_to_precision:
-                valuations.append(int(v.val))
-                break
-            if probe >= 16 * prec:
-                report["verdict"] = (
-                    "inconclusive: nonvanishing hypothesis unresolved for "
-                    f"{label} (no digit through precision {probe})"
-                )
-                return report
-            probe *= 2
-
-    def vector_at(absprec):
-        return ValueVector.of(labels, [eval_value_expr(fld, lab, absprec) for lab in labels])
-
+    try:
+        valuations = [probe_valuation(fld, label, prec) for label in labels]
+    except ResolutionError as exc:
+        report["verdict"] = f"inconclusive: {exc}"
+        return report
     base = max(valuations) + prec
     least = _margin_prec(min(valuations), len(labels) * (degree_bound + 1)) - max(valuations)
     if prec < least:  # find_relations' margin rule at base, on this report's scale
         raise MarginError(f"margin rule: prec counts digits beyond the deepest valuation, "
                           f"{max(valuations)}; raise prec to {least}")
-    certs = find_relations(vector_at(base), degree_bound)
-    survivors = []
-    if certs:
-        vec2 = vector_at(2 * base)
-        survivors = [c for c in certs if verify_relation(vec2, c)]
+    survivors = find_relations(ValueVector.evaluate(fld, labels, base), degree_bound)
+    for absprec in (2 * base, 4 * base):
         if survivors:
-            vec4 = vector_at(4 * base)
-            survivors = [c for c in survivors if verify_relation(vec4, c)]
+            vec = ValueVector.evaluate(fld, labels, absprec)
+            survivors = [c for c in survivors if verify_relation(vec, c)]
     report["certificates"] = [c.to_json() for c in survivors]
     if survivors:
         report["verdict"] = (

@@ -371,8 +371,9 @@ class Poly(_Dense):
         if arr.ndim != 1:
             raise DomainError("coefficients must be one-dimensional")
         n = arr.size
-        while n > 0 and arr[n - 1] == 0:
-            n -= 1
+        if n and arr[-1] == 0:  # the O(1) check first, as in Laurent
+            nonzero = np.flatnonzero(arr)
+            n = int(nonzero[-1]) + 1 if nonzero.size else 0
         arr = arr[:n].copy()
         arr.flags.writeable = False
         self.field = field

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from ffzeta import acceptance
+from ffzeta.scalar import Poly, field
 
 
 @pytest.mark.parametrize(
@@ -28,3 +29,20 @@ def test_run_suite_quick_mode(capsys):
     assert rc == 0
     assert "SKIP 8-relation-hunter" in out
     assert out.count("PASS") == len(acceptance.CRITERIA) - 1
+
+
+def test_proportional():
+    fld = field(5)
+
+    def polys(*lists):
+        return tuple(Poly(fld, c) for c in lists)
+
+    a = polys([1, 2], [], [3])
+    assert acceptance._proportional(fld, a, a)
+    assert acceptance._proportional(fld, a, polys([2, 4], [], [1]))  # ratio 3
+    assert acceptance._proportional(fld, polys([], [1]), polys([], [4]))
+    assert not acceptance._proportional(fld, a, polys([2, 4], [], [2]))  # two ratios
+    assert not acceptance._proportional(fld, a, polys([1, 2], [1], [3]))  # zero pattern
+    assert not acceptance._proportional(fld, a, polys([1], [], [3]))  # degree
+    assert not acceptance._proportional(fld, polys([], [1]), polys([1], [1]))
+    assert not acceptance._proportional(fld, polys([], []), polys([], []))

@@ -2,6 +2,10 @@
 exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,77 @@ def test_relations_hunt_finds_carlitz_coincidence(capsys, tmp_path):
     # verify the saved certificate file
     rc, out = run_cli(capsys, "relations", "verify", "--cert", str(out_file))
     assert rc == 0 and "VERIFIED" in out
+
+
+BLIND_HUNT = ["relations", "hunt", "--q", "5", "--labels", "gnzeta(6),gnzeta(1,2,2,1)",
+              "--deg-bound", "0", "--prec", "100"]
+
+
+def test_hunt_refuses_a_value_that_shows_no_digit(capsys, tmp_path):
+    # gnzeta(1,2,2,1) starts at 1/theta^225, so at prec 100 it cannot be
+    # told from zero; the certificate [0, 1] would claim it is zero
+    out_file = tmp_path / "blind.json"
+    assert cli.main(BLIND_HUNT + ["--out", str(out_file)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not out_file.exists()
+    assert err == ("error: gnzeta(1,2,2,1) shows no digit through precision 100; "
+                   "raise prec to at least 225\n")
+
+
+def test_verify_refuses_a_certificate_on_a_value_that_shows_no_digit(capsys, tmp_path):
+    # the certificate an unguarded hunt writes for BLIND_HUNT: at 2N = 200
+    # the value still shows no digit, so its residual vanishes trivially
+    cert = {"labels": ["gnzeta(6)", "gnzeta(1,2,2,1)"], "coeffs": [[0], [1]], "q": 5,
+            "degree_bound": 0, "prec": 100, "residual_val": 100}
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps({"q": 5, "certificates": [cert]}), encoding="utf-8")
+    assert cli.main(["relations", "verify", "--cert", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert "VERIFIED" not in out
+    assert "gnzeta(1,2,2,1) shows no digit through precision 200" in err
+
+
+def test_verify_evaluates_once_per_label_set(capsys, tmp_path, monkeypatch):
+    both = tmp_path / "s3.json"
+    assert cli.main(["relations", "hunt", "--q", "3", "--labels",
+                     "zeta(3),zeta(1,2),zeta(2,1),prod(zeta(1),zeta(2))",
+                     "--deg-bound", "1", "--prec", "120", "--out", str(both)]) == 0
+    data = json.loads(both.read_text(encoding="utf-8"))
+    assert len(data["certificates"]) == 2
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(dict(data, certificates=data["certificates"][:1])),
+                   encoding="utf-8")
+    calls = []
+    evaluate = relations.eval_value_expr
+
+    def spy(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(relations, "eval_value_expr", spy)
+    counts = []
+    for path in (one, both):
+        calls.clear()
+        assert cli.main(["relations", "verify", "--cert", str(path)]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert capsys.readouterr().out.endswith("certificate 1: VERIFIED\n")
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # atpoly --q 2 --n 120 prints one 135 kB line, more than a pipe buffer
+    # holds, so the write meets the closed pipe
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys; from ffzeta.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", code, "atpoly", "--q", "2", "--n", "120"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_relations_report(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ffzeta import relations, zeta
-from ffzeta.errors import DomainError, MarginError
+from ffzeta.errors import DomainError, MarginError, ResolutionError
 from ffzeta.indices import compositions, independent_family
 from ffzeta.laurent import Laurent
 from ffzeta.relations import RelationCertificate, ValueVector
@@ -31,6 +31,25 @@ def test_value_vector_validation():
         ValueVector(("a",), (Laurent.zero(fld),))
     vec = ValueVector.of(["a", "b"], [v, rand_value(fld, 50)])
     assert vec.prec == 40
+    # a value that shows no digit cannot be told from zero, so no
+    # certificate may rest on it
+    with pytest.raises(ResolutionError, match="^b shows no digit through precision 40$"):
+        ValueVector.of(["a", "b"], [v, Laurent.zero_to_prec(fld, 40)])
+    with pytest.raises(ResolutionError, match="^b shows no digit"):
+        ValueVector.of(["a", "b"], [v, rand_value(fld, 50, val=45)])  # blind once truncated
+
+
+def test_evaluate_refuses_a_value_that_shows_no_digit():
+    # gnzeta(1,2,2,1) at q = 5 starts at 1/theta^225 (the CLI tests pin the
+    # refusal at prec 100); past 16 prec the probe gives up
+    fld = field(5)
+    labels = ["gnzeta(6)", "gnzeta(1,2,2,1)"]
+    with pytest.raises(ResolutionError, match=r"^nonvanishing hypothesis unresolved for "
+                       r"gnzeta\(1,2,2,1\) \(no digit through precision 160\)$"):
+        ValueVector.evaluate(fld, labels, 10)
+    assert relations.probe_valuation(fld, labels[1], 100) == 225
+    vec = ValueVector.evaluate(fld, labels, 225)
+    assert vec.prec == 225 and int(vec.values[1].val) == 225
 
 
 def test_margin_error():
@@ -192,6 +211,13 @@ def test_independence_report_trivial_family():
     assert report["verdict"].startswith("consistent")
     assert report["g_independent"]
     assert report["g_images"] == [[0]]
+
+
+def test_independence_report_inconclusive_on_a_blind_value():
+    report = relations.independence_report(field(5), [(6,), (1, 2, 2, 1)], 0, 10)
+    assert report["verdict"] == ("inconclusive: nonvanishing hypothesis unresolved for "
+                                 "gnzeta(1,2,2,1) (no digit through precision 160)")
+    assert report["certificates"] == []
 
 
 def test_independence_report_small_family():

@@ -356,6 +356,24 @@ def test_bipoly_trim_matches_the_loop(grid):
     assert not b.coeffs.flags.writeable and not np.shares_memory(b.coeffs, grid)
 
 
+def test_poly_trim_matches_the_loop():
+    def loop_trim(arr):
+        n = len(arr)
+        while n > 0 and arr[n - 1] == 0:
+            n -= 1
+        return arr[:n]
+
+    draw = random.Random(8)
+    cases = [[], [0], [0, 0, 0], [1, 2, 1], [2], [0, 0, 1], [1, 0, 0], [0, 2, 0, 0]]
+    cases += [[draw.choice((0, 0, 1, 2)) for _ in range(draw.randrange(8))] for _ in range(20)]
+    for coeffs in cases:
+        arr = np.array(coeffs, dtype=np.int64)
+        p = Poly(field(3), arr)
+        assert p.coeffs.tolist() == loop_trim(coeffs), coeffs
+        assert p.is_zero == (not any(coeffs))
+        assert not p.coeffs.flags.writeable and not np.shares_memory(p.coeffs, arr)
+
+
 def test_poly_gcd_normalised():
     fld = field(3)
     g = Poly(fld, [1, 1])  # theta + 1
