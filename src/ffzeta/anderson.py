@@ -11,7 +11,8 @@ The evaluator uses the derived evaluations Omega^(l)(theta) = 1/(pi~ L_l)
 (a consequence of the difference equation satisfied by Omega) so that the
 normalised value pi~^w * L(theta) stays inside k_infinity.  The values
 and the vanishing orders read partial sums of ``zeta._deformation_partials``,
-the twisted walk, which is also ``zeta.cmpl`` at constant inputs.  The
+the twisted walk, which divides by one bracket L_l / L_{l-1} per height l,
+not by L_l^{s_j} per term, and is ``zeta.cmpl`` at constant inputs.  The
 t-series L_{1..j} of the difference systems give ``zeta._nested_sum``, the
 one valuation-pruned walk, their own per-slot bound and factor.
 """

@@ -11,9 +11,10 @@ most spurious kernels out, but not a near-relation that first shows past 2N.
 Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``,
 which ``eval_value_expr`` evaluates.  ``ValueVector.evaluate`` is the one
 path from labels to a value vector, for the hunter, the verifier, the
-reports and the acceptance suite, and ``probe_valuation`` the one probe for
-a value's first digit.  A value vector refuses an entry that shows no digit,
-so a value that cannot be told from zero is never certified as zero.
+reports and the acceptance suite; ``leading_valuation`` predicts a value's
+first digit, and ``probe_valuation`` finds it for the rest.  A value vector
+refuses an entry that shows no digit, so a value that cannot be told from
+zero is never certified as zero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import anderson, linalg, zeta
 from .errors import DomainError, MarginError, ResolutionError
 from .indices import Index, coerce_index, g_map, is_g_independent
 from .laurent import INF, Laurent
-from .scalar import Field, Poly, RatFunc
+from .scalar import Field, Poly, RatFunc, carlitz_gamma
 
 MARGIN_DIGITS = 20
 
@@ -66,14 +67,21 @@ class ValueVector:
 
     @classmethod
     def evaluate(cls, fld: Field, labels, prec: int):
-        """Evaluate every label at absolute precision prec, refusing a value
-        that shows no digit with the precision where the probe finds one."""
+        """Evaluate every label once, at prec, refusing a value whose first digit
+        is not at its ``leading_valuation`` or that shows no digit."""
         values = []
         for label in labels:
             v = eval_value_expr(fld, label, prec)
-            if v.is_zero_to_precision and not v.is_exact_zero:
-                raise ResolutionError(f"{label} shows no digit through precision {prec}; raise "
-                                      f"prec to at least {probe_valuation(fld, label, prec)}")
+            want = leading_valuation(fld, label)
+            blind = v.is_zero_to_precision and not v.is_exact_zero
+            if blind and (want is None or want > prec):
+                least = probe_valuation(fld, label, prec) if want is None else want
+                raise ResolutionError(f"{label} shows no digit through precision {prec}; "
+                                      f"raise prec to at least {least}")
+            if want not in (None, v.val):
+                seen = "no digit" if blind else f"its first digit at {int(v.val)}"
+                raise ResolutionError(f"{label} shows {seen} through precision {prec}, but "
+                                      f"its leading term has valuation {want}")
             values.append(v)
         return cls.of(labels, values)
 
@@ -141,10 +149,24 @@ def _margin_prec(min_val: int, unknowns: int) -> int:
     return min_val + unknowns + MARGIN_DIGITS - 1
 
 
+def leading_valuation(fld: Field, expr: str):
+    """A power-sum label's valuation from its leading term (for gnzeta(s) = +-Gamma_{s_1}
+    ... Gamma_{s_r} zeta(s), less sum deg Gamma_{s_j}); None for cmpl, logc and pitilde."""
+    name, body = _split_label(expr)
+    if name in ("zeta", "amzv", "gnzeta"):
+        s = parse_index(split_top(body, ";")[0])
+        gamma = sum(carlitz_gamma(fld, n).degree for n in s) if name == "gnzeta" else 0
+        return zeta.mzv_valuation(fld, s) - gamma
+    if name == "prod":
+        vals = [leading_valuation(fld, sub) for sub in split_top(body, ",")]
+        return None if None in vals else sum(vals)
+    return None
+
+
 def probe_valuation(fld: Field, label: str, prec: int):
     """The valuation of a label's value, evaluated at prec, 2 prec, ...,
-    16 prec until a digit shows.  Nonvanishing is only ever checked
-    numerically, so a value that shows none raises ResolutionError."""
+    16 prec until a digit shows, for labels ``leading_valuation`` does not
+    cover: a value that shows none raises ResolutionError."""
     for probe in (prec, 2 * prec, 4 * prec, 8 * prec, 16 * prec):
         v = eval_value_expr(fld, label, probe)
         if not v.is_zero_to_precision:
@@ -246,11 +268,11 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
 
     ``prec`` counts digits beyond the deepest valuation in the family:
     valuations can be large (a leading power-sum product can start hundreds
-    of digits down), so every value is first probed for its valuation and
-    then recomputed at a common absolute precision deep enough for the
-    margin rule.  A value whose leading digit ``probe_valuation`` does not
-    find makes the run inconclusive (the nonvanishing hypothesis is only
-    ever checked numerically).  A surviving certificate on a
+    of digits down), so each value's valuation is taken from its leading
+    term (``leading_valuation``), and every value is evaluated once, at a
+    common absolute precision deep enough for the margin rule.  A value
+    whose first digit is not at that valuation raises ResolutionError, and
+    the report certifies nothing.  A surviving certificate on a
     g-independent family is either a bug or a counterexample, so it must
     also reverify at quadrupled digit depth before the report flags an
     anomaly.
@@ -272,11 +294,7 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         "verdict": "",
     }
 
-    try:
-        valuations = [probe_valuation(fld, label, prec) for label in labels]
-    except ResolutionError as exc:
-        report["verdict"] = f"inconclusive: {exc}"
-        return report
+    valuations = [leading_valuation(fld, label) for label in labels]
     base = max(valuations) + prec
     least = _margin_prec(min(valuations), len(labels) * (degree_bound + 1)) - max(valuations)
     if prec < least:  # find_relations' margin rule at base, on this report's scale
@@ -381,6 +399,14 @@ def split_top(text: str, sep: str):
     return parts
 
 
+def _split_label(expr: str):
+    """(name, body) of a label name(body)."""
+    m = re.match(r"^([a-z]+)\((.*)\)$", expr.strip())
+    if not m:
+        raise DomainError(f"malformed value expression {expr.strip()!r}")
+    return m.group(1), m.group(2)
+
+
 def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
     """Evaluate one label at absolute 1/theta precision prec.
 
@@ -389,11 +415,7 @@ def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
     gnzeta(s1,...) for the Gamma-normalised value via the deformation
     evaluator, and prod(expr,expr,...) for products.
     """
-    expr = expr.strip()
-    m = re.match(r"^([a-z]+)\((.*)\)$", expr)
-    if not m:
-        raise DomainError(f"malformed value expression {expr!r}")
-    name, body = m.group(1), m.group(2)
+    name, body = _split_label(expr)
     if name == "zeta":
         return zeta.mzv(fld, parse_index(body), prec)
     if name == "amzv":

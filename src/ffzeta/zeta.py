@@ -19,8 +19,8 @@ memoised per (q, d, n) at the highest prec seen; it and the exact power
 sums go through ``cache.remember``, the package's one memo policy.
 
 L_i, Gamma_n and pi~^{q-1} are each a power of theta times a product of
-factors (1 - theta^{-gap}), so every division by them (``_over_l_power``,
-the power sums, ``carlitz_period_power``) is a few strided running sums,
+factors (1 - theta^{-gap}), so every division by them (the power sums,
+the twisted walk, ``carlitz_period_power``) is a few strided running sums,
 ``backend.unit_quotient_mod``, with no memo and no Newton reciprocal.
 
 mzv, amzv, cmpl and the deformation series in ``anderson`` are nested
@@ -37,11 +37,11 @@ a sign weight eps_j^l included.  Two walks give it those, both here:
   sign prefix) at the highest prec seen, and a call sweeps only the slots
   past its longest prefix already walked;
 * the twisted walk, ``_deformation_partials``, over Frobenius heights
-  with factors Q_j^{(l)}(theta^{q^P}) / L_{l-P}^{q^P s_j} at the point
+  with terms Q_j^{(l)}(theta^{q^P}) / L_{l-P}^{q^P s_j} at the point
   theta^{q^P}, P = 0 or 1, serves the
   deformation values and vanishing orders of ``anderson``, and cmpl and
   carlitz_log as its constant-input case: a constant's twist is its
-  q^l-th power.
+  q^l-th power, and a step down divides by one bracket theta - theta^{q^u}.
 """
 
 from __future__ import annotations
@@ -118,29 +118,20 @@ def _divide_by_units(x: Laurent, factors) -> Laurent:
     return Laurent(x.field, x.val, backend.unit_quotient_mod(window, factors, x.field), x.prec)
 
 
-def _over_l_power(x: Laurent, i: int, s: int) -> Laurent:
-    """x / L_i^s, exact through x.prec + s deg L_i (x.prec finite), from
-    L_i = (-1)^i theta^{e_i} prod_{j=1..i} (1 - theta^{1-q^j}) with
-    e_i = q + ... + q^i = deg L_i."""
-    q = x.field.q
-    value = _divide_by_units(x.shift(s * ((q ** (i + 1) - q) // (q - 1))),
-                             [(q ** j - 1, s) for j in range(1, i + 1)])
-    return -value if i * s % 2 else value
-
-
-def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
+def _power_sum_from_identity(fld: Field, d: int, n: int, prec=None) -> Laurent:
     """S_d(n) for d >= 1, exact through prec, from the interpolation
     identity Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n.
 
     With D_i = theta^{i q^i} prod_{j<i} (1 - theta^{q^j-q^i}) and n - 1 =
     sum n_i q^i, Gamma_n = prod D_i^{n_i} is theta^{deg Gamma_n} times a unit
-    with leading digit 1, and so is (-1)^d L_d (``_over_l_power``).  With
-    c = n e_d + deg Gamma_n, the numerator is theta^{-c} H_{n-1}^{(d)}(theta),
-    whose monomial h_ij t^i theta^j ``Laurent.from_bipoly`` places at
-    1/theta-exponent c - i - j q^d, reading only the columns that reach prec.
-    Dividing it by both units, strided running sums in ``backend``, gives
-    S_d(n) up to the sign (-1)^{nd}.  The memo of ``power_sum_series``
-    serves repeated S_d(n).
+    with leading digit 1, and so is (-1)^d L_d = theta^{e_d} prod_{j<=d} (1 -
+    theta^{1-q^j}).  With c = n e_d + deg Gamma_n, the numerator is theta^{-c}
+    H_{n-1}^{(d)}(theta), whose monomial h_ij t^i theta^j
+    ``Laurent.from_bipoly`` places at 1/theta-exponent c - i - j q^d,
+    reading only the columns that reach prec (with no prec, the top column
+    and what collides with it: the first digit).  Dividing it by both
+    units, strided running sums in ``backend``, gives S_d(n) up to the sign
+    (-1)^{nd}.  The memo of ``power_sum_series`` serves repeated S_d(n).
     """
     from . import anderson  # anderson imports this module: bound at call time
 
@@ -158,9 +149,21 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec: int) -> Laurent:
         units += [(q ** i - q ** j, digit) for j in range(i)]
         deg_gamma += digit * i * q ** i
     c = n * (q * (step - 1) // (q - 1)) + deg_gamma
-    numer = Laurent.from_bipoly(anderson.at_polynomial(fld, n - 1), 1, step, prec - c).shift(c)
+    h = anderson.at_polynomial(fld, n - 1)
+    prec = c - (h.coeffs.shape[1] - 1) * step if prec is None else prec
+    numer = Laurent.from_bipoly(h, 1, step, prec - c).shift(c)
     value = _divide_by_units(numer, units)
     return -value if n * d % 2 else value
+
+
+def mzv_valuation(fld: Field, s) -> int:
+    """val zeta_A(s) = sum_j val S_{r-j}(s_j), from the leading term: for
+    fixed n, val S_d(n) strictly increases in d (Thakur, Finite Fields
+    Appl. 15 (2009)), so among d_1 > ... > d_r >= 0 the term d = (r-1, ...,
+    0) alone has the least valuation; amzv's signs are units."""
+    s = coerce_index(s)
+    return sum(int(_power_sum_from_identity(fld, s.depth - 1 - j, n).val)
+               for j, n in enumerate(s[:-1]))
 
 
 def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
@@ -203,7 +206,7 @@ def _validate_signs(fld: Field, s: Index, eps):
     return out
 
 
-def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None) -> list:
+def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None, carry=None) -> list:
     """[P_0[lo], ..., P_{r-1}[lo]], each exact through prec and truncated
     to it, or None where a partial has no term (its caller knows the zero).
 
@@ -221,7 +224,9 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None) -> list:
     ``level(j, sweep)`` when a caller gives one, else from ``sweep()``,
     which computes them from slot j-1's: a caller whose sums depend only on
     the slots so far can serve them from a memo, exact through cap_j or
-    beyond.
+    beyond.  With ``carry``, slot j sums T_j[l] = g_j(l) P_j[l], g_j(lo) =
+    1, and factor(j, l, .) is g_j(l) / g_{j-1}(l) times the slot term:
+    ``carry(j, l + 1, T_j[l+1], cap_j)`` is g_j(l) P_j[l+1], read at l.
     """
     caps = [prec] * r
     for j in range(r - 2, -1, -1):
@@ -242,6 +247,8 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None) -> list:
                 term = factor(j, l, cap - above(l))
                 if j:
                     term = term * below[l + 1 - lo]
+                if carry is not None and acc is not None:
+                    acc = sums[l + 1 - lo] = carry(j, l + 1, acc, cap)
                 acc = (term if acc is None else acc + term).truncate(cap)
                 sums[l - lo] = acc
             return sums
@@ -357,30 +364,39 @@ def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -
 def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:
     """pi~^{w_j q^P} * L_{s_1..s_j}(theta^{q^P}), w_j = s_1 + ... + s_j, for
     j = 1..len(qs), from one walk and each exact through prec; the inputs
-    are nonzero, and signs[j]^l weights the slot j term at l."""
+    are nonzero.  Slot j's term is N_j(l) / L_{l-P}^{q^P s_j}, N_j(l) =
+    Q_j^{(l)}(theta^{q^P}) signs[j]^l; the walk sums L_{l-P}^w P_j[l], w =
+    q^P (s_1 + ... + s_{j+1}), so a step down divides by (L_u / L_{u-1})^w."""
     q = fld.q
     P = point_power
     # (max theta-degree, t-degree) of each input, for valuation pruning
     profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
                 for item in qs]
 
-    def denom_deg(j, ell):
-        # valuation of L_{ell-P}^{q^P s_j}
-        return q ** P * s[j] * ((q ** (ell - P + 1) - q) // (q - 1))
+    def deg_l(u):
+        return (q ** (u + 1) - q) // (q - 1)
 
     def val_bound(j, ell):
         # val(Q^(ell)(theta^{q^P})) >= -(m q^ell + tdeg q^P); increasing in
         # ell exactly under the strict convergence condition
         m, tdeg = profiles[j]
-        return denom_deg(j, ell) - m * q ** ell - tdeg * q ** P
+        return q ** P * s[j] * deg_l(ell - P) - m * q ** ell - tdeg * q ** P
 
     def factor(j, ell, out_prec):
-        numer = _twisted_value_at_point(fld, qs[j], ell, P, out_prec - denom_deg(j, ell))
-        term = _over_l_power(numer, ell - P, q ** P * s[j])
-        return term if signs is None else term.scale(fld.pow(signs[j], ell))
+        p = out_prec - q ** P * s[j] * deg_l(ell - P)
+        numer = _twisted_value_at_point(fld, qs[j], ell, P, p)
+        return numer if signs is None else numer.scale(fld.pow(signs[j], ell))
+
+    def carry(j, ell, x, cap):
+        # T_j[ell] / b_u^w, u = ell - P, exact through cap - w deg L_{u-1}:
+        # 1/b_u = -theta^{-q^u} / (1 - theta^{1-q^u})
+        u, w = ell - P, q ** P * sum(s[: j + 1])
+        x = x.shift(w * q ** u).truncate(cap - w * deg_l(u - 1))
+        x = _divide_by_units(x, [(q ** u - 1, w)])
+        return -x if w % 2 else x
 
     return [Laurent.zero_to_prec(fld, prec) if part is None else part
-            for part in _nested_sum(len(qs), P, val_bound, factor, prec)]
+            for part in _nested_sum(len(qs), P, val_bound, factor, prec, carry=carry)]
 
 
 def cmpl(fld: Field, s, points, prec) -> Laurent:

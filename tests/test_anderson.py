@@ -608,9 +608,10 @@ def test_vanishing_orders_walk_once(monkeypatch):
     calls = []
     real = zeta._nested_sum
 
-    def spy(r, *args):
+    def spy(r, lo, bound, factor, prec, level=None, carry=None):
         calls.append(r)
-        return real(r, *args)
+        assert carry is not None  # the twisted walk carries its brackets
+        return real(r, lo, bound, factor, prec, level, carry)
 
     monkeypatch.setattr(zeta, "_nested_sum", spy)
     assert anderson.vanishing_order_profile(fld, s, at_inputs(fld, s), 16, 400) == g_map(s)

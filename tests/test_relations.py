@@ -41,15 +41,56 @@ def test_value_vector_validation():
 
 def test_evaluate_refuses_a_value_that_shows_no_digit():
     # gnzeta(1,2,2,1) at q = 5 starts at 1/theta^225 (the CLI tests pin the
-    # refusal at prec 100); past 16 prec the probe gives up
+    # refusal at prec 100); its leading term names that valuation at any prec
     fld = field(5)
     labels = ["gnzeta(6)", "gnzeta(1,2,2,1)"]
-    with pytest.raises(ResolutionError, match=r"^nonvanishing hypothesis unresolved for "
-                       r"gnzeta\(1,2,2,1\) \(no digit through precision 160\)$"):
+    with pytest.raises(ResolutionError, match=r"^gnzeta\(1,2,2,1\) shows no digit through "
+                       r"precision 10; raise prec to at least 225$"):
         ValueVector.evaluate(fld, labels, 10)
     assert relations.probe_valuation(fld, labels[1], 100) == 225
     vec = ValueVector.evaluate(fld, labels, 225)
     assert vec.prec == 225 and int(vec.values[1].val) == 225
+    # the probe still names the first digit of the labels the leading term
+    # does not cover
+    with pytest.raises(ResolutionError, match=r"^logc\(1/theta\^5\) shows no digit through "
+                       r"precision 3; raise prec to at least 5$"):
+        ValueVector.evaluate(field(3), ["zeta(1)", "logc(1/theta^5)"], 3)
+
+
+TIER1_LABELS = {
+    2: ["zeta(1)", "zeta(3)", "gnzeta(3)", "zeta(1,1,1,1,1)"],
+    3: ["zeta(3)", "zeta(1,2)", "zeta(2,1)", "prod(zeta(1),zeta(2))", "amzv(2,1;-1,1)",
+        "zeta(2,1,2)", "gnzeta(2)", "gnzeta(1,3)"]
+       + [f"gnzeta({','.join(map(str, s))})" for w in (4, 5, 8) for r in (2, 3)
+          for s in independent_family(w, r, 3)],
+    5: ["zeta(1,2,2,1)", "gnzeta(6)", "gnzeta(1,2,2,1)", "gnzeta(2,2,2)"],
+}
+
+
+@pytest.mark.parametrize("q", sorted(TIER1_LABELS))
+def test_leading_valuation_equals_the_probe(q):
+    fld = field(q)
+    for label in TIER1_LABELS[q]:
+        assert relations.leading_valuation(fld, label) == relations.probe_valuation(fld, label, 60), label
+    for label in ("cmpl(2,1;theta;1)", "logc(1)", "pitilde(1)", "prod(zeta(1),logc(1))"):
+        assert relations.leading_valuation(fld, label) is None
+
+
+def test_evaluate_refuses_a_first_digit_off_the_leading_term(monkeypatch):
+    fld = field(3)
+    labels = ["zeta(3)", "zeta(1,2)"]
+    real = relations.leading_valuation
+    monkeypatch.setattr(relations, "leading_valuation",
+                        lambda f, label: real(f, label) + (label == "zeta(1,2)"))
+    with pytest.raises(ResolutionError, match=r"^zeta\(1,2\) shows its first digit at 3 "
+                       r"through precision 60, but its leading term has valuation 4$"):
+        ValueVector.evaluate(fld, labels, 60)
+    # a prediction past the first digit is refused too, not mistaken for a
+    # value that cannot be told from zero
+    monkeypatch.setattr(relations, "leading_valuation",
+                        lambda f, label: real(f, label) - (label == "zeta(1,2)"))
+    with pytest.raises(ResolutionError, match="leading term has valuation 2$"):
+        ValueVector.evaluate(fld, labels, 2)
 
 
 def test_margin_error():
@@ -213,11 +254,37 @@ def test_independence_report_trivial_family():
     assert report["g_images"] == [[0]]
 
 
-def test_independence_report_inconclusive_on_a_blind_value():
+def test_independence_report_conclusive_on_a_value_deeper_than_prec():
+    # gnzeta(1,2,2,1) starts 225 digits down, far past 16 N: its leading
+    # term gives that valuation, so the report reaches it
     report = relations.independence_report(field(5), [(6,), (1, 2, 2, 1)], 0, 10)
-    assert report["verdict"] == ("inconclusive: nonvanishing hypothesis unresolved for "
-                                 "gnzeta(1,2,2,1) (no digit through precision 160)")
+    assert report["verdict"] == "consistent with the independence criterion up to (D=0, N=10)"
     assert report["certificates"] == []
+
+
+def test_independence_report_evaluates_each_label_once(monkeypatch):
+    fld = field(5)
+    family = [(6,), (1, 2, 2, 1), (2, 2, 2)]
+    calls = []
+    real = relations.eval_value_expr
+
+    def spy(f, label, prec):
+        calls.append(label)
+        return real(f, label, prec)
+
+    monkeypatch.setattr(relations, "eval_value_expr", spy)
+    report = relations.independence_report(fld, family, 2, 100)
+    assert report["verdict"].startswith("consistent")
+    assert sorted(calls) == sorted(["gnzeta(6)", "gnzeta(1,2,2,1)", "gnzeta(2,2,2)"])
+
+
+def test_independence_report_refuses_a_first_digit_off_the_leading_term(monkeypatch):
+    real = relations.leading_valuation
+    monkeypatch.setattr(relations, "leading_valuation",
+                        lambda f, label: real(f, label) + (label == "gnzeta(1,2,2,1)"))
+    with pytest.raises(ResolutionError, match=r"^gnzeta\(1,2,2,1\) shows its first digit at 225 "
+                       r"through precision 236, but its leading term has valuation 226$"):
+        relations.independence_report(field(5), [(6,), (1, 2, 2, 1)], 0, 10)
 
 
 def test_independence_report_small_family():

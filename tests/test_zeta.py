@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ffzeta import anderson, cache, zeta
+from ffzeta import anderson, backend, cache, zeta
 from ffzeta.errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from ffzeta.laurent import Laurent
 from ffzeta.scalar import Poly, RatFunc, bracket_L, carlitz_gamma, field
@@ -228,11 +228,13 @@ def test_walk_memo_sweeps_only_the_slots_past_its_prefix(monkeypatch):
 
 # -- the nested-sum walk ----------------------------------------------------------
 
-def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
+def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None, carry=None):
     """Oracle: the walk before the suffix form, one product per admissible
     tuple l_1 > ... > l_r >= lo (sign weights now live in the factors).  Slot pos is visited at l while the least
     completion keeps the bound sum <= prec, and asked for prec minus the
-    least sum the other slots can still reach."""
+    least sum the other slots can still reach.  With ``carry``, each
+    tuple's product is carried from its top height m = l_1 down to lo + 1
+    by the carry of slot k, the last slot at height >= m."""
     total = Laurent.zero(fld)
     chosen = [0] * r
 
@@ -249,6 +251,8 @@ def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
             if pos:
                 walk(pos - 1, l + 1, acc + b, term)
             else:
+                for m in range(chosen[0], lo, -1) if carry else ():
+                    term = carry(max(k for k in range(r) if chosen[k] >= m), m, term, prec)
                 total = total + term
             l += 1
 
@@ -259,10 +263,35 @@ def _tuple_walk(fld, r, lo, bound, factor, prec, visits=None):
 def _over_tuple_walk(fld, calls=None):
     """``_nested_sum``'s signature over the oracle: only the last partial,
     with no per-level memo; each call is counted in ``calls``."""
-    def walk(r, lo, bound, factor, prec, level=None):
+    def walk(r, lo, bound, factor, prec, level=None, carry=None):
         if calls is not None:
             calls.append(r)
-        return [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, factor, prec)]
+        return [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, factor, prec, carry=carry)]
+
+    return walk
+
+
+def _over_l_power(x, i, s):
+    """x / L_i^s, exact through x.prec + s deg L_i (x.prec finite), from
+    L_i = (-1)^i theta^{e_i} prod_{j=1..i} (1 - theta^{1-q^j}) with
+    e_i = q + ... + q^i = deg L_i: every factor of L_i^s in one quotient."""
+    q = x.field.q
+    value = zeta._divide_by_units(x.shift(s * ((q ** (i + 1) - q) // (q - 1))),
+                                  [(q ** j - 1, s) for j in range(1, i + 1)])
+    return -value if i * s % 2 else value
+
+
+def _quotient_tuple_walk(fld, s, point_power=0):
+    """``_nested_sum``'s signature over the tuple oracle of the twisted walk
+    without its carry: each numerator N_j(l) is divided by all of
+    L_{l-P}^{q^P s_j} by ``_over_l_power``, and the products summed."""
+    scale = fld.q ** point_power
+
+    def walk(r, lo, bound, factor, prec, level=None, carry=None):
+        def quotient(j, l, p):
+            return _over_l_power(factor(j, l, p), l - point_power, scale * s[j])
+
+        return [None] * (r - 1) + [_tuple_walk(fld, r, lo, bound, quotient, prec)]
 
     return walk
 
@@ -371,6 +400,62 @@ def test_cmpl_and_deformation_value_match_the_tuple_walk(monkeypatch):
     new = values()
     monkeypatch.setattr(zeta, "_nested_sum", _over_tuple_walk(fld))
     assert new == values()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_twisted_walk_matches_the_quotient_sum_over_tuples(monkeypatch, q):
+    # bit for bit: the carried brackets against sum N / L^sigma per tuple
+    fld = field(q)
+    theta, one = Poly.gen(fld), Poly.one(fld)
+    pts = [RatFunc.from_poly(theta), RatFunc(one, theta + one), q - 1]
+    real = zeta._nested_sum
+    for s in [(1,), (3,), (2, 1), (1, 2), (1, 1, 1), (2, 1, 2)]:
+        at = [anderson.at_polynomial(fld, sj - 1) for sj in s]
+        eps = [1 + (j + 1) % (q - 1) for j in range(len(s))]  # units of F_q
+        cases = [(0, lambda: anderson.deformation_value(fld, s, at, 150)),
+                 (0, lambda: anderson.deformation_value(fld, s, at, 150, eps=eps)),
+                 (1, lambda: anderson.deformation_value(fld, s, at, 300, point_power=1)),
+                 (0, lambda: zeta.cmpl(fld, s, pts[: len(s)], 200)),
+                 (1, lambda: anderson.deformation_value(fld, s, pts[: len(s)], 300, point_power=1))]
+        for point_power, value in cases:
+            monkeypatch.setattr(zeta, "_nested_sum", real)
+            new = value()
+            monkeypatch.setattr(zeta, "_nested_sum", _quotient_tuple_walk(fld, s, point_power))
+            assert value() == new, (s, point_power)
+
+
+def test_twisted_walk_divides_by_one_bracket_per_call(monkeypatch):
+    fld = field(3)
+    theta = Poly.gen(fld)
+    s = (2, 1, 2)
+    at = [anderson.at_polynomial(fld, sj - 1) for sj in s]
+    gaps, visits, calls = [], [], itertools.count()
+    quotient, walk = backend.unit_quotient_mod, zeta._nested_sum
+
+    def spy(a, factors, f):
+        gaps.append(len(factors))
+        return quotient(a, factors, f)
+
+    def counted(r, lo, bound, factor, prec, level=None, carry=None):
+        call = next(calls)
+
+        def visit(j, l, p):
+            visits.append((call, j))
+            return factor(j, l, p)
+
+        return walk(r, lo, bound, visit, prec, level, carry)
+
+    monkeypatch.setattr(backend, "unit_quotient_mod", spy)
+    monkeypatch.setattr(zeta, "_nested_sum", counted)
+    anderson.deformation_value(fld, s, at, 300)
+    anderson.deformation_value(fld, s, at, 300, eps=[1, -1, 1])
+    anderson.vanishing_order_profile(fld, s, at, 8, 300)
+    zeta.cmpl(fld, s, [theta, 1, RatFunc(Poly.one(fld), theta)], 300)
+    zeta.carlitz_log(fld, 1, 1500)
+    # one call per visited (slot, height) but the lowest of each slot, and
+    # every call one gap
+    assert set(gaps) == {1}
+    assert len(gaps) == len(visits) - len(set(visits))
 
 
 # -- multizeta -------------------------------------------------------------------
@@ -564,7 +649,7 @@ def _own_walk_cmpl(fld, s, points, prec):
     def factor(j, i, out_prec):
         u_prec = out_prec - s[j] * ((q ** (i + 1) - q) // (q - 1))
         upart = Laurent.from_ratfunc(us[j], max(u_prec // q ** i + 1, vus[j]))
-        return zeta._over_l_power(upart.qth_power(i, out_prec=u_prec), i, s[j])
+        return _over_l_power(upart.qth_power(i, out_prec=u_prec), i, s[j])
 
     last = zeta._nested_sum(len(s), 0, phi, factor, prec)[-1]
     return Laurent.zero_to_prec(fld, prec) if last is None else last
@@ -623,9 +708,9 @@ def test_over_l_power_without_digits_is_zero_to_prec():
     # x / L_4^3 at q=2 starts 90 places past val x: x = 1 + O(theta^11)
     # leaves no digit through prec 80, which the quotient says, not raises
     fld = field(2)
-    empty = zeta._over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
+    empty = _over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
     assert empty.is_zero_to_precision and not empty.is_exact_zero and empty.prec == 80
-    first = zeta._over_l_power(Laurent(fld, 0, [1], 0), 4, 3)
+    first = _over_l_power(Laurent(fld, 0, [1], 0), 4, 3)
     assert (first.val, first.prec, first.coeffs.tolist()) == (90, 90, [1])
 
 
@@ -638,12 +723,12 @@ def test_l_power_inverse_without_digits_raises_in_any_memo_state(first):
     l_cube = Laurent.from_poly(bracket_L(fld, 4) ** 3)
     cache.clear_memos()
     for prec in first:
-        assert zeta._over_l_power(Laurent(fld, 0, [1], prec - 90), 4, 3).val == 90
+        assert _over_l_power(Laurent(fld, 0, [1], prec - 90), 4, 3).val == 90
     with pytest.raises(DomainError, match="no digits"):
         l_cube.inv(prec=80)
-    empty = zeta._over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
+    empty = _over_l_power(Laurent(fld, 0, [1], -10), 4, 3)
     assert empty.is_zero_to_precision and empty.prec == 80
-    assert zeta._over_l_power(Laurent(fld, 0, [1], 0), 4, 3) == l_cube.inv(prec=90)
+    assert _over_l_power(Laurent(fld, 0, [1], 0), 4, 3) == l_cube.inv(prec=90)
 
 
 def _newton_period_power(fld, m, prec):
@@ -714,7 +799,24 @@ def test_over_l_power_matches_newton_inverse(q):
                 if x.is_zero_to_precision:
                     continue
                 inv = Laurent.from_poly(bracket_L(fld, i) ** s).inv(prec=prec + s * deg_l - int(x.val))
-                assert zeta._over_l_power(x, i, s) == x * inv, (i, s, prec)
+                assert _over_l_power(x, i, s) == x * inv, (i, s, prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_over_l_power_is_one_bracket_at_a_time(q):
+    # the twisted walk's carry: L_i = b_1 ... b_i, b_u = theta - theta^{q^u}
+    # = -theta^{q^u} (1 - theta^{1-q^u}), so dividing by b_1^s, ..., b_i^s
+    # one at a time is dividing by L_i^s
+    fld, draw = field(q), random.Random(q)
+    for i in range(4):
+        for s in (1, 2, fld.p, 2 * q + 1):
+            for prec in (-3, 17, 90):
+                x = Laurent(fld, -3, [draw.randrange(1, q)] + [draw.randrange(q) for _ in range(prec + 3)], prec)
+                y = x
+                for u in range(1, i + 1):
+                    y = zeta._divide_by_units(y.shift(s * q ** u), [(q ** u - 1, s)])
+                    y = -y if s % 2 else y
+                assert y == _over_l_power(x, i, s), (i, s, prec)
 
 
 def test_period_valuation_and_power_law():
