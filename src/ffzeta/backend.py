@@ -4,9 +4,14 @@ coefficient arrays are stored.
 Arrays are int64 and hold canonical field elements 0..q-1.  For q = p^e
 the base-p digits of an element are the coefficients of its residue
 polynomial in y modulo ``Field.irreducible``, so an array splits into e
-digit planes over F_p.  A product of arrays is computed over F_p, one
-product per pair of planes, and the y-degree is then reduced modulo the
-irreducible; for e = 1 that is the prime-field product alone.  These are
+digit planes over F_p.  Everything that depends on the field alone is
+built once by ``Field`` and read here: an array splits into its planes by
+one gather from the e x q digit table ``Field._digits``; a product of
+arrays is computed over F_p, one product per pair of planes, into the
+2e - 1 coefficient planes of y^0..y^{2e-2}, which one product with the
+e x (2e-1) fold matrix ``Field._fold`` reduces modulo the irreducible;
+and the e planes recombine through the place values ``Field._powers``.
+For e = 1 that is the prime-field product alone.  These are
 the inner loops that dominate runtime: polynomial convolution, truncated
 series reciprocals, quotients by products of units (1 - x^gap)^m, matrix
 products and Gaussian elimination.  The power-sum digit DP,
@@ -78,30 +83,28 @@ def _pack(a, width):
 
 
 def _planes(a, fld):
-    """The e base-p digit planes of an F_q array, stacked on a new first axis."""
-    powers = fld.p ** np.arange(fld.e)
-    return a // powers.reshape((-1,) + (1,) * a.ndim) % fld.p
+    """The e base-p digit planes of an F_q array, stacked on a new first
+    axis: one gather from the field's digit table."""
+    return fld._digits.take(a, axis=1).astype(np.int64)
 
 
 def _reduce_y(c, fld):
     """The F_q array whose digit planes are the F_p[y] polynomial with
-    coefficient planes c[0..2e-2] (int64, any size), reduced modulo the
-    irreducible; c is overwritten."""
-    p, e = fld.p, fld.e
-    c %= p
-    # y^k = y^(k-e) * y^e and y^e = -(f_0 + f_1 y + ... + f_{e-1} y^(e-1))
-    f = fld.irreducible
-    for k in range(2 * e - 2, e - 1, -1):
-        for i in range(e):
-            if f[i]:
-                c[k - e + i] = (c[k - e + i] - f[i] * c[k]) % p
-    return (p ** np.arange(e) @ c[:e].reshape(e, -1)).reshape(c.shape[1:])
+    coefficient planes c[0..2e-2] (int64, any size, entries not yet
+    reduced mod p), reduced modulo the irreducible by the field's fold
+    matrix."""
+    planes = fld._fold @ c.reshape(c.shape[0], -1) % fld.p
+    return (fld._powers @ planes).reshape(c.shape[1:])
 
 
 def _extension_product(a, b, fld, mul, shape):
     """Product over F_{p^e} (e > 1) of two arrays whose F_p product ``mul``
-    has the given shape: ``mul`` runs once per pair of nonzero digit
-    planes, and the y-degree is then reduced."""
+    has the given shape.  Both operands split into digit planes by one
+    gather each from ``Field._digits``; ``mul`` runs once per pair of
+    nonzero planes, and plane pair (i, j) adds into the coefficient of
+    y^(i+j).  The 2e - 1 coefficient planes then fold onto e by one
+    product with ``Field._fold`` and recombine through ``Field._powers``.
+    """
     e = fld.e
     planes_a, planes_b = _planes(a, fld), _planes(b, fld)
     c = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
@@ -129,8 +132,10 @@ def convolve_mod(a, b, fld):
 
 def matmul_mod(a, b, fld):
     """Matrix product of 2-D F_q arrays.  An entry of an F_p product is
-    below cols (p-1)^2 < 2^63, so int64 holds it before the one reduction;
-    for e > 1 the digit planes multiply pairwise, as in a convolution."""
+    below n (p-1)^2 for inner dimension n, so int64 holds it before the one
+    reduction; for e > 1 the digit planes multiply pairwise, as in a
+    convolution, and the fold raises the bound to (2e-1) e n (p-1)^3,
+    below 2^63 while n < 2^36."""
     if fld.e == 1:
         return a @ b % fld.p
     return _extension_product(a, b, fld, np.matmul, (a.shape[0], b.shape[1]))
@@ -199,7 +204,7 @@ def unit_quotient_mod(a, factors, fld):
                     classes %= p
                 b = padded[:, :n]
             k, stride = k // p, stride * p
-    return b[0] if e == 1 else p ** np.arange(e) @ b
+    return b[0] if e == 1 else fld._powers @ b
 
 
 def rref_mod(a, fld):

@@ -28,7 +28,7 @@ from . import anderson, linalg, zeta
 from .errors import DomainError, MarginError, ResolutionError
 from .indices import Index, coerce_index, g_map, is_g_independent
 from .laurent import INF, Laurent
-from .scalar import Field, Poly, RatFunc, carlitz_gamma
+from .scalar import Field, Poly, RatFunc, carlitz_gamma_degree
 
 MARGIN_DIGITS = 20
 
@@ -66,13 +66,15 @@ class ValueVector:
         return cls(tuple(labels), tuple(v.truncate(prec) for v in values))
 
     @classmethod
-    def evaluate(cls, fld: Field, labels, prec: int):
+    def evaluate(cls, fld: Field, labels, prec: int, valuations=None):
         """Evaluate every label once, at prec, refusing a value whose first digit
-        is not at its ``leading_valuation`` or that shows no digit."""
+        is not at its ``leading_valuation`` or that shows no digit.  A caller
+        that has the labels' leading valuations already passes them."""
+        if valuations is None:
+            valuations = [leading_valuation(fld, label) for label in labels]
         values = []
-        for label in labels:
+        for label, want in zip(labels, valuations):
             v = eval_value_expr(fld, label, prec)
-            want = leading_valuation(fld, label)
             blind = v.is_zero_to_precision and not v.is_exact_zero
             if blind and (want is None or want > prec):
                 least = probe_valuation(fld, label, prec) if want is None else want
@@ -155,7 +157,7 @@ def leading_valuation(fld: Field, expr: str):
     name, body = _split_label(expr)
     if name in ("zeta", "amzv", "gnzeta"):
         s = parse_index(split_top(body, ";")[0])
-        gamma = sum(carlitz_gamma(fld, n).degree for n in s) if name == "gnzeta" else 0
+        gamma = sum(carlitz_gamma_degree(fld.q, n) for n in s) if name == "gnzeta" else 0
         return zeta.mzv_valuation(fld, s) - gamma
     if name == "prod":
         vals = [leading_valuation(fld, sub) for sub in split_top(body, ",")]
@@ -164,15 +166,19 @@ def leading_valuation(fld: Field, expr: str):
 
 
 def probe_valuation(fld: Field, label: str, prec: int):
-    """The valuation of a label's value, evaluated at prec, 2 prec, ...,
-    16 prec until a digit shows, for labels ``leading_valuation`` does not
-    cover: a value that shows none raises ResolutionError."""
-    for probe in (prec, 2 * prec, 4 * prec, 8 * prec, 16 * prec):
+    """The valuation of a label's value, for labels ``leading_valuation``
+    does not cover, from five evaluations that each go deeper than the
+    last: at prec, 2 prec, ..., 16 prec for prec >= 1, and from a prec <= 0
+    on to 1, 2, 4 and 8.  A value that shows no digit raises
+    ResolutionError."""
+    probe = prec
+    for _ in range(5):
         v = eval_value_expr(fld, label, probe)
         if not v.is_zero_to_precision:
             return int(v.val)
+        last, probe = probe, max(2 * probe, 1)
     raise ResolutionError(f"nonvanishing hypothesis unresolved for {label} "
-                          f"(no digit through precision {16 * prec})")
+                          f"(no digit through precision {last})")
 
 
 def find_relations(vec: ValueVector, degree_bound: int):
@@ -300,10 +306,10 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     if prec < least:  # find_relations' margin rule at base, on this report's scale
         raise MarginError(f"margin rule: prec counts digits beyond the deepest valuation, "
                           f"{max(valuations)}; raise prec to {least}")
-    survivors = find_relations(ValueVector.evaluate(fld, labels, base), degree_bound)
+    survivors = find_relations(ValueVector.evaluate(fld, labels, base, valuations), degree_bound)
     for absprec in (2 * base, 4 * base):
         if survivors:
-            vec = ValueVector.evaluate(fld, labels, absprec)
+            vec = ValueVector.evaluate(fld, labels, absprec, valuations)
             survivors = [c for c in survivors if verify_relation(vec, c)]
     report["certificates"] = [c.to_json() for c in survivors]
     if survivors:

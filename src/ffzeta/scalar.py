@@ -92,6 +92,21 @@ def _find_irreducible(p, e):
     raise RuntimeError("no irreducible found")  # unreachable for prime p
 
 
+def _fold_matrix(irreducible, p):
+    """The e x (2e-1) matrix over F_p whose column k holds the digits of y^k
+    modulo the monic irreducible f of degree e: a product of two residues
+    has y-degree <= 2e - 2, and this matrix reduces its digits at once."""
+    e = len(irreducible) - 1
+    fold = np.zeros((e, 2 * e - 1), dtype=np.int64)
+    fold[:, :e] = np.eye(e, dtype=np.int64)
+    low = np.array(irreducible[:e], dtype=np.int64)
+    for k in range(e, 2 * e - 1):
+        # y^k = y * y^(k-1), and y^e = -(f_0 + f_1 y + ... + f_{e-1} y^(e-1))
+        fold[1:, k] = fold[:-1, k - 1]
+        fold[:, k] = (fold[:, k] - fold[e - 1, k - 1] * low) % p
+    return fold
+
+
 class Field:
     """F_q with q = p^e <= 2^16; elements are canonical ints 0..q-1.
 
@@ -101,18 +116,32 @@ class Field:
     powers of the least g >= 2 with g^((q-1)/l) != 1 for every prime
     l | q-1 (g = 1 at q = 2).  Multiplying by g is one F_p-linear map on
     the e digits, whose matrix comes from one ``backend.convolve_mod``
-    (which reads p, e and the irreducible but never the tables); the
-    search for g and the powers are products of such matrices mod p.  For
-    e > 1, ``neg`` reads a q-entry table, and ``add`` and ``sub`` act on
-    the base-p digits in one pass (XOR at p = 2).  Build fields through
-    ``field(q)``, which shares one instance per q between callers and
-    threads.
+    (which reads p, e, the digit table and the fold matrix but never the
+    exp/log tables); the search for g and the powers are products of such
+    matrices mod p.  Build fields through ``field(q)``, which shares one
+    instance per q between callers and threads.
+
+    Everything that depends on the field alone is built once, here:
+
+    * ``_exp`` holds g^k at k and at k + q - 1, then zeros, and ``_log[0]``
+      is the sentinel 2(q - 1), which lands every sum of logs with a zero
+      operand in the zeros: ``mul`` is two gathers and one add, with no
+      mask;
+    * for e > 1, ``_digits`` is the e x q uint8 table whose column a holds
+      the base-p digits of a (e >= 2 forces p <= 2^8), ``_powers`` the
+      place values p^i that recombine them, and ``_fold`` the e x (2e-1)
+      matrix over F_p whose column k holds the digits of y^k modulo the
+      irreducible.  ``add`` and ``sub`` act on gathered digits in one
+      pass (XOR at p = 2), ``neg`` reads a q-entry table, and ``backend``
+      splits arrays into digit planes and reduces their products with
+      the same tables.
 
     Arithmetic methods accept ints or int64 numpy arrays (broadcasting like
     ufuncs) and return the same kind.
     """
 
-    __slots__ = ("p", "e", "q", "irreducible", "_exp", "_log", "_powers", "_neg")
+    __slots__ = ("p", "e", "q", "irreducible", "_exp", "_log", "_powers", "_digits", "_fold",
+                 "_neg")
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
@@ -121,21 +150,37 @@ class Field:
         self.q = q
         self.irreducible = _find_irreducible(p, e) if e > 1 else None
         self._powers = p ** np.arange(e)
-        self._neg = self._digitwise(0, np.arange(q), -1) if e > 1 else None
+        self._digits = self._fold = self._neg = None
+        if e > 1:
+            self._digits = np.empty((e, q), dtype=np.uint8)
+            rest = np.arange(q)
+            for row in self._digits:
+                row[:] = rest % p
+                rest //= p
+            self._fold = _fold_matrix(self.irreducible, p)
+            self._neg = self._digitwise(0, np.arange(q), np.subtract)
         self._build_tables()
 
     def _build_tables(self):
         q, p = self.q, self.p
         # the digits of g^k, k < q - 1, fill by doubling: rows [k, 2k) are
         # rows [0, k) times the matrix of g^k, which then squares
-        planes = np.eye(1, self.e, dtype=np.int64)
+        planes = np.zeros((q - 1, self.e), dtype=np.int64)
+        planes[0, 0] = 1
         times = self._generator_matrix()
-        while planes.shape[0] < q - 1:
-            planes = np.concatenate([planes, planes[: q - 1 - planes.shape[0]] @ times % p])
+        k = 1
+        while k < q - 1:
+            n = min(k, q - 1 - k)
+            np.matmul(planes[:n], times, out=planes[k : k + n])
+            planes[k : k + n] %= p
             times = times @ times % p
+            k += n
         exp = planes @ self._powers
-        self._exp = np.concatenate([exp, exp])
-        self._log = np.zeros(q, dtype=np.int64)
+        del planes
+        # a sum of two unit logs is at most 2(q - 2); a sum with the sentinel
+        # lies in [2(q - 1), 4(q - 1)], where every entry is 0
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
         self._log[exp] = np.arange(q - 1)
         units = np.arange(1, q)
         if np.any(self.mul(units, self.inv(units)) != 1):
@@ -164,12 +209,12 @@ class Field:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        return self._digitwise(a, b, 1)
+        return self._digitwise(a, b, np.add)
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return self._digitwise(a, b, -1)
+        return self._digitwise(a, b, np.subtract)
 
     def neg(self, a):
         if self.e == 1:
@@ -177,18 +222,20 @@ class Field:
         out = self._neg[np.asarray(a, dtype=np.int64)]
         return out if out.shape else int(out)
 
-    def _digitwise(self, a, b, sign):
-        """a + sign * b for e > 1: XOR at p = 2, else one pass over the
-        base-p digits, the last axis of a // p^i (whose residue mod p is
-        digit i)."""
+    def _digitwise(self, a, b, op):
+        """a op b digit by digit for e > 1, op np.add or np.subtract: XOR at
+        p = 2, else one pass over the gathered base-p digits."""
         a_arr = np.asarray(a, dtype=np.int64)
         b_arr = np.asarray(b, dtype=np.int64)
         if self.p == 2:
             out = a_arr ^ b_arr
         else:
-            powers = self._powers
-            out = ((a_arr[..., None] // powers + sign * (b_arr[..., None] // powers))
-                   % self.p) @ powers
+            if a_arr.shape != b_arr.shape:
+                a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+            digits = op(self._digits.take(a_arr, axis=1), self._digits.take(b_arr, axis=1),
+                        dtype=np.int64)
+            digits %= self.p
+            out = (self._powers @ digits.reshape(self.e, -1)).reshape(a_arr.shape)
         return out if out.shape else int(out)
 
     def mul(self, a, b):
@@ -196,10 +243,8 @@ class Field:
         b_arr = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             out = (a_arr * b_arr) % self.p
-            return out if out.shape else int(out)
-        nz = (a_arr != 0) & (b_arr != 0)
-        idx = self._log[a_arr * nz] + self._log[b_arr * nz]
-        out = np.where(nz, self._exp[idx], 0)
+        else:
+            out = self._exp.take(self._log.take(a_arr) + self._log.take(b_arr))
         return out if out.shape else int(out)
 
     def inv(self, a):
@@ -765,6 +810,12 @@ def base_q_digits(n: int, q: int):
         digits.append(n % q)
         n //= q
     return digits
+
+
+def carlitz_gamma_degree(q: int, n: int) -> int:
+    """deg Gamma_n = sum n_i i q^i over the base-q digits n_i of n - 1, since
+    deg D_i = i q^i."""
+    return sum(digit * i * q ** i for i, digit in enumerate(base_q_digits(n - 1, q)))
 
 
 def carlitz_gamma(fld: Field, n: int) -> Poly:

@@ -54,7 +54,8 @@ from . import backend, cache
 from .errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from .indices import Index, coerce_index
 from .laurent import Laurent
-from .scalar import BiPoly, Field, Poly, RatFunc, base_q_digits, enumerate_monic
+from .scalar import (BiPoly, Field, Poly, RatFunc, base_q_digits, carlitz_gamma_degree,
+                     enumerate_monic)
 
 DEFAULT_BUDGET = 10 ** 6
 # The largest index entry whose power sums are served.  S_d(n) needs the
@@ -144,11 +145,9 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec=None) -> Laurent:
     q = fld.q
     step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
     units = [(q ** j - 1, n) for j in range(1, d + 1)]
-    deg_gamma = 0
     for i, digit in enumerate(base_q_digits(n - 1, q)):
         units += [(q ** i - q ** j, digit) for j in range(i)]
-        deg_gamma += digit * i * q ** i
-    c = n * (q * (step - 1) // (q - 1)) + deg_gamma
+    c = n * (q * (step - 1) // (q - 1)) + carlitz_gamma_degree(q, n)
     h = anderson.at_polynomial(fld, n - 1)
     prec = c - (h.coeffs.shape[1] - 1) * step if prec is None else prec
     numer = Laurent.from_bipoly(h, 1, step, prec - c).shift(c)
@@ -206,6 +205,21 @@ def _validate_signs(fld: Field, s: Index, eps):
     return out
 
 
+def _slot_caps(r: int, lo: int, bound, prec: int) -> list:
+    """[cap_0, ..., cap_{r-1}] of ``_nested_sum``: cap_{r-1} = prec and
+    cap_j = max(prec, cap_{j+1} - bound(j+1, lo))."""
+    caps = [prec] * r
+    for j in range(r - 2, -1, -1):
+        caps[j] = max(prec, caps[j + 1] - bound(j + 1, lo))
+    return caps
+
+
+def _above(bound, j: int, l: int) -> int:
+    """sum_{i=1..j} bound(j-i, l+i): the least valuation of slots 0..j-1
+    of ``_nested_sum`` above height l of slot j."""
+    return sum(bound(j - i, l + i) for i in range(1, j + 1))
+
+
 def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None, carry=None) -> list:
     """[P_0[lo], ..., P_{r-1}[lo]], each exact through prec and truncated
     to it, or None where a partial has no term (its caller knows the zero).
@@ -228,23 +242,17 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None, carry=Non
     1, and factor(j, l, .) is g_j(l) / g_{j-1}(l) times the slot term:
     ``carry(j, l + 1, T_j[l+1], cap_j)`` is g_j(l) P_j[l+1], read at l.
     """
-    caps = [prec] * r
-    for j in range(r - 2, -1, -1):
-        caps[j] = max(prec, caps[j + 1] - bound(j + 1, lo))
     partials, below = [], None
-    for j, cap in enumerate(caps):
-        def above(l):
-            return sum(bound(j - i, l + i) for i in range(1, j + 1))
-
+    for j, cap in enumerate(_slot_caps(r, lo, bound, prec)):
         def sweep():
             top = lo
-            while bound(j, top) + above(top) <= cap:
+            while bound(j, top) + _above(bound, j, top) <= cap:
                 top += 1
             # sums[l - lo] = P_j[l]; P_{j-1}[l+1] exists for every visited l,
             # since above(l) <= cap_j - bound(j, lo) <= cap_{j-1}
             sums, acc = [None] * (top - lo), None
             for l in range(top - 1, lo - 1, -1):
-                term = factor(j, l, cap - above(l))
+                term = factor(j, l, cap - _above(bound, j, l))
                 if j:
                     term = term * below[l + 1 - lo]
                 if carry is not None and acc is not None:
@@ -351,13 +359,10 @@ def convergence_check(fld: Field, s, items) -> bool:
     return not _diverging_slots(fld, coerce_index(s), items)
 
 
-def _twisted_value_at_point(fld: Field, qpoly, ell: int, point_pow: int, prec) -> Laurent:
-    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec."""
-    if isinstance(qpoly, RatFunc):
-        base_prec = max(prec // fld.q ** ell + 1, 0)
-        return Laurent.from_ratfunc(qpoly, base_prec).qth_power(ell, out_prec=prec)
-    # Q^(ell) evaluated at theta^{q^P} is sum_kj h_kj theta^{j q^ell + k q^P}:
-    # the twist dilates the theta-exponents, the point the t-exponents
+def _twisted_value_at_point(fld: Field, qpoly: BiPoly, ell: int, point_pow: int, prec) -> Laurent:
+    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec:
+    sum_kj h_kj theta^{j q^ell + k q^P}, since the twist dilates the
+    theta-exponents and the point the t-exponents."""
     return Laurent.from_bipoly(qpoly, fld.q ** point_pow, fld.q ** ell, prec)
 
 
@@ -382,9 +387,20 @@ def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power:
         m, tdeg = profiles[j]
         return q ** P * s[j] * deg_l(ell - P) - m * q ** ell - tdeg * q ** P
 
+    # a RatFunc input is expanded once, when its slot is first visited:
+    # height ell reads its digits through p // q^ell, and the lowest
+    # height, P, reads the most, through (cap_j - above_j(P)) // q^P
+    caps, expansions = _slot_caps(len(qs), P, val_bound, prec), {}
+
     def factor(j, ell, out_prec):
         p = out_prec - q ** P * s[j] * deg_l(ell - P)
-        numer = _twisted_value_at_point(fld, qs[j], ell, P, p)
+        if isinstance(qs[j], BiPoly):
+            numer = _twisted_value_at_point(fld, qs[j], ell, P, p)
+        else:
+            if j not in expansions:
+                reach = (caps[j] - _above(val_bound, j, P)) // q ** P + 1
+                expansions[j] = Laurent.from_ratfunc(qs[j], max(reach, 0))
+            numer = expansions[j].qth_power(ell, out_prec=p)
         return numer if signs is None else numer.scale(fld.pow(signs[j], ell))
 
     def carry(j, ell, x, cap):

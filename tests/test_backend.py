@@ -50,7 +50,7 @@ def test_mul_p_matches_convolve_on_both_sides_of_the_crossover(p):
         assert np.array_equal(backend._mul_p(a, a, p), np.convolve(a, a) % p), n
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", QS + [243, 59049])
 def test_convolve_matches_schoolbook(q):
     fld = field(q)
     for _ in range(5):
@@ -197,7 +197,7 @@ def _unit_factor_lists(p, width):
             [(3, p - 1), (3, 2), (6, -p), (1, 3 * p), (max(width - 1, 1), 1), (width, 5)]]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 243, 59049])
 def test_unit_quotient_matches_newton_quotient(q):
     fld, draw = field(q), np.random.default_rng(q)
     for width in (1, 2, 9, 64):
@@ -302,7 +302,7 @@ def test_nullspace_is_the_gauss_jordan_basis(q):
             assert u.dtype == np.int64 and np.array_equal(u, v), a.shape
 
 
-@pytest.mark.parametrize("q", QS + [65536])
+@pytest.mark.parametrize("q", QS + [243, 59049, 65536])
 def test_matmul_matches_entrywise_dot(q):
     fld, draw = field(q), np.random.default_rng(q)
     for rows, inner, cols in [(1, 1, 1), (5, 0, 3), (9, 7, 1), (30, 18, 4), (4, 25, 6)]:
@@ -314,7 +314,7 @@ def test_matmul_matches_entrywise_dot(q):
         assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(rows, cols))
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 65536])
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 243, 59049, 65536])
 def test_extension_convolution_matches_entrywise_dot(q):
     """The F_{p^e} lift that convolve_mod shares with matmul_mod, on both
     sides of the packing crossover."""
@@ -326,6 +326,33 @@ def test_extension_convolution_matches_entrywise_dot(q):
             i = np.arange(max(0, k - m + 1), min(k, n - 1) + 1)
             want.append(_dot(fld, a[i], b[k - i]))
         assert np.array_equal(backend.convolve_mod(a, b, fld), np.array(want))
+
+
+def _reduce_y_loop(c, fld):
+    """Reference for the fold matrix: y^k = y^(k-e) y^e, with y^e = -(f_0 +
+    f_1 y + ... + f_{e-1} y^(e-1)), applied one coefficient plane at a
+    time from the top, then the digits recombined."""
+    p, e, f = fld.p, fld.e, fld.irreducible
+    c = c % p
+    for k in range(2 * e - 2, e - 1, -1):
+        for i in range(e):
+            if f[i]:
+                c[k - e + i] = (c[k - e + i] - f[i] * c[k]) % p
+    return (p ** np.arange(e) @ c[:e].reshape(e, -1)).reshape(c.shape[1:])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 243, 3125, 59049, 65536])
+def test_fold_matrix_matches_the_reduction_loop(q):
+    fld, draw = field(q), np.random.default_rng(q)
+    e, p = fld.e, fld.p
+    # y^k itself, and unreduced planes as large as a matrix product leaves
+    # them: e pairs of inner products of length 50
+    assert np.array_equal(backend._reduce_y(np.eye(2 * e - 1, dtype=np.int64), fld),
+                          _reduce_y_loop(np.eye(2 * e - 1, dtype=np.int64), fld))
+    for shape in [(7,), (4, 6)]:
+        c = draw.integers(0, e * 50 * (p - 1) ** 2 + 1, (2 * e - 1,) + shape)
+        got = backend._reduce_y(c.copy(), fld)
+        assert got.shape == shape and np.array_equal(got, _reduce_y_loop(c, fld))
 
 
 def _binom_table(rows, p):

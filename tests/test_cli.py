@@ -136,6 +136,15 @@ def test_hunt_refuses_a_value_that_shows_no_digit(capsys, tmp_path):
                    "raise prec to at least 225\n")
 
 
+def test_hunt_at_prec_zero_names_a_prec_past_the_first_digit(capsys):
+    # logc(1/theta^5) starts at 1/theta^5; the probe must reach it from prec 0
+    argv = ["relations", "hunt", "--q", "3", "--labels", "zeta(1),logc(1/theta^5)",
+            "--deg-bound", "0", "--prec", "0"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == ("error: logc(1/theta^5) shows no digit through "
+                                       "precision 0; raise prec to at least 5\n")
+
+
 def test_verify_refuses_a_certificate_on_a_value_that_shows_no_digit(capsys, tmp_path):
     # the certificate an unguarded hunt writes for BLIND_HUNT: at 2N = 200
     # the value still shows no digit, so its residual vanishes trivially

@@ -57,6 +57,27 @@ def test_evaluate_refuses_a_value_that_shows_no_digit():
         ValueVector.evaluate(field(3), ["zeta(1)", "logc(1/theta^5)"], 3)
 
 
+def test_probe_reaches_a_first_digit_past_a_prec_at_or_below_zero(monkeypatch):
+    fld = field(3)
+    assert relations.probe_valuation(fld, "logc(1/theta^5)", 0) == 5
+    assert relations.probe_valuation(fld, "pitilde(1)", -4) == -3
+    # each probe goes deeper than the last; from prec >= 1 they double
+    real, probes = relations.eval_value_expr, []
+
+    def spy(f, label, prec):
+        probes.append(prec)
+        return real(f, label, prec)
+
+    monkeypatch.setattr(relations, "eval_value_expr", spy)
+    with pytest.raises(ResolutionError, match=r"no digit through precision 8\)$"):
+        relations.probe_valuation(fld, "logc(1/theta^20)", -3)
+    assert probes == [-3, 1, 2, 4, 8]
+    probes.clear()
+    with pytest.raises(ResolutionError, match=r"no digit through precision 16\)$"):
+        relations.probe_valuation(fld, "logc(1/theta^20)", 1)
+    assert probes == [1, 2, 4, 8, 16]
+
+
 TIER1_LABELS = {
     2: ["zeta(1)", "zeta(3)", "gnzeta(3)", "zeta(1,1,1,1,1)"],
     3: ["zeta(3)", "zeta(1,2)", "zeta(2,1)", "prod(zeta(1),zeta(2))", "amzv(2,1;-1,1)",
@@ -275,6 +296,21 @@ def test_independence_report_evaluates_each_label_once(monkeypatch):
     monkeypatch.setattr(relations, "eval_value_expr", spy)
     report = relations.independence_report(fld, family, 2, 100)
     assert report["verdict"].startswith("consistent")
+    assert sorted(calls) == sorted(["gnzeta(6)", "gnzeta(1,2,2,1)", "gnzeta(2,2,2)"])
+
+
+def test_independence_report_takes_each_leading_valuation_once(monkeypatch):
+    fld = field(5)
+    family = [(6,), (1, 2, 2, 1), (2, 2, 2)]
+    calls = []
+    real = relations.leading_valuation
+
+    def spy(f, label):
+        calls.append(label)
+        return real(f, label)
+
+    monkeypatch.setattr(relations, "leading_valuation", spy)
+    relations.independence_report(fld, family, 2, 100)
     assert sorted(calls) == sorted(["gnzeta(6)", "gnzeta(1,2,2,1)", "gnzeta(2,2,2)"])
 
 

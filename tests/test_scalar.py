@@ -18,6 +18,7 @@ from ffzeta.scalar import (
     bracket_D,
     bracket_L,
     carlitz_gamma,
+    carlitz_gamma_degree,
     enumerate_monic,
     field,
     frobenius_twist,
@@ -186,7 +187,11 @@ def test_field_tables_match_list_builder(q):
     fld = field(q)
     irreducible, exp, log = _old_tables(q)
     assert fld.irreducible == irreducible
-    assert np.array_equal(fld._exp, exp) and np.array_equal(fld._log, log)
+    units = 2 * (q - 1)
+    assert np.array_equal(fld._exp[:units], exp) and np.array_equal(fld._log[1:], log[1:])
+    # the zero sentinel: every log sum with a zero operand reads 0
+    assert fld._log[0] == units and fld._exp.size == 2 * units + 1
+    assert not fld._exp[units:].any()
 
 
 @pytest.mark.parametrize("q", [q for q in _prime_powers(625) if q not in _prime_factors(q)])
@@ -237,6 +242,52 @@ def test_extension_field_records_irreducible():
               25: (2, 0, 1), 27: (1, 2, 0, 1), 3125: (1, 4, 0, 0, 0, 1)}
     for q, irreducible in pinned.items():
         assert field(q).irreducible == irreducible
+
+
+def _list_ops(q):
+    """add, sub, neg and mul of F_q on base-p digit lists, one element at a
+    time: the list builder's arithmetic."""
+    (p,) = _prime_factors(q)
+    e = round(math.log(q, p))
+    irreducible = _old_irreducible(p, e)
+
+    def digits(a):
+        return [a // p ** i % p for i in range(e)]
+
+    def join(ds):
+        return sum(d % p * p ** i for i, d in enumerate(ds))
+
+    return {
+        "add": lambda a, b: join([x + y for x, y in zip(digits(a), digits(b))]),
+        "sub": lambda a, b: join([x - y for x, y in zip(digits(a), digits(b))]),
+        "neg": lambda a: join([-x for x in digits(a)]),
+        "mul": lambda a, b: _mul_slow(a, b, p, e, irreducible),
+    }
+
+
+@pytest.mark.parametrize("q", [243, 3125, 59049, 65536])
+def test_large_extension_ops_match_list_arithmetic(q):
+    fld, ops = field(q), _list_ops(q)
+    draw = np.random.default_rng(q)
+    # every element at q = 243 and 3125, and with each a partner; a random
+    # sample above; zeros on both sides
+    a = np.arange(q) if q <= 3125 else draw.integers(0, q, 4000)
+    b = draw.integers(0, q, a.size)
+    a[:3], b[1:4] = 0, 0
+    pairs = [(int(x), int(y)) for x, y in zip(a, b)]
+    for name in ("add", "sub", "mul"):
+        got = getattr(fld, name)(a, b)
+        assert got.tolist() == [ops[name](x, y) for x, y in pairs], name
+        x, y = pairs[5]
+        assert getattr(fld, name)(x, y) == ops[name](x, y)
+    assert fld.neg(a).tolist() == [ops["neg"](x) for x in a.tolist()]
+    units = a[a != 0]
+    inv = fld.inv(units)
+    assert [ops["mul"](x, y) for x, y in zip(units.tolist(), inv.tolist())] == [1] * units.size
+    if q == 243:  # every pair
+        for x in range(q):
+            row = fld.mul(np.full(q, x), np.arange(q)).tolist()
+            assert row == [ops["mul"](x, y) for y in range(q)], x
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])
@@ -444,6 +495,13 @@ def test_carlitz_gamma_examples_and_digit_identity():
                 for _ in range(di):
                     want = want * bracket_D(fld, i)
             assert carlitz_gamma(fld, n) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_carlitz_gamma_degree_is_the_closed_form(q):
+    fld = field(q)
+    for n in range(1, 301):
+        assert carlitz_gamma_degree(q, n) == carlitz_gamma(fld, n).degree, n
 
 
 def test_carlitz_gamma_rejects_nonpositive():

@@ -632,6 +632,29 @@ def test_cmpl_depth2_truncation_soundness():
     assert a.agrees_with(b, through=30)
 
 
+@pytest.mark.parametrize("q", [4, 9])
+@pytest.mark.parametrize("point_power", [0, 1])
+def test_twisted_walk_expands_each_point_once(monkeypatch, q, point_power):
+    fld = field(q)
+    theta, one = Poly.gen(fld), Poly.one(fld)
+    points = [RatFunc(theta, theta * theta + one), RatFunc(one, theta + one)]
+    expand, calls = Laurent.from_ratfunc.__func__, []
+
+    def spy(cls, r, prec):
+        calls.append(r)
+        return expand(cls, r, prec)
+
+    monkeypatch.setattr(Laurent, "from_ratfunc", classmethod(spy))
+    # both slots are visited once prec passes the first digit (252 at q = 9, P = 1)
+    for prec in (300, 900):
+        calls.clear()
+        if point_power:
+            anderson.deformation_value(fld, (2, 1), points, prec, point_power=1)
+        else:
+            zeta.cmpl(fld, (2, 1), points, prec)
+        assert calls == points, prec
+
+
 def _own_walk_cmpl(fld, s, points, prec):
     """Oracle: cmpl with its own valuation bound and factor over
     ``zeta._nested_sum``, as it was before it became the twisted walk at
