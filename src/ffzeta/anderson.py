@@ -189,17 +189,24 @@ def omega_unit_equation_check(fld: Field, cap: int, prec) -> bool:
 # Anderson-Thakur polynomials
 # ---------------------------------------------------------------------------
 
-def _times_binomials(grid, factors):
-    """grid times the product of t^a theta^b - t^c theta^d over the
-    (a, b, c, d) in factors, over the integers: one shifted subtraction per
-    factor, each of which at most doubles the largest |entry|."""
-    for a, b, c, d in factors:
+def _add_times_binomials(acc, grid, factors):
+    """Adds to acc, in place, grid times the product of t^a theta^b -
+    t^c theta^d over the (a, b, c, d) in factors, over the integers: one
+    shifted subtraction per factor, each of which at most doubles the
+    largest |entry|, the last one written straight into acc."""
+    if not factors:
+        acc[: grid.shape[0], : grid.shape[1]] += grid
+        return
+    for a, b, c, d in factors[:-1]:
         rows, cols = grid.shape
         out = np.zeros((rows + max(a, c), cols + max(b, d)), dtype=np.int64)
         out[a:a + rows, b:b + cols] = grid
         out[c:c + rows, d:d + cols] -= grid
         grid = out
-    return grid
+    rows, cols = grid.shape
+    a, b, c, d = factors[-1]
+    acc[a:a + rows, b:b + cols] += grid
+    acc[c:c + rows, d:d + cols] -= grid
 
 
 def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
@@ -214,24 +221,27 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
     zero digits of m, the quotient telescopes: B_{m,i} = prod_{j=i+1}^{k}
     (t^{q^j} - t), k the lowest nonzero digit of m at or above i (so B_{m,i}
     = 1 when digit i is nonzero).  So every H_m lies in F_p[t, theta] for
-    every q = p^e.  Each m's sum is taken over the integers and reduced once
-    by ``Field.from_int``: its at most L + 1 terms, L = floor(log_q m), have
-    at most L factors each, so entries stay below (L + 1) 2^L p < 2^30 for
-    m <= AT_BUDGET and p <= 2^16."""
+    every q = p^e.  Each m's terms are added into one integer grid, sized
+    from the factor shifts, and reduced mod p in place: its at most L + 1
+    terms, L = floor(log_q m), have at most L factors each, so entries stay
+    below (L + 1) 2^L p < 2^30 for m <= AT_BUDGET and p <= 2^16."""
     q = fld.q
     tower = list(tower) or [BiPoly.one(fld)]
     for m in range(len(tower), n + 1):
         digits = base_q_digits(m, q)
-        parts = []
+        terms, rows, cols = [], 0, 0
         for i in range(len(digits)):
             k = next(j for j in range(i, len(digits)) if digits[j])
             factors = [(q ** i, 0, 0, q ** j) for j in range(1, i + 1)]
             factors += [(q ** j, 0, 1, 0) for j in range(i + 1, k + 1)]
-            parts.append(_times_binomials(tower[m - q ** i].coeffs, factors))
-        acc = np.zeros(np.max([part.shape for part in parts], axis=0), dtype=np.int64)
-        for part in parts:
-            acc[: part.shape[0], : part.shape[1]] += part
-        tower.append(BiPoly(fld, fld.from_int(acc)))
+            grid = tower[m - q ** i].coeffs
+            terms.append((grid, factors))
+            rows = max(rows, grid.shape[0] + sum(max(a, c) for a, _, c, _ in factors))
+            cols = max(cols, grid.shape[1] + sum(max(b, d) for _, b, _, d in factors))
+        acc = np.zeros((rows, cols), dtype=np.int64)
+        for grid, factors in terms:
+            _add_times_binomials(acc, grid, factors)
+        tower.append(BiPoly(fld, np.remainder(acc, fld.p, out=acc)))
     return tuple(tower)
 
 

@@ -12,18 +12,25 @@ shared instances behind ``scalar.field``, which ``clear_memos`` leaves alone:
 made before and after a cleared field could no longer be combined.
 
 Persistent entries are keyed by kind and integer key tuple, carry the
-artifact version (a mismatch invalidates), and are written with atomic
-renames so concurrent readers never see a torn file.  Payloads stay JSON,
-because a human-inspectable cache makes debugging exact arithmetic much
-easier; the largest H_n an evaluator asks for (q = 2, n = 149) is about
-0.8 MB of it.  An entry is encoded by one ``json.dumps`` and written by
-one ``write``: ``json.dump`` to a file never uses the C encoder and
-streams through the pure-Python one, which costs more than building the
-H_n.  Arrays go out through ``tolist`` and come back through one
-``np.asarray``.  A payload that is valid JSON but not a valid value (an
-entry outside 0..q-1 or not an int, a grid that is not 2-D, a zero
+entry version ``VERSION`` (the package version and the payload format; a
+mismatch is a silent miss), and are written with atomic renames so
+concurrent readers never see a torn file.  Payloads stay JSON, because a
+human-inspectable cache makes debugging exact arithmetic much easier.  An
+array of F_q elements is fixed-width decimal text: every entry is
+zero-padded to w = len(str(q - 1)) characters, so for q <= 10 a row of an
+H_n grid reads like the grid row.  A grid is a list of row strings, a
+polynomial one string, and the decoder takes w from the field, so no width
+is stored.  The largest H_n an evaluator asks for (q = 2, n = 149) is
+about 256 KB.  The encoder writes the digits plus 48 as bytes, one numpy
+pass per digit place, and cuts the rows from one string; the decoder reads
+every row through one ``np.frombuffer``.  An entry is encoded by one
+``json.dumps`` and written by one ``write``: ``json.dump`` to a file never
+uses the C encoder.  A payload that is valid JSON but not a valid value (a
+row that is not a string, a character that is not an ASCII digit, a row
+length that is not a multiple of w, an entry not below q, a zero
 denominator) counts as a miss, like a corrupted file: it is logged,
-recomputed and overwritten.
+recomputed and overwritten.  Rows shorter than the longest, as a hand
+edit may leave them, are padded with zeros.
 """
 
 from __future__ import annotations
@@ -88,43 +95,67 @@ def clear_memos() -> None:
     _MEMOS.clear()
 
 
-def _elements(fld: scalar.Field, values, ndim: int) -> np.ndarray:
-    """``values`` as an int64 array of F_q elements with ``ndim`` axes;
-    ValueError for anything else (floats, bools, strings, entries outside
-    0..q-1, another shape)."""
-    arr = np.asarray(values)
-    if arr.ndim != ndim:
-        raise ValueError(f"not a {ndim}-D array")
-    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= fld.q):
-        raise ValueError(f"entries are not ints in 0..{fld.q - 1}")
-    return arr.astype(np.int64, copy=False)
+VERSION = f"{__version__}+digit-text"
+
+
+def _width(q: int) -> int:
+    """Characters per entry in the digit text of F_q elements."""
+    return len(str(q - 1))
+
+
+def _to_text(q: int, grid: np.ndarray) -> list:
+    """The rows of a 2-D grid of F_q elements as digit text."""
+    w = _width(q)
+    chars = np.empty(grid.shape + (w,), dtype=np.uint8)
+    rest = grid
+    for k in range(w - 1, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        chars[:, :, k] = digit + 48
+    chars[:, :, 0] = rest + 48
+    text, size = chars.tobytes().decode("ascii"), grid.shape[1] * w
+    return [text[i * size:(i + 1) * size] for i in range(grid.shape[0])]
+
+
+def _from_text(q: int, rows) -> np.ndarray:
+    """Rows of digit text as a 2-D int64 grid of F_q elements, short rows
+    padded with zeros; ValueError for anything else."""
+    if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+        raise ValueError("not a list of digit strings")
+    w = _width(q)
+    lengths = [len(row) for row in rows]
+    if any(n % w for n in lengths):
+        raise ValueError(f"a row length is not a multiple of {w}")
+    cols = max(lengths, default=0)
+    text = "".join(row.ljust(cols, "0") for row in rows).encode("ascii")
+    digits = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), cols // w, w) - 48
+    if digits.size and digits.max() > 9:  # a character below '0' wraps past 9
+        raise ValueError("a character is not a digit")
+    grid = digits[:, :, 0].astype(np.int64)
+    for k in range(1, w):
+        grid = grid * 10 + digits[:, :, k]
+    if grid.size and grid.max() >= q:
+        raise ValueError(f"an entry is not below {q}")
+    return grid
 
 
 def ratfunc_to_json(r: scalar.RatFunc) -> dict:
-    return {"num": r.num.coeffs.tolist(), "den": r.den.coeffs.tolist()}
+    q = r.field.q
+    return {"num": _to_text(q, r.num.coeffs[None])[0], "den": _to_text(q, r.den.coeffs[None])[0]}
 
 
 def ratfunc_from_json(fld: scalar.Field, data: dict) -> scalar.RatFunc:
-    num, den = _elements(fld, data["num"], 1), _elements(fld, data["den"], 1)
+    num, den = _from_text(fld.q, [data["num"]])[0], _from_text(fld.q, [data["den"]])[0]
     if not den.any():
         raise ValueError("zero denominator")
     return scalar.RatFunc(scalar.Poly(fld, num), scalar.Poly(fld, den))
 
 
 def bipoly_to_json(b: scalar.BiPoly) -> dict:
-    return {"rows": b.coeffs.tolist()}
+    return {"rows": _to_text(b.field.q, b.coeffs)}
 
 
 def bipoly_from_json(fld: scalar.Field, data: dict) -> scalar.BiPoly:
-    rows = data["rows"]
-    try:
-        grid = np.asarray(rows)
-    except ValueError:  # ragged rows, as in a hand-edited file
-        width = max(len(r) for r in rows)
-        grid = [list(r) + [0] * (width - len(r)) for r in rows]
-    if np.shape(grid) == (0,):
-        return scalar.BiPoly.zero(fld)
-    return scalar.BiPoly(fld, _elements(fld, grid, 2))
+    return scalar.BiPoly(fld, _from_text(fld.q, data["rows"]))
 
 
 class JsonCache:
@@ -150,7 +181,7 @@ class JsonCache:
         except (ValueError, OSError) as exc:  # bad JSON or UTF-8 is a ValueError too
             log.warning("ignoring corrupted cache file %s (%s); recomputing", path, exc)
             return None
-        if entry.get("version") != __version__ or entry.get("kind") != kind:
+        if entry.get("version") != VERSION or entry.get("kind") != kind:
             return None
         return entry.get("payload")
 
@@ -159,7 +190,7 @@ class JsonCache:
         entry = {
             "kind": kind,
             "key": [int(k) for k in key],
-            "version": __version__,
+            "version": VERSION,
             "payload": payload,
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

@@ -66,8 +66,7 @@ def _cmd_value(args):
 def _cmd_atpoly(args):
     fld = field(args.q)
     h = anderson.at_polynomial(fld, args.n)
-    rows = [[int(c) for c in row] for row in h.coeffs]
-    payload = {"n": args.n, "coeffs_t_by_theta": rows, "meta": _meta(fld)}
+    payload = {"n": args.n, "coeffs_t_by_theta": h.coeffs.tolist(), "meta": _meta(fld)}
     _emit(args, payload, f"H_{args.n} = {format_bipoly(h)}")
 
 
@@ -299,7 +298,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.cache_dir:
-        cache_mod.set_active(cache_mod.JsonCache(args.cache_dir))
+        try:
+            cache_mod.set_active(cache_mod.JsonCache(args.cache_dir))
+        except OSError as exc:  # a regular file, or a directory that cannot be made
+            print(f"error: cannot use cache directory {args.cache_dir}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     try:
         rc = args.func(args)
     except DomainError as exc:

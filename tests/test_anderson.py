@@ -193,7 +193,8 @@ def test_carlitz_binomial_closed_form(q):
         for i in range(len(digits)):
             k = i if digits[i] else next(j for j in range(i + 1, len(digits)) if digits[j])
             factors = [(q ** j, 0, 1, 0) for j in range(i + 1, k + 1)]
-            grid = anderson._times_binomials(np.ones((1, 1), dtype=np.int64), factors)
+            grid = np.zeros((1 + sum(a for a, _, _, _ in factors), 1), dtype=np.int64)
+            anderson._add_times_binomials(grid, np.ones((1, 1), dtype=np.int64), factors)
             want = _binomial_by_gamma_quotient(fld, m, i).with_var(TVAR)
             assert BiPoly(fld, fld.from_int(grid)) == BiPoly.from_poly(want), (m, i)
 

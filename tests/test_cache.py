@@ -1,15 +1,16 @@
 """In-process memos (one cover-or-replace policy, one clear) and the
-persistent cache: hits, the file format, corruption and malformed
-payloads, version invalidation."""
+persistent cache: hits, the file format and its digit-text codec,
+corruption and malformed payloads, version invalidation."""
 
 import json
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from ffzeta import __version__, anderson, cache, zeta
-from ffzeta.scalar import BiPoly, field
+from ffzeta.scalar import BiPoly, Poly, RatFunc, field
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ def test_put_writes_what_json_dump_writes(store, tmp_path, kind, key):
     else:
         payload = cache.ratfunc_to_json(zeta.power_sum_exact(field(key[0]), *key[1:]))
     store.put(kind, key, payload)
-    entry = {"kind": kind, "key": list(key), "version": __version__, "payload": payload}
+    entry = {"kind": kind, "key": list(key), "version": cache.VERSION, "payload": payload}
     with open(tmp_path / "expected.json", "w", encoding="utf-8") as fh:
         json.dump(entry, fh, sort_keys=True)
     with open(store._path(kind, key), "rb") as got, open(tmp_path / "expected.json", "rb") as want:
@@ -84,18 +85,80 @@ def test_ragged_and_empty_rows_load(store, monkeypatch):
     cache.clear_memos()
     h = anderson.at_polynomial(fld, 5)
     # the rows as a hand edit would leave them: trailing zeros dropped
-    ragged = [[int(c) for c in row] for row in h.coeffs]
-    for row in ragged:
-        while row and row[-1] == 0:
-            row.pop()
+    ragged = ["".join(map(str, row)).rstrip("0") for row in h.coeffs]
     assert len({len(row) for row in ragged}) > 1
     store.put("at_poly", (3, 5), {"rows": ragged})
     cache.clear_memos()
     monkeypatch.setattr(anderson, "_at_tower", lambda *args: pytest.fail("H_5 recomputed"))
     assert anderson.at_polynomial(fld, 5) == h
     assert cache.bipoly_from_json(fld, {"rows": []}).is_zero
-    assert cache.bipoly_from_json(fld, {"rows": [[]]}).is_zero
-    assert cache.bipoly_from_json(fld, {"rows": [[1, 2], [0, 0]]}) == BiPoly(fld, [[1, 2]])
+    assert cache.bipoly_from_json(fld, {"rows": [""]}).is_zero
+    assert cache.bipoly_from_json(fld, {"rows": ["12", "00"]}) == BiPoly(fld, [[1, 2]])
+
+
+_CODEC_QS = [2, 3, 4, 9, 11, 25, 101, 65521, 65536]
+
+
+def _grids(fld):
+    """H_n grids, the zero grid, 1x1 grids, and a random grid whose rows
+    start with zeros."""
+    q = fld.q
+    rng = np.random.default_rng(q)
+    grid = rng.integers(0, q, size=(6, 9))
+    grid[:, :3] = 0
+    grid[:, 3] = q - 1
+    grid[-1, -1] = 1
+    return ([anderson.at_polynomial(fld, n) for n in (0, 1, q - 1 if q < 40 else 3, min(q + 3, 40))]
+            + [BiPoly.zero(fld), BiPoly(fld, [[1]]), BiPoly(fld, [[q - 1]]), BiPoly(fld, grid)])
+
+
+def _fractions(fld):
+    """Power sums where enumerating q^d polynomials is cheap, and fractions
+    with entries up to q - 1 and leading zeros."""
+    q = fld.q
+    sums = [zeta.power_sum_exact(fld, d, n) for d, n in ((0, 1), (1, 2), (2, 3)) if q ** d <= 200]
+    return sums + [RatFunc(Poly(fld, [0, 0, q - 1, 1]), Poly(fld, [0, q - 1, 0, 1])),
+                   RatFunc(Poly.zero(fld), Poly.one(fld))]
+
+
+@pytest.mark.parametrize("q", _CODEC_QS)
+def test_codec_round_trips_bit_for_bit(q):
+    fld = field(q)
+    w = len(str(q - 1))
+    for b in _grids(fld):
+        payload = json.loads(json.dumps(cache.bipoly_to_json(b)))
+        assert all(len(row) == b.coeffs.shape[1] * w for row in payload["rows"])
+        back = cache.bipoly_from_json(fld, payload)
+        assert back.coeffs.dtype == b.coeffs.dtype and np.array_equal(back.coeffs, b.coeffs)
+    for r in _fractions(fld):
+        payload = json.loads(json.dumps(cache.ratfunc_to_json(r)))
+        back = cache.ratfunc_from_json(fld, payload)
+        assert np.array_equal(back.num.coeffs, r.num.coeffs)
+        assert np.array_equal(back.den.coeffs, r.den.coeffs)
+
+
+@pytest.mark.parametrize("q, grid, rows", [
+    (3, [[0, 2, 1], [1, 0, 0]], ["021", "100"]),
+    (10, [[0, 9], [3, 0]], ["09", "30"]),
+    (11, [[0, 10], [3, 0]], ["0010", "0300"]),
+    (101, [[100, 7]], ["100007"]),
+    (65521, [[0, 65520], [12, 3]], ["0000065520", "0001200003"]),
+    (65536, [[65535, 1]], ["6553500001"]),
+])
+def test_codec_text_is_fixed_width_decimal(q, grid, rows):
+    # q = 10 names no field, but is where one character per entry ends
+    assert cache._to_text(q, np.array(grid, dtype=np.int64)) == rows
+    assert cache._from_text(q, rows).tolist() == grid
+
+
+@pytest.mark.parametrize("q, rows", [
+    (3, ["1a"]), (3, ["-1"]), (3, ["1 "]), (3, ["\u0661"]), (3, ["3"]), (3, ["12", [1, 2]]),
+    (11, ["11"]), (11, ["0099"]), (11, ["012"]), (11, ["0"]), (101, ["1000"]), (101, ["10"]),
+    (65521, ["65521"]), (65536, ["99999"]), (65536, ["0000-1"]), (3, "12"), (3, None),
+])
+def test_codec_rejects_malformed_text(q, rows):
+    with pytest.raises(ValueError):
+        cache._from_text(q, rows)
 
 
 _BAD_AT_POLY = [{"rows": [[7, 1], [2]]}, {"rows": [[7, 1], [2, 0]]}, {"rows": [[-1]]},
@@ -106,17 +169,26 @@ _BAD_POWER_SUM = [{"num": [5], "den": [1]}, {"num": [1], "den": [0]}, {"num": [1
                   {"num": [1], "den": [-2]}, {"num": [[1]], "den": [1]}, {"num": "x", "den": [1]},
                   {"num": [1], "den": [1.0]}, {"den": [1]}, "1/1"]
 
-# kind: (key, the value at that key, its encoder)
-_KINDS = {"at_poly": ((3, 5), lambda fld: anderson.at_polynomial(fld, 5), cache.bipoly_to_json),
-          "power_sum": ((3, 1, 2), lambda fld: zeta.power_sum_exact(fld, 1, 2),
+# text-form payloads at q = 3: a non-digit character, an entry >= q, a
+# mixed string/list row list, a zero or empty denominator
+_BAD_TEXT_AT_POLY = [{"rows": ["1a"]}, {"rows": ["-1"]}, {"rows": ["12", "3"]},
+                     {"rows": ["12", [1, 2]]}, {"rows": [[1, 2], "12"]}, {"rows": "12"}]
+_BAD_TEXT_POWER_SUM = [{"num": "1", "den": "0"}, {"num": "1", "den": "000"},
+                       {"num": "1", "den": ""}, {"num": "-1", "den": "1"},
+                       {"num": "1", "den": "13"}, {"num": "1", "den": ["1"]}]
+
+# kind: (key at q, the value at that key, its encoder)
+_KINDS = {"at_poly": (lambda q: (q, 5), lambda fld: anderson.at_polynomial(fld, 5),
+                      cache.bipoly_to_json),
+          "power_sum": (lambda q: (q, 1, 2), lambda fld: zeta.power_sum_exact(fld, 1, 2),
                         cache.ratfunc_to_json)}
 
 
-@pytest.mark.parametrize("kind, payload", [("at_poly", b) for b in _BAD_AT_POLY]
-                         + [("power_sum", b) for b in _BAD_POWER_SUM])
-def test_malformed_payload_is_a_miss(store, caplog, kind, payload):
-    fld = field(3)
+def _check_miss(store, caplog, kind, q, payload):
+    """A stored ``payload`` is logged as corrupted, recomputed and overwritten."""
+    fld = field(q)
     key, value, encode = _KINDS[kind]
+    key = key(q)
     cache.set_active(None)
     cache.clear_memos()
     want = value(fld)
@@ -130,8 +202,42 @@ def test_malformed_payload_is_a_miss(store, caplog, kind, payload):
     assert store.get(kind, key) == encode(want)  # the entry was overwritten
 
 
+@pytest.mark.parametrize("kind, payload", [("at_poly", b) for b in _BAD_AT_POLY]
+                         + [("power_sum", b) for b in _BAD_POWER_SUM])
+def test_malformed_payload_is_a_miss(store, caplog, kind, payload):
+    _check_miss(store, caplog, kind, 3, payload)
+
+
+@pytest.mark.parametrize("kind, q, payload",
+                         [("at_poly", 3, b) for b in _BAD_TEXT_AT_POLY]
+                         + [("power_sum", 3, b) for b in _BAD_TEXT_POWER_SUM]
+                         # a row length that is not a multiple of w = 2, an entry >= 11
+                         + [("at_poly", 11, {"rows": ["012"]}), ("at_poly", 11, {"rows": ["0011"]}),
+                            ("power_sum", 11, {"num": "01", "den": "1"})])
+def test_malformed_text_payload_is_a_miss(store, caplog, kind, q, payload):
+    _check_miss(store, caplog, kind, q, payload)
+
+
+def test_list_format_entry_is_a_silent_miss(store, caplog):
+    # an entry as the list encoder wrote it, under the package version alone
+    fld = field(3)
+    cache.clear_memos()
+    h = anderson.at_polynomial(fld, 5)
+    path = store._path("at_poly", (3, 5))
+    entry = {"kind": "at_poly", "key": [3, 5], "version": __version__,
+             "payload": {"rows": h.coeffs.tolist()}}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh, sort_keys=True)
+    cache.clear_memos()
+    with caplog.at_level(logging.WARNING, logger="ffzeta.cache"):
+        assert store.get("at_poly", (3, 5)) is None
+        assert anderson.at_polynomial(fld, 5) == h
+    assert caplog.text == ""
+    assert store.get("at_poly", (3, 5)) == cache.bipoly_to_json(h)  # the entry was overwritten
+
+
 def test_version_mismatch_invalidates(store):
-    store.put("power_sum", (3, 1, 1), {"num": [1], "den": [1]})
+    store.put("power_sum", (3, 1, 1), {"num": "1", "den": "1"})
     path = store._path("power_sum", (3, 1, 1))
     with open(path) as fh:
         entry = json.load(fh)
@@ -142,7 +248,7 @@ def test_version_mismatch_invalidates(store):
 
 
 def test_atomic_writes_leave_no_temp_files(store, tmp_path):
-    store.put("power_sum", (2, 1, 1), {"num": [1], "den": [1]})
+    store.put("power_sum", (2, 1, 1), {"num": "1", "den": "1"})
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert not leftovers
 

@@ -232,6 +232,17 @@ def test_cache_transparency(capsys, tmp_path):
     assert cold == warm == nocache
 
 
+@pytest.mark.parametrize("name", ["file", "file/sub"])
+def test_unusable_cache_dir_exits_2(capsys, tmp_path, name):
+    # a regular file, and a directory that cannot be made under one
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = str(tmp_path / name)
+    assert cli.main(["--cache-dir", path, "atpoly", "--q", "3", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot use cache directory {path}: ")
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     rc = cli.main(["zeta", "--q", "3", "--index", "2,x", "--prec", "10"])
     assert rc == 2
