@@ -14,7 +14,9 @@ made before and after a cleared field could no longer be combined.
 Persistent entries are keyed by kind and integer key tuple, carry the
 entry version ``VERSION`` (the package version and the payload format; a
 mismatch is a silent miss), and are written with atomic renames so
-concurrent readers never see a torn file.  Payloads stay JSON, because a
+concurrent readers never see a torn file.  A file gets the mode a plain
+``open`` gives (0666 less the umask), so a shared cache directory stays
+readable to its other users.  Payloads stay JSON, because a
 human-inspectable cache makes debugging exact arithmetic much easier.  An
 array of F_q elements is fixed-width decimal text: every entry is
 zero-padded to w = len(str(q - 1)) characters, so for q <= 10 a row of an
@@ -38,7 +40,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 
 import numpy as np
 
@@ -193,7 +194,9 @@ class JsonCache:
             "version": VERSION,
             "payload": payload,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        # a unique name, created like a plain open: mode 0666 less the umask
+        tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True))

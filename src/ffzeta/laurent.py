@@ -189,25 +189,28 @@ class Laurent:
         prec = min(self.prec, other.prec)
         if self.coeffs.size == 0 and other.coeffs.size == 0:
             return Laurent.zero(fld) if prec == INF else Laurent.zero_to_prec(fld, prec)
-        lo = min(
-            self.val if self.coeffs.size else INF,
-            other.val if other.coeffs.size else INF,
-        )
-        hi_data = max(
-            self.val + self.coeffs.size - 1 if self.coeffs.size else -INF,
-            other.val + other.coeffs.size - 1 if other.coeffs.size else -INF,
-        )
-        hi = hi_data if prec == INF else min(hi_data, prec)
+        # low starts first; an empty operand is high, and adds nothing
+        low, high = self, other
+        if not low.coeffs.size or (high.coeffs.size and high.val < low.val):
+            low, high = high, low
+        lo = int(low.val)
+        hi = lo + low.coeffs.size - 1
+        if high.coeffs.size:
+            hi = max(hi, int(high.val) + high.coeffs.size - 1)
+        if prec != INF:
+            hi = min(hi, int(prec))
         if hi < lo:
             return Laurent.zero_to_prec(fld, prec)
-        lo, hi = int(lo), int(hi)
+        # copy low's window, then add high into the overlap and copy the rest
         out = np.zeros(hi - lo + 1, dtype=np.int64)
-        for src in (self, other):
-            if src.coeffs.size:
-                a = int(src.val) - lo
-                n = min(src.coeffs.size, out.size - a)
-                if n > 0:
-                    out[a : a + n] = fld.add(out[a : a + n], src.coeffs[:n])
+        n = min(low.coeffs.size, out.size)
+        out[:n] = low.coeffs[:n]
+        if high.coeffs.size:
+            a = int(high.val) - lo
+            src = high.coeffs[: max(0, out.size - a)]
+            m = max(0, min(src.size, n - a))
+            out[a : a + m] = fld.add(out[a : a + m], src[:m])
+            out[a + m : a + src.size] = src[m:]
         return Laurent(fld, lo, out, prec)
 
     def __neg__(self):
@@ -226,8 +229,14 @@ class Laurent:
         prec = min(self.val + other.prec, other.val + self.prec)
         if self.coeffs.size == 0 or other.coeffs.size == 0:
             return Laurent.zero_to_prec(fld, prec) if prec != INF else Laurent.zero(fld)
-        window = backend.convolve_mod(self.coeffs, other.coeffs, fld)
-        return Laurent(fld, int(self.val) + int(other.val), window, prec)
+        val = int(self.val) + int(other.val)
+        a, b = self.coeffs, other.coeffs
+        if prec != INF:
+            # the result keeps k digits, and digit i of either operand only
+            # reaches digits >= i of the product
+            k = int(prec) - val + 1
+            a, b = a[:k], b[:k]
+        return Laurent(fld, val, backend.convolve_mod(a, b, fld), prec)
 
     def scale(self, c: int):
         """Multiply by a field constant."""

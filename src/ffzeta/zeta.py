@@ -13,8 +13,11 @@ positive multiple of q-1, which proves the valuation bound
 
     val(S_d(n)) >= n*d + (q-1)*d*(d+1)/2.
 
-It decides which power sums vanish through prec, and its quadratic growth
-lets multizeta sums truncate after O(sqrt(N)) degree layers.  S_d(n) is
+The degrees of H_{n-1} give a second one, q ((1 + s_q(n-1)) q^d - n)/(q-1)
+with s_q the base-q digit sum, exact for n <= q and growing like q^d;
+``power_sum_val_bound`` is the larger of the two.  It decides which power
+sums vanish through prec, and lets multizeta sums truncate after
+O(log_q N) degree layers.  S_d(n) is
 memoised per (q, d, n) at the highest prec seen; it and the exact power
 sums go through ``cache.remember``, the package's one memo policy.
 
@@ -76,8 +79,22 @@ def _finite_prec(prec) -> int:
 
 
 def power_sum_val_bound(q: int, d: int, n: int) -> int:
-    """Proven lower bound for val(S_d(n))."""
-    return n * d + (q - 1) * d * (d + 1) // 2
+    """Proven lower bound for val(S_d(n)): the larger of the quadratic bound
+    n d + (q-1) d (d+1)/2 and the floor q ((1 + s_q(n-1)) q^d - n)/(q-1),
+    with s_q the base-q digit sum.
+
+    The floor comes from Gamma_n S_d(n) = H_{n-1}^{(d)}(theta) / L_d^n: a
+    monomial t^i theta^j of H_{n-1} lands at theta^{i + j q^d}, so
+    val S_d(n) >= n e_d + deg Gamma_n - deg_t H_{n-1} - q^d deg_theta H_{n-1},
+    e_d = deg L_d = q (q^d - 1)/(q-1).  Induction on the recursion of
+    ``anderson._at_tower`` gives deg_t H_m <= deg Gamma_{m+1} and
+    deg_theta H_m <= sum m_i e_i = q (m - s_q(m))/(q-1) over the base-q
+    digits m_i of m, which leaves the floor.  It is exact for n <= q, where
+    S_d(n) = 1/l_d^n (Carlitz), and it grows like q^d, so the walk stops
+    after O(log_q prec) degrees.  It reads no H: a zero through prec costs
+    no tower."""
+    floor = q * ((1 + sum(base_q_digits(n - 1, q))) * q ** d - n) // (q - 1)
+    return max(n * d + (q - 1) * d * (d + 1) // 2, floor)
 
 
 def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) -> RatFunc:
@@ -268,23 +285,26 @@ def _nested_sum(r: int, lo: int, bound, factor, prec: int, level=None, carry=Non
 
 def _power_sum_walk(fld: Field, s: Index, prec, signs=None) -> Laurent:
     """Sum over d_1 > ... > d_r >= 0 of prod_j S_{d_j}(s_j) signs[j]^{d_j}.
-    Every power sum is asked for the full prec: the memo keeps one entry per
-    (q, d, n) at the highest prec seen, and a lower request could make a
-    later one recompute it.
+    Every power sum is asked for the full prec, then cut to the p the walk
+    reads: the memo keeps one entry per (q, d, n) at the highest prec seen,
+    and a lower request could make a later one recompute it.
 
     bound(j, 0) = val S_0 = 0, so every cap is prec, and slot j's running
     sums depend only on q, s_1..s_{j+1}, their signs and prec: the memo
     ``power_sum_walk`` keeps them per prefix with ``power_sum_series``'s
-    policy.  Sums kept for a higher prec serve a lower one as they are:
-    ``_nested_sum`` truncates every product and partial to its cap."""
+    policy.  A sign prefix of all ones scales no digit, so it shares the
+    mzv prefix's entry (sign key None).  Sums kept for a higher prec serve
+    a lower one as they are: ``_nested_sum`` truncates every product and
+    partial to its cap."""
     prec = _finite_prec(prec)
 
     def factor(j, d, p):
-        layer = power_sum_series(fld, d, s[j], prec)
+        layer = power_sum_series(fld, d, s[j], prec).truncate(p)
         return layer if signs is None else layer.scale(fld.pow(signs[j], d))
 
     def level(j, sweep):
-        key = (fld.q, s[: j + 1], None if signs is None else tuple(signs[: j + 1]))
+        eps = () if signs is None else tuple(signs[: j + 1])
+        key = (fld.q, s[: j + 1], eps if set(eps) - {1} else None)
         return cache.remember("power_sum_walk", key, lambda e: e[0] >= prec,
                               lambda _: (prec, sweep()))[1]
 

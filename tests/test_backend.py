@@ -387,13 +387,19 @@ def _power_sum_digits_one_degree(d, n, q, wmax, binom, p):
     return digits
 
 
+def _quadratic_val_bound(q, d, n):
+    """The quadratic bound val S_d(n) >= n d + (q-1) d (d+1)/2, which picks
+    the degrees the DP is compared at: every one below a window's end."""
+    return n * d + (q - 1) * d * (d + 1) // 2
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_power_sum_pass_matches_per_degree_dp(q):
     fld = field(q)
     for n in (1, 2, 3, 7):
         for prec in (40, 150):
             d_max = 0
-            while zeta.power_sum_val_bound(q, d_max + 1, n) <= prec:
+            while _quadratic_val_bound(q, d_max + 1, n) <= prec:
                 d_max += 1
             binom = _binom_table(prec + 1, fld.p)
             got = backend.power_sum_digits(d_max, n, q, prec - n, binom, fld.p)
@@ -412,7 +418,7 @@ def test_power_sum_series_matches_the_dp():
         for n in range(1, 7):
             for prec in (60, 200):
                 d_max = 0
-                while zeta.power_sum_val_bound(q, d_max + 1, n) <= prec:
+                while _quadratic_val_bound(q, d_max + 1, n) <= prec:
                     d_max += 1
                 dp[q, n, prec] = backend.power_sum_digits(
                     d_max, n, q, prec - n, _binom_table(prec + 1, fld.p), fld.p)

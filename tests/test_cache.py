@@ -5,6 +5,7 @@ corruption and malformed payloads, version invalidation."""
 import json
 import logging
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -251,6 +252,15 @@ def test_atomic_writes_leave_no_temp_files(store, tmp_path):
     store.put("power_sum", (2, 1, 1), {"num": "1", "den": "1"})
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert not leftovers
+
+
+def test_entries_get_the_mode_of_a_plain_open(store):
+    old = os.umask(0o022)
+    try:
+        store.put("power_sum", (2, 1, 2), {"num": "1", "den": "1"})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(store._path("power_sum", (2, 1, 2))).st_mode) == 0o644
 
 
 # -- the in-process memo policy --------------------------------------------------

@@ -4,8 +4,10 @@ precision propagation and soundness."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ffzeta import backend
 from ffzeta.errors import DomainError
 from ffzeta.laurent import INF, Laurent, format_laurent
 from ffzeta.scalar import (BiPoly, Poly, RatFunc, bracket_L, field, frobenius_twist,
@@ -144,6 +146,86 @@ def test_mul_precision_rule():
     prod = a * b
     assert prod.prec == min(2 + 7, -1 + 10)
     assert prod.val == 1
+
+
+def _rand_operand(fld, draw, size=30):
+    """The exact zero, a zero to a finite prec, or a window of up to size
+    digits, exact or with a prec at, before or past its end."""
+    kind = draw.randrange(5)
+    if kind == 0:
+        return Laurent.zero(fld)
+    if kind == 1:
+        return Laurent.zero_to_prec(fld, draw.randrange(-5, 40))
+    val = draw.randrange(-5, 40)
+    coeffs = [draw.randrange(1, fld.q)] + [draw.randrange(fld.q) for _ in range(draw.randrange(size))]
+    prec = INF if kind == 2 else val + draw.randrange(-3, len(coeffs) + 10)
+    return Laurent(fld, val, coeffs, prec)
+
+
+def _full_product(x, y):
+    """x * y with both windows convolved in full, then cut to the product's
+    prec: the product before ``__mul__`` shortened its operands."""
+    fld = x.field
+    prec = min(x.val + y.prec, y.val + x.prec)
+    return Laurent(fld, int(x.val) + int(y.val), backend.convolve_mod(x.coeffs, y.coeffs, fld), prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 4, 9, 25])
+def test_short_product_is_the_full_product_truncated(q):
+    fld, draw = field(q), random.Random(q)
+    cut = 0
+    for _ in range(300):
+        # windows long enough for the packed product past backend._pack_from
+        x, y = (_rand_operand(fld, draw, size=draw.choice([30, 400])) for _ in range(2))
+        if x.is_zero_to_precision or y.is_zero_to_precision:
+            continue
+        want = _full_product(x, y)
+        assert x * y == want, (x, y)
+        cut += want.prec != INF and x.coeffs.size + y.coeffs.size - 1 > want.prec - want.val + 1
+    assert cut > 50
+
+
+def _sum_over_the_union(x, y):
+    """x + y over a zero window spanning both operands, each added in full:
+    the formula before ``__add__`` copied the lower operand's window."""
+    fld = x.field
+    prec = min(x.prec, y.prec)
+    if x.coeffs.size == 0 and y.coeffs.size == 0:
+        return Laurent.zero(fld) if prec == INF else Laurent.zero_to_prec(fld, prec)
+    lo = min(x.val if x.coeffs.size else INF, y.val if y.coeffs.size else INF)
+    hi = max(x.val + x.coeffs.size - 1 if x.coeffs.size else -INF,
+             y.val + y.coeffs.size - 1 if y.coeffs.size else -INF)
+    hi = hi if prec == INF else min(hi, prec)
+    if hi < lo:
+        return Laurent.zero_to_prec(fld, prec)
+    out = np.zeros(int(hi) - int(lo) + 1, dtype=np.int64)
+    for src in (x, y):
+        if src.coeffs.size:
+            a = int(src.val) - int(lo)
+            n = min(src.coeffs.size, out.size - a)
+            if n > 0:
+                out[a : a + n] = fld.add(out[a : a + n], src.coeffs[:n])
+    return Laurent(fld, int(lo), out, prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 4, 9])
+def test_sum_matches_the_sum_over_the_union(q):
+    fld, draw = field(q), random.Random(100 + q)
+    seen = {"overlap": 0, "disjoint": 0, "cancel": 0}
+    for _ in range(600):
+        x, y = _rand_operand(fld, draw), _rand_operand(fld, draw)
+        if draw.randrange(4) == 0 and x.coeffs.size:
+            # y cancels a stretch of x: the sum's window must be trimmed
+            cut = draw.randrange(x.coeffs.size + 1)
+            y = Laurent(fld, x.val + draw.randrange(2) * cut, fld.neg(x.coeffs[:cut]) if cut
+                        else [], INF if draw.randrange(2) else x.val + draw.randrange(60))
+            seen["cancel"] += 1
+        if x.coeffs.size and y.coeffs.size:
+            ends = sorted([(x.val, x.val + x.coeffs.size), (y.val, y.val + y.coeffs.size)])
+            seen["overlap" if ends[1][0] < ends[0][1] else "disjoint"] += 1
+        assert x + y == _sum_over_the_union(x, y), (x, y)
+        assert y + x == _sum_over_the_union(y, x), (x, y)
+    assert min(seen.values()) > 30, seen
 
 
 def test_inv_precision_rule_and_involution():

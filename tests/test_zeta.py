@@ -12,7 +12,8 @@ import pytest
 from ffzeta import anderson, backend, cache, zeta
 from ffzeta.errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from ffzeta.laurent import Laurent
-from ffzeta.scalar import Poly, RatFunc, bracket_L, carlitz_gamma, field
+from ffzeta.scalar import (Poly, RatFunc, base_q_digits, bracket_L, carlitz_gamma,
+                           carlitz_gamma_degree, field)
 
 rng = random.Random(31)
 
@@ -74,6 +75,80 @@ def test_series_valuation_bounds():
                     continue
                 assert s.val >= n * d
                 assert s.val >= zeta.power_sum_val_bound(q, d, n)
+
+
+def _digit_floor(q, d, n):
+    """q ((1 + s_q(n-1)) q^d - n)/(q-1), from the degrees of H_{n-1}."""
+    return q * ((1 + sum(base_q_digits(n - 1, q))) * q ** d - n) // (q - 1)
+
+
+def test_val_bound_is_the_larger_of_the_quadratic_bound_and_the_digit_floor():
+    for q in (2, 3, 4, 5, 7, 8, 9, 25):
+        for n in range(1, 60):
+            for d in range(0, 6):
+                quadratic = n * d + (q - 1) * d * (d + 1) // 2
+                assert zeta.power_sum_val_bound(q, d, n) == max(quadratic, _digit_floor(q, d, n))
+                # the floor is an integer: q ((1 + s) q^d - n) is a multiple of q-1
+                assert q * ((1 + sum(base_q_digits(n - 1, q))) * q ** d - n) % (q - 1) == 0
+                # and increases in d, so the walk's bound does too
+                assert _digit_floor(q, d + 1, n) > _digit_floor(q, d, n)
+                assert zeta.power_sum_val_bound(q, d + 1, n) > zeta.power_sum_val_bound(q, d, n)
+
+
+def test_val_power_sum_meets_the_digit_floor_with_equality_up_to_q():
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 25):
+        fld = field(q)
+        for n in range(1, 41):
+            for d in range(1, 5):
+                floor = _digit_floor(q, d, n)
+                if floor > 3000:
+                    break
+                # with no prec, the identity route returns the first digit
+                val = int(zeta._power_sum_from_identity(fld, d, n).val)
+                assert val >= zeta.power_sum_val_bound(q, d, n) >= floor, (q, d, n)
+                if n <= q:  # S_d(n) = 1/l_d^n (Carlitz)
+                    assert val == floor, (q, d, n)
+                checked += 1
+    cache.clear_memos()
+    assert checked > 900
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_at_polynomial_degrees_meet_the_lemmas_of_the_floor(q):
+    """deg_t H_m <= deg Gamma_{m+1} and deg_theta H_m <= q (m - s_q(m))/(q-1),
+    on the tower to H_149."""
+    fld = field(q)
+    cache.clear_memos()
+    try:
+        anderson.at_polynomial(fld, 149)
+        for m in range(150):
+            h = anderson.at_polynomial(fld, m)
+            assert h.t_degree <= carlitz_gamma_degree(q, m + 1), m
+            assert h.theta_degree <= q * (m - sum(base_q_digits(m, q))) // (q - 1), m
+    finally:
+        cache.clear_memos()  # the q=2 tower holds about 100 MB
+
+
+@pytest.mark.parametrize("q,s,prec", [(2, (1, 149), 152), (3, (1, 100), 104)])
+def test_a_large_last_entry_below_its_floor_builds_no_tower_for_it(monkeypatch, q, s, prec):
+    fld = field(q)
+    built = []
+    tower = anderson._at_tower
+
+    def spy(f, stale, n):
+        built.append(n)
+        return tower(f, stale, n)
+
+    monkeypatch.setattr(anderson, "_at_tower", spy)
+    cache.clear_memos()
+    # S_d(s_2) is zero through prec for d >= 1, so zeta(s) = zeta(1) - 1 there
+    want = zeta.mzv(fld, s[:1], prec) - Laurent.one(fld)
+    assert built == [0]  # entry 1 reads H_0 alone
+    cache.clear_memos()
+    built.clear()
+    assert zeta.mzv(fld, s, prec) == want
+    assert built == [0]
 
 
 def test_series_far_beyond_enumeration_budget():
@@ -224,6 +299,65 @@ def test_walk_memo_sweeps_only_the_slots_past_its_prefix(monkeypatch):
     cache.clear_memos()
     assert zeta.mzv(fld, (2, 1, 1), prec) == want
     assert any(n == 2 for _, n, _ in calls)
+
+
+def test_walk_calls_no_factor_without_a_digit_through_its_prec(monkeypatch):
+    """On the zeta-batch family, every composition of weight <= 4 at q=3
+    and N=300 with every sign vector, each S_d(n) the walk asks for has a
+    digit through the prec it asks for: the floor stops every slot at the
+    last degree that can reach prec."""
+    fld = field(3)
+    nested, asked, empty = zeta._nested_sum, [], []
+
+    def spy(r, lo, bound, factor, prec, level=None, carry=None):
+        def watched(j, l, p):
+            x = factor(j, l, p)
+            asked.append((j, l, p))
+            if x.is_zero_to_precision:
+                empty.append((j, l, p))
+            return x
+
+        return nested(r, lo, bound, watched, prec, level, carry)
+
+    monkeypatch.setattr(zeta, "_nested_sum", spy)
+    cache.clear_memos()
+    for w in range(1, 5):
+        for s in _compositions(w):
+            zeta.mzv(fld, s, 300)
+            for eps in itertools.product((1, 2), repeat=len(s)):
+                zeta.amzv(fld, s, eps, 300)
+    assert asked and not empty
+
+
+def test_amzv_with_leading_ones_reuses_the_mzv_prefix_sums(monkeypatch):
+    fld, prec = field(3), 300
+    s, eps = (3, 2, 1), (1, 1, 2)
+    # the quadratic bound and a cold memo: the walk as it was before the
+    # floor, with no prefix shared
+    monkeypatch.setattr(zeta, "power_sum_val_bound",
+                        lambda q, d, n: n * d + (q - 1) * d * (d + 1) // 2)
+    cache.clear_memos()
+    want = zeta.amzv(fld, s, eps, prec)
+    monkeypatch.undo()
+
+    nested, swept = zeta._nested_sum, []
+
+    def spy(r, lo, bound, factor, prec, level=None, carry=None):
+        def counted(j, sweep):
+            return level(j, lambda: swept.append(j) or sweep())
+
+        return nested(r, lo, bound, factor, prec, counted, carry)
+
+    monkeypatch.setattr(zeta, "_nested_sum", spy)
+    cache.clear_memos()
+    zeta.mzv(fld, s, prec)
+    assert swept == [0, 1, 2]
+    swept.clear()
+    assert zeta.amzv(fld, s, eps, prec) == want
+    assert swept == [2]  # slots 0 and 1 carry signs 1, 1: the mzv sums
+    swept.clear()
+    assert zeta.amzv(fld, s, (2, 1, 1), prec) != want
+    assert swept == [0, 1, 2]  # a sign other than 1 in slot 0 shares nothing
 
 
 # -- the nested-sum walk ----------------------------------------------------------
@@ -805,8 +939,8 @@ def test_power_sum_series_matches_newton_route(q):
     fld = field(q)
     for d in (1, 2, 3):
         for n in (1, 2, q - 1, q, q + 1, q * q + 1, min(2 * q * q - 1, 100)):
-            # a prec some digits past the valuation bound
-            prec = zeta.power_sum_val_bound(q, d, n) + 3 * q ** d
+            # a prec some digits past the quadratic valuation bound
+            prec = n * d + (q - 1) * d * (d + 1) // 2 + 3 * q ** d
             assert zeta.power_sum_series(fld, d, n, prec) == _newton_power_sum(fld, d, n, prec), \
                 (d, n, prec)
 
