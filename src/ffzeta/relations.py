@@ -8,19 +8,22 @@ certificate list.  The margin rule (available digits >= unknowns + 20)
 and the reverification of every certificate at doubled precision keep
 most spurious kernels out, but not a near-relation that first shows past 2N.
 
-Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``,
-which ``eval_value_expr`` evaluates.  ``ValueVector.evaluate`` is the one
-path from labels to a value vector, for the hunter, the verifier, the
-reports and the acceptance suite; ``leading_valuation`` predicts a value's
-first digit, and ``probe_valuation`` finds it for the rest.  A value vector
-refuses an entry that shows no digit, so a value that cannot be told from
-zero is never certified as zero.
+Values are named by labels such as ``zeta(2,1)`` or ``cmpl(2,1;theta;1)``;
+one parse of a label serves ``eval_value_expr``, which evaluates it, and
+``leading_valuation``, which gives its valuation in closed form from its
+leading term.  ``ValueVector.evaluate`` is the one path from labels to a
+value vector, for the hunter, the verifier, the reports and the acceptance
+suite.  It refuses, before evaluating anything, a label that is exactly
+zero or that would show no digit, so a value that cannot be told from zero
+is never certified as zero.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -60,6 +63,8 @@ class ValueVector:
     @classmethod
     def of(cls, labels, values):
         """Build a vector, truncating everything to the common precision."""
+        if any(v.is_exact_zero for v in values):  # truncated, it would only look zero
+            raise DomainError("exact-zero entries are not allowed in a value vector")
         prec = min(v.prec for v in values)
         if prec == INF:
             raise DomainError("at least one value must carry finite precision")
@@ -67,24 +72,25 @@ class ValueVector:
 
     @classmethod
     def evaluate(cls, fld: Field, labels, prec: int, valuations=None):
-        """Evaluate every label once, at prec, refusing a value whose first digit
-        is not at its ``leading_valuation`` or that shows no digit.  A caller
-        that has the labels' leading valuations already passes them."""
+        """Evaluate every label once, at prec, after refusing any label that is
+        exactly zero or whose ``leading_valuation`` lies past prec; a value
+        whose first digit is not at its valuation is refused too.  A caller
+        that has the labels' valuations passes them."""
         if valuations is None:
             valuations = [leading_valuation(fld, label) for label in labels]
-        values = []
         for label, want in zip(labels, valuations):
-            v = eval_value_expr(fld, label, prec)
-            blind = v.is_zero_to_precision and not v.is_exact_zero
-            if blind and (want is None or want > prec):
-                least = probe_valuation(fld, label, prec) if want is None else want
+            if want == INF:
+                raise DomainError(f"{label} is exactly zero, and exact-zero entries are not "
+                                  "allowed in a value vector")
+            if want > prec:
                 raise ResolutionError(f"{label} shows no digit through precision {prec}; "
-                                      f"raise prec to at least {least}")
-            if want not in (None, v.val):
-                seen = "no digit" if blind else f"its first digit at {int(v.val)}"
+                                      f"raise prec to at least {want}")
+        values = [eval_value_expr(fld, label, prec) for label in labels]
+        for label, want, v in zip(labels, valuations, values):
+            if v.val != want:
+                seen = "no digit" if v.is_zero_to_precision else f"its first digit at {int(v.val)}"
                 raise ResolutionError(f"{label} shows {seen} through precision {prec}, but "
                                       f"its leading term has valuation {want}")
-            values.append(v)
         return cls.of(labels, values)
 
     @property
@@ -151,36 +157,6 @@ def _margin_prec(min_val: int, unknowns: int) -> int:
     return min_val + unknowns + MARGIN_DIGITS - 1
 
 
-def leading_valuation(fld: Field, expr: str):
-    """A power-sum label's valuation from its leading term (for gnzeta(s) = +-Gamma_{s_1}
-    ... Gamma_{s_r} zeta(s), less sum deg Gamma_{s_j}); None for cmpl, logc and pitilde."""
-    name, body = _split_label(expr)
-    if name in ("zeta", "amzv", "gnzeta"):
-        s = parse_index(split_top(body, ";")[0])
-        gamma = sum(carlitz_gamma_degree(fld.q, n) for n in s) if name == "gnzeta" else 0
-        return zeta.mzv_valuation(fld, s) - gamma
-    if name == "prod":
-        vals = [leading_valuation(fld, sub) for sub in split_top(body, ",")]
-        return None if None in vals else sum(vals)
-    return None
-
-
-def probe_valuation(fld: Field, label: str, prec: int):
-    """The valuation of a label's value, for labels ``leading_valuation``
-    does not cover, from five evaluations that each go deeper than the
-    last: at prec, 2 prec, ..., 16 prec for prec >= 1, and from a prec <= 0
-    on to 1, 2, 4 and 8.  A value that shows no digit raises
-    ResolutionError."""
-    probe = prec
-    for _ in range(5):
-        v = eval_value_expr(fld, label, probe)
-        if not v.is_zero_to_precision:
-            return int(v.val)
-        last, probe = probe, max(2 * probe, 1)
-    raise ResolutionError(f"nonvanishing hypothesis unresolved for {label} "
-                          f"(no digit through precision {last})")
-
-
 def find_relations(vec: ValueVector, degree_bound: int):
     """Kernel basis of the digit linearisation, as certificates.
 
@@ -197,8 +173,10 @@ def find_relations(vec: ValueVector, degree_bound: int):
     shrinking the kernel of the rows seen so far.  Its basis is canonical
     (one vector per free unknown, that unknown set to 1, in unknown
     order), so the certificates do not depend on how the rows are split.
-    A vector whose residual does not vanish through the precision is
-    dropped.
+    The rows read the exponents min_i val v_i - D through N - D, for
+    N = prec and D = degree_bound; a kernel vector is dropped unless its
+    residual sum c_i v_i vanishes through N - max_i deg c_i, the residual's
+    own precision.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
@@ -209,14 +187,13 @@ def find_relations(vec: ValueVector, degree_bound: int):
     min_val = min(int(v.val) for v in vec.values)
     x_lo = min_val - degree_bound
     x_hi = n - degree_bound
-    digits_available = x_hi - x_lo + 1  # = n - min_val + 1
-    if digits_available < unknowns + MARGIN_DIGITS:
+    rows = x_hi - x_lo + 1  # the digits available, n - min_val + 1
+    if rows < unknowns + MARGIN_DIGITS:
         raise MarginError(
-            f"margin rule: {digits_available} digits available but "
+            f"margin rule: {rows} digits available but "
             f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}; "
             f"raise prec to {_margin_prec(min_val, unknowns)}"
         )
-    rows = x_hi - x_lo + 1
     matrix = np.zeros((rows, unknowns), dtype=np.int64)
     for i, v in enumerate(vec.values):
         # v's digits at exponents x_lo .. x_hi + degree_bound = n (its window ends by n)
@@ -289,17 +266,6 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
     g_images = [g_map(s) for s in family]
     disjoint = is_g_independent(family)
     labels = [f"gnzeta({','.join(str(x) for x in s)})" for s in family]
-    report = {
-        "family": [list(s) for s in family],
-        "q": fld.q,
-        "D": degree_bound,
-        "N": prec,
-        "g_images": [sorted(t) for t in g_images],
-        "g_independent": disjoint,
-        "certificates": [],
-        "verdict": "",
-    }
-
     valuations = [leading_valuation(fld, label) for label in labels]
     base = max(valuations) + prec
     least = _margin_prec(min(valuations), len(labels) * (degree_bound + 1)) - max(valuations)
@@ -311,18 +277,12 @@ def independence_report(fld: Field, family, degree_bound: int, prec: int) -> dic
         if survivors:
             vec = ValueVector.evaluate(fld, labels, absprec, valuations)
             survivors = [c for c in survivors if verify_relation(vec, c)]
-    report["certificates"] = [c.to_json() for c in survivors]
-    if survivors:
-        report["verdict"] = (
-            "anomaly: certificate survived reverification on a "
-            + ("g-independent" if disjoint else "g-dependent")
-            + " family"
-        )
-    else:
-        report["verdict"] = (
-            f"consistent with the independence criterion up to (D={degree_bound}, N={prec})"
-        )
-    return report
+    kind = "g-independent" if disjoint else "g-dependent"
+    verdict = (f"anomaly: certificate survived reverification on a {kind} family" if survivors
+               else f"consistent with the independence criterion up to (D={degree_bound}, N={prec})")
+    return {"family": [list(s) for s in family], "q": fld.q, "D": degree_bound, "N": prec,
+            "g_images": [sorted(t) for t in g_images], "g_independent": disjoint,
+            "certificates": [c.to_json() for c in survivors], "verdict": verdict}
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +339,6 @@ def parse_index(text: str) -> Index:
         raise DomainError(f"malformed index {text!r}") from exc
 
 
-def parse_signs(text: str):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed sign vector {text!r}") from exc
-
-
 def split_top(text: str, sep: str):
     """Split at the separators outside parentheses."""
     parts, depth, start = [], 0, 0
@@ -405,54 +358,75 @@ def split_top(text: str, sep: str):
     return parts
 
 
-def _split_label(expr: str):
-    """(name, body) of a label name(body)."""
-    m = re.match(r"^([a-z]+)\((.*)\)$", expr.strip())
-    if not m:
-        raise DomainError(f"malformed value expression {expr.strip()!r}")
-    return m.group(1), m.group(2)
-
-
-def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
-    """Evaluate one label at absolute 1/theta precision prec.
+def _parse_label(fld: Field, expr: str):
+    """(value, valuation) of one label, from one parse: value(prec) evaluates
+    it at absolute 1/theta precision prec, valuation() needs no evaluation.
 
     Grammar: zeta(s1,s2,...), amzv(s1,...;e1,...), cmpl(s1,...;p1;p2;...),
     logc(point), pitilde(m) for the period power pi~^{(q-1)m},
     gnzeta(s1,...) for the Gamma-normalised value via the deformation
     evaluator, and prod(expr,expr,...) for products.
     """
-    name, body = _split_label(expr)
+    m = re.match(r"^([a-z]+)\((.*)\)$", expr.strip())
+    if not m:
+        raise DomainError(f"malformed value expression {expr.strip()!r}")
+    name, body = m.groups()
     if name == "zeta":
-        return zeta.mzv(fld, parse_index(body), prec)
+        s = parse_index(body)
+        return lambda prec: zeta.mzv(fld, s, prec), lambda: zeta.mzv_valuation(fld, s)
     if name == "amzv":
         parts = split_top(body, ";")
         if len(parts) != 2:
             raise DomainError("amzv wants amzv(index;signs)")
-        return zeta.amzv(fld, parse_index(parts[0]), parse_signs(parts[1]), prec)
+        s = parse_index(parts[0])
+        try:
+            signs = [int(x) for x in parts[1].split(",")]
+        except ValueError as exc:
+            raise DomainError(f"malformed sign vector {parts[1]!r}") from exc
+        zeta._validate_signs(fld, s, signs)  # here, as the valuation reads no sign
+        return lambda prec: zeta.amzv(fld, s, signs, prec), lambda: zeta.mzv_valuation(fld, s)
     if name == "cmpl":
         parts = split_top(body, ";")
         s = parse_index(parts[0])
         points = [parse_ratfunc(fld, p) for p in parts[1:]]
-        return zeta.cmpl(fld, s, points, prec)
+        return (lambda prec: zeta.cmpl(fld, s, points, prec),
+                lambda: zeta.cmpl_valuation(fld, s, points))
     if name == "logc":
-        return zeta.carlitz_log(fld, parse_ratfunc(fld, body), prec)
+        u = parse_ratfunc(fld, body)
+        return (lambda prec: zeta.carlitz_log(fld, u, prec),
+                lambda: zeta.cmpl_valuation(fld, Index((1,)), [u]))
     if name == "pitilde":
         try:
             power = int(body)
         except ValueError as exc:
             raise DomainError(f"malformed period power {body!r}") from exc
-        return zeta.carlitz_period_power(fld, power, prec)
+        return (lambda prec: zeta.carlitz_period_power(fld, power, prec),
+                lambda: zeta.carlitz_period_valuation(fld, power))
     if name == "gnzeta":
+        # gnzeta(s) = +-Gamma_{s_1} ... Gamma_{s_r} zeta(s)
         s = parse_index(body)
-        qs = [anderson.at_polynomial(fld, sj - 1) for sj in s]
-        return anderson.deformation_value(fld, s, qs, prec)
+        gamma = sum(carlitz_gamma_degree(fld.q, n) for n in s)
+        return (lambda prec: anderson.deformation_value(
+                    fld, s, [anderson.at_polynomial(fld, n - 1) for n in s], prec),
+                lambda: zeta.mzv_valuation(fld, s) - gamma)
     if name == "prod":
         parts = split_top(body, ",")
         if len(parts) < 2:
             raise DomainError("prod wants at least two factors")
-        acc = None
-        for sub in parts:
-            v = eval_value_expr(fld, sub, prec)
-            acc = v if acc is None else acc * v
-        return acc.truncate(prec)
+        factors = [_parse_label(fld, sub) for sub in parts]
+        return (lambda prec: reduce(operator.mul, (f(prec) for f, _ in factors)).truncate(prec),
+                lambda: sum(val() for _, val in factors))
     raise DomainError(f"unknown value expression {name!r}")
+
+
+def leading_valuation(fld: Field, expr: str):
+    """A label's valuation from its leading term, with no evaluation
+    (``zeta.mzv_valuation``, ``zeta.cmpl_valuation`` or -qm for pitilde(m),
+    summed over a prod's factors); INF when the value is exactly zero."""
+    return _parse_label(fld, expr)[1]()
+
+
+def eval_value_expr(fld: Field, expr: str, prec: int) -> Laurent:
+    """Evaluate one label at absolute 1/theta precision prec (grammar in
+    ``_parse_label``)."""
+    return _parse_label(fld, expr)[0](prec)

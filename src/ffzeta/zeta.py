@@ -56,7 +56,7 @@ import numpy as np
 from . import backend, cache
 from .errors import BudgetError, ConvergenceError, DomainError, InvalidIndexError
 from .indices import Index, coerce_index
-from .laurent import Laurent
+from .laurent import INF, Laurent
 from .scalar import (BiPoly, Field, Poly, RatFunc, base_q_digits, carlitz_gamma_degree,
                      enumerate_monic)
 
@@ -180,6 +180,22 @@ def mzv_valuation(fld: Field, s) -> int:
     s = coerce_index(s)
     return sum(int(_power_sum_from_identity(fld, s.depth - 1 - j, n).val)
                for j, n in enumerate(s[:-1]))
+
+
+def cmpl_valuation(fld: Field, s, points):
+    """val Li_s(u) = sum_{j=1..r} [s_j deg L_{r-j} - deg u_j q^{r-j}], from the
+    leading term, or INF at a zero point, where the value is exactly zero:
+    slot j's term at height i has valuation s_j deg L_i - deg u_j q^i, which
+    strictly increases in i under the convergence condition (a divergent
+    point raises ConvergenceError), so the heights (r-1, ..., 0) alone have
+    the least valuation."""
+    s = coerce_index(s)
+    us = [_as_ratfunc(fld, u) for u in points]
+    _require_convergence(fld, s, us, "CMPL")
+    if any(u.is_zero for u in us):
+        return INF
+    bound = _twisted_slot_bound(fld, s, us, 0)
+    return sum(bound(j, s.depth - 1 - j) for j in range(s.depth))
 
 
 def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
@@ -379,11 +395,21 @@ def convergence_check(fld: Field, s, items) -> bool:
     return not _diverging_slots(fld, coerce_index(s), items)
 
 
-def _twisted_value_at_point(fld: Field, qpoly: BiPoly, ell: int, point_pow: int, prec) -> Laurent:
-    """Q^{(ell)} evaluated at t = theta^{q^point_pow}, exact through prec:
-    sum_kj h_kj theta^{j q^ell + k q^P}, since the twist dilates the
-    theta-exponents and the point the t-exponents."""
-    return Laurent.from_bipoly(qpoly, fld.q ** point_pow, fld.q ** ell, prec)
+def _deg_l(q: int, u: int) -> int:
+    """deg L_u = q (q^u - 1)/(q-1)."""
+    return (q ** (u + 1) - q) // (q - 1)
+
+
+def _twisted_slot_bound(fld: Field, s: Index, items, P: int):
+    """bound(j, ell) <= val Q_j^{(ell)}(theta^{q^P}) / L_{ell-P}^{q^P s_j},
+    slot j's term in the twisted walk at nonzero inputs, from the max
+    theta-degree m and the t-degree of Q_j, with equality at a constant
+    input; it increases in ell exactly under the strict convergence condition."""
+    q = fld.q
+    profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
+                for item in items]
+    return lambda j, ell: (q ** P * s[j] * _deg_l(q, ell - P) - profiles[j][0] * q ** ell
+                           - profiles[j][1] * q ** P)
 
 
 def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power: int = 0) -> list:
@@ -394,28 +420,18 @@ def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power:
     q^P (s_1 + ... + s_{j+1}), so a step down divides by (L_u / L_{u-1})^w."""
     q = fld.q
     P = point_power
-    # (max theta-degree, t-degree) of each input, for valuation pruning
-    profiles = [(int(infty_norm_degree(item)), item.t_degree if isinstance(item, BiPoly) else 0)
-                for item in qs]
-
-    def deg_l(u):
-        return (q ** (u + 1) - q) // (q - 1)
-
-    def val_bound(j, ell):
-        # val(Q^(ell)(theta^{q^P})) >= -(m q^ell + tdeg q^P); increasing in
-        # ell exactly under the strict convergence condition
-        m, tdeg = profiles[j]
-        return q ** P * s[j] * deg_l(ell - P) - m * q ** ell - tdeg * q ** P
-
+    val_bound = _twisted_slot_bound(fld, s, qs, P)
     # a RatFunc input is expanded once, when its slot is first visited:
     # height ell reads its digits through p // q^ell, and the lowest
     # height, P, reads the most, through (cap_j - above_j(P)) // q^P
     caps, expansions = _slot_caps(len(qs), P, val_bound, prec), {}
 
     def factor(j, ell, out_prec):
-        p = out_prec - q ** P * s[j] * deg_l(ell - P)
+        p = out_prec - q ** P * s[j] * _deg_l(q, ell - P)
         if isinstance(qs[j], BiPoly):
-            numer = _twisted_value_at_point(fld, qs[j], ell, P, p)
+            # Q^{(ell)}(theta^{q^P}) = sum h_kj theta^{j q^ell + k q^P}: the
+            # twist dilates the theta-exponents, the point the t-exponents
+            numer = Laurent.from_bipoly(qs[j], q ** P, q ** ell, p)
         else:
             if j not in expansions:
                 reach = (caps[j] - _above(val_bound, j, P)) // q ** P + 1
@@ -427,7 +443,7 @@ def _deformation_partials(fld: Field, s, qs, prec: int, signs=None, point_power:
         # T_j[ell] / b_u^w, u = ell - P, exact through cap - w deg L_{u-1}:
         # 1/b_u = -theta^{-q^u} / (1 - theta^{1-q^u})
         u, w = ell - P, q ** P * sum(s[: j + 1])
-        x = x.shift(w * q ** u).truncate(cap - w * deg_l(u - 1))
+        x = x.shift(w * q ** u).truncate(cap - w * _deg_l(q, u - 1))
         x = _divide_by_units(x, [(q ** u - 1, w)])
         return -x if w % 2 else x
 
@@ -441,11 +457,9 @@ def cmpl(fld: Field, s, points, prec) -> Laurent:
     walk at constant inputs, whose twists are q^i-th powers."""
     s = coerce_index(s)
     prec = _finite_prec(prec)
-    us = [_as_ratfunc(fld, u) for u in points]
-    _require_convergence(fld, s, us, "CMPL")
-    if any(u.is_zero for u in us):
+    if cmpl_valuation(fld, s, points) == INF:  # refuses a divergent point too
         return Laurent.zero(fld)
-    return _deformation_partials(fld, s, us, prec)[-1]
+    return _deformation_partials(fld, s, [_as_ratfunc(fld, u) for u in points], prec)[-1]
 
 
 def carlitz_log(fld: Field, u, prec) -> Laurent:
@@ -465,14 +479,20 @@ def carlitz_period_power(fld: Field, m: int, prec) -> Laurent:
     in characteristic p.  The unit is taken through its first prec + qm
     digits; a factor whose gap lies beyond them changes none of those.
     """
-    if m <= 0:
-        raise InvalidIndexError("carlitz_period_power wants m >= 1")
+    val = carlitz_period_valuation(fld, m)
     q = fld.q
-    work = _finite_prec(prec) + q * m
+    work = _finite_prec(prec) - val
     units, gap = [], q - 1
     while gap <= work:
         units += [(gap, -m), (q * gap, m)]
         gap = q * gap + q - 1
     unit = _divide_by_units(Laurent(fld, 0, [1], work), units)
     sign = fld.pow(fld.from_int(-1), q * m)
-    return unit.scale(sign).shift(-q * m)
+    return unit.scale(sign).shift(val)
+
+
+def carlitz_period_valuation(fld: Field, m: int) -> int:
+    """val pi~^{(q-1)m} = -qm: the power is (-theta)^{qm} times a unit."""
+    if m <= 0:
+        raise InvalidIndexError("carlitz_period_power wants m >= 1")
+    return -fld.q * m

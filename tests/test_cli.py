@@ -136,13 +136,64 @@ def test_hunt_refuses_a_value_that_shows_no_digit(capsys, tmp_path):
                    "raise prec to at least 225\n")
 
 
+PREC_ZERO_HUNT = ["relations", "hunt", "--q", "3", "--labels", "zeta(1),logc(1/theta^5)",
+                  "--deg-bound", "0", "--prec", "0"]
+
+
 def test_hunt_at_prec_zero_names_a_prec_past_the_first_digit(capsys):
-    # logc(1/theta^5) starts at 1/theta^5; the probe must reach it from prec 0
-    argv = ["relations", "hunt", "--q", "3", "--labels", "zeta(1),logc(1/theta^5)",
-            "--deg-bound", "0", "--prec", "0"]
-    assert cli.main(argv) == 3
+    # logc(1/theta^5) starts at 1/theta^5, which its leading term names
+    assert cli.main(PREC_ZERO_HUNT) == 3
     assert capsys.readouterr().err == ("error: logc(1/theta^5) shows no digit through "
                                        "precision 0; raise prec to at least 5\n")
+
+
+@pytest.mark.parametrize("labels, prec, first", [
+    ("zeta(1),logc(1/theta^20)", "1", 20),
+    ("zeta(1),cmpl(2,1;1/theta^30;1)", "2", 96),  # 2 deg L_1 + 30 q
+])
+def test_hunt_names_a_first_digit_far_past_prec(capsys, labels, prec, first):
+    argv = ["relations", "hunt", "--q", "3", "--labels", labels, "--deg-bound", "0",
+            "--prec", prec]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.endswith(f"raise prec to at least {first}\n")
+
+
+@pytest.mark.parametrize("labels, zero", [
+    ("logc(0),zeta(1)", "logc(0)"),
+    ("cmpl(2,1;theta;0),zeta(3)", "cmpl(2,1;theta;0)"),
+    ("prod(logc(0),zeta(1)),zeta(2)", "prod(logc(0),zeta(1))"),
+])
+def test_hunt_refuses_an_exact_zero_unevaluated(capsys, monkeypatch, labels, zero):
+    # no precision shows a digit of an exact zero, so it is a domain error
+    monkeypatch.setattr(relations, "eval_value_expr", None)
+    argv = ["relations", "hunt", "--q", "3", "--labels", labels, "--deg-bound", "0",
+            "--prec", "60"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {zero} is exactly zero, and exact-zero "
+                                       "entries are not allowed in a value vector\n")
+
+
+def test_evaluate_refuses_before_it_evaluates(capsys, tmp_path, monkeypatch):
+    calls = []
+    evaluate = relations.eval_value_expr
+
+    def spy(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(relations, "eval_value_expr", spy)
+    for argv in (BLIND_HUNT, PREC_ZERO_HUNT):
+        assert cli.main(argv) == 3
+        assert calls == []
+    # every other evaluation reads each label once
+    labels = ["zeta(1)", "logc(1)", "prod(zeta(1),logc(1))"]
+    out = tmp_path / "c.json"
+    for argv in (["hunt", "--q", "3", "--labels", ",".join(labels), "--deg-bound", "0",
+                  "--prec", "60", "--out", str(out)], ["verify", "--cert", str(out)]):
+        calls.clear()
+        assert cli.main(["relations"] + argv) == 0
+        assert sorted(calls) == sorted(labels)
+    capsys.readouterr()
 
 
 def test_verify_refuses_a_certificate_on_a_value_that_shows_no_digit(capsys, tmp_path):

@@ -37,6 +37,10 @@ def test_value_vector_validation():
         ValueVector.of(["a", "b"], [v, Laurent.zero_to_prec(fld, 40)])
     with pytest.raises(ResolutionError, match="^b shows no digit"):
         ValueVector.of(["a", "b"], [v, rand_value(fld, 50, val=45)])  # blind once truncated
+    # an exact zero is refused as such, not truncated into a value that
+    # merely shows no digit
+    with pytest.raises(DomainError, match="^exact-zero entries are not allowed"):
+        ValueVector.of(["a", "b"], [v, Laurent.zero(fld)])
 
 
 def test_evaluate_refuses_a_value_that_shows_no_digit():
@@ -47,35 +51,13 @@ def test_evaluate_refuses_a_value_that_shows_no_digit():
     with pytest.raises(ResolutionError, match=r"^gnzeta\(1,2,2,1\) shows no digit through "
                        r"precision 10; raise prec to at least 225$"):
         ValueVector.evaluate(fld, labels, 10)
-    assert relations.probe_valuation(fld, labels[1], 100) == 225
+    assert relations.leading_valuation(fld, labels[1]) == 225
     vec = ValueVector.evaluate(fld, labels, 225)
     assert vec.prec == 225 and int(vec.values[1].val) == 225
-    # the probe still names the first digit of the labels the leading term
-    # does not cover
+    # the leading term names the first digit of a logc label too
     with pytest.raises(ResolutionError, match=r"^logc\(1/theta\^5\) shows no digit through "
                        r"precision 3; raise prec to at least 5$"):
         ValueVector.evaluate(field(3), ["zeta(1)", "logc(1/theta^5)"], 3)
-
-
-def test_probe_reaches_a_first_digit_past_a_prec_at_or_below_zero(monkeypatch):
-    fld = field(3)
-    assert relations.probe_valuation(fld, "logc(1/theta^5)", 0) == 5
-    assert relations.probe_valuation(fld, "pitilde(1)", -4) == -3
-    # each probe goes deeper than the last; from prec >= 1 they double
-    real, probes = relations.eval_value_expr, []
-
-    def spy(f, label, prec):
-        probes.append(prec)
-        return real(f, label, prec)
-
-    monkeypatch.setattr(relations, "eval_value_expr", spy)
-    with pytest.raises(ResolutionError, match=r"no digit through precision 8\)$"):
-        relations.probe_valuation(fld, "logc(1/theta^20)", -3)
-    assert probes == [-3, 1, 2, 4, 8]
-    probes.clear()
-    with pytest.raises(ResolutionError, match=r"no digit through precision 16\)$"):
-        relations.probe_valuation(fld, "logc(1/theta^20)", 1)
-    assert probes == [1, 2, 4, 8, 16]
 
 
 TIER1_LABELS = {
@@ -88,13 +70,65 @@ TIER1_LABELS = {
 }
 
 
+def first_digit(fld, label, val):
+    """The exponent of a label's first digit, read from its value at prec
+    val: val itself when the first digit is there."""
+    return relations.eval_value_expr(fld, label, val).val
+
+
 @pytest.mark.parametrize("q", sorted(TIER1_LABELS))
 def test_leading_valuation_equals_the_probe(q):
+    # the probe is one evaluation, at the predicted valuation
     fld = field(q)
-    for label in TIER1_LABELS[q]:
-        assert relations.leading_valuation(fld, label) == relations.probe_valuation(fld, label, 60), label
-    for label in ("cmpl(2,1;theta;1)", "logc(1)", "pitilde(1)", "prod(zeta(1),logc(1))"):
-        assert relations.leading_valuation(fld, label) is None
+    for label in TIER1_LABELS[q] + ["cmpl(2,1;theta;1)", "logc(1)", "pitilde(1)",
+                                    "prod(zeta(1),logc(1))"]:
+        val = relations.leading_valuation(fld, label)
+        assert first_digit(fld, label, val) == val, label
+
+
+def _point_text(rnd, p, deg):
+    """A random point of degree deg (deg num - deg den) with F_p
+    coefficients, as label text."""
+    b = rnd.randrange(3) + max(0, -deg)
+
+    def poly(n, lead):
+        coeffs = [lead] + [rnd.randrange(p) for _ in range(n)]
+        return "+".join(f"{c}*theta^{n - k}" for k, c in enumerate(coeffs) if c)
+
+    num = poly(deg + b, rnd.randrange(1, p))
+    return num if b == 0 else f"{num}/{poly(b, 1)}"
+
+
+def closed_form_grid():
+    """(q, label) pairs: 40 random cmpl and logc labels per q, of depth 1-3,
+    entries s_j <= 4 and points of degree -2 up to the convergence limit
+    deg u_j (q-1) < q s_j; and pitilde(m), m <= 5."""
+    rnd = random.Random(31)
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 25):
+        p = field(q).p
+        for _ in range(40):
+            s = [rnd.randint(1, 4) for _ in range(rnd.randint(1, 3))]
+            points = [_point_text(rnd, p, rnd.randint(-2, (q * n - 1) // (q - 1))) for n in s]
+            if s == [1] and rnd.random() < 0.5:
+                cases.append((q, f"logc({points[0]})"))
+            else:
+                cases.append((q, f"cmpl({','.join(map(str, s))};{';'.join(points)})"))
+    cases += [(q, f"pitilde({m})") for q in (2, 3, 4, 5, 7, 8, 9, 25, 27) for m in range(1, 6)]
+    return cases
+
+
+def test_closed_form_valuations_on_a_grid():
+    # val Li_s(u) = sum_j s_j deg L_{r-j} - deg u_j q^{r-j}, val pitilde(m) = -qm
+    grid = closed_form_grid() + [(3, "logc(1/theta^5)"), (3, "pitilde(1)")]
+    assert len(grid) == 367
+    for q, label in grid:
+        fld = field(q)
+        val = relations.leading_valuation(fld, label)
+        assert first_digit(fld, label, val) == val, (q, label)
+    # the two valuations at or below zero
+    assert relations.leading_valuation(field(3), "logc(1/theta^5)") == 5
+    assert relations.leading_valuation(field(3), "pitilde(1)") == -3
 
 
 def test_evaluate_refuses_a_first_digit_off_the_leading_term(monkeypatch):
