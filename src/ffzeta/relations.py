@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import anderson, linalg, zeta
+from . import anderson, backend, linalg, zeta
 from .errors import DomainError, MarginError, ResolutionError
 from .indices import Index, coerce_index, g_map, is_g_independent
 from .laurent import INF, Laurent
@@ -107,8 +107,9 @@ class RelationCertificate:
     """A nonzero coefficient vector over F_q[theta] annihilating a value
     vector through the precision it was hunted at.
 
-    residual_val: all digits of sum c_i v_i at exponents <= residual_val
-    vanish (the true residual valuation exceeds it)."""
+    residual_val = prec - max_i deg c_i, the precision of sum c_i v_i: all
+    its digits at exponents <= residual_val vanish (the true residual
+    valuation exceeds it)."""
 
     labels: tuple
     coeffs: tuple            # Poly over theta, one per label
@@ -129,6 +130,14 @@ class RelationCertificate:
 
     @classmethod
     def from_json(cls, data, fld: Field):
+        """Read ``to_json``'s dict; ValueError unless it has one coefficient
+        list per label, each of integers in 0 .. q - 1."""
+        if len(data["coeffs"]) != len(data["labels"]):
+            raise ValueError(f"{len(data['labels'])} labels but "
+                             f"{len(data['coeffs'])} coefficient lists")
+        for c in data["coeffs"]:
+            if not all(isinstance(x, int) and 0 <= x < fld.q for x in c):
+                raise ValueError(f"coefficients {c} are not a list of integers in 0..{fld.q - 1}")
         return cls(
             labels=tuple(data["labels"]),
             coeffs=tuple(Poly(fld, c) for c in data["coeffs"]),
@@ -141,6 +150,8 @@ class RelationCertificate:
 
 def combine(values, coeffs) -> Laurent:
     """sum_i c_i(theta) * v_i."""
+    if len(values) != len(coeffs):
+        raise DomainError(f"{len(values)} values but {len(coeffs)} coefficients")
     acc = None
     for v, c in zip(values, coeffs):
         if c.is_zero:
@@ -173,10 +184,13 @@ def find_relations(vec: ValueVector, degree_bound: int):
     shrinking the kernel of the rows seen so far.  Its basis is canonical
     (one vector per free unknown, that unknown set to 1, in unknown
     order), so the certificates do not depend on how the rows are split.
-    The rows read the exponents min_i val v_i - D through N - D, for
-    N = prec and D = degree_bound; a kernel vector is dropped unless its
-    residual sum c_i v_i vanishes through N - max_i deg c_i, the residual's
-    own precision.
+    Each digit is read once, in the rows x = min_i val v_i - D through N,
+    for N = prec and D = degree_bound; column (i, e) of row x holds the
+    digit of v_i at x + e, zero past N.  The kernel is that of the rows
+    through N - D, where every shifted value is exact.  A kernel vector of
+    degree d = max_i deg c_i is kept when its last D rows vanish up to
+    N - d, since the rows through N - d are the digits of sum c_i v_i
+    there; N - d is its ``residual_val``.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
@@ -194,26 +208,23 @@ def find_relations(vec: ValueVector, degree_bound: int):
             f"{unknowns} unknowns need {unknowns + MARGIN_DIGITS}; "
             f"raise prec to {_margin_prec(min_val, unknowns)}"
         )
-    matrix = np.zeros((rows, unknowns), dtype=np.int64)
+    digits = np.zeros((m, rows + 2 * degree_bound), dtype=np.int64)  # exponents x_lo .. n + D
     for i, v in enumerate(vec.values):
-        # v's digits at exponents x_lo .. x_hi + degree_bound = n (its window ends by n)
-        digits = np.zeros(rows + degree_bound, dtype=np.int64)
-        if v.coeffs.size:
-            start = int(v.val) - x_lo
-            digits[start : start + v.coeffs.size] = v.coeffs
-        for e in range(degree_bound + 1):
-            # digit of theta^e * v at exponent x is digit of v at x + e
-            matrix[:, i * (degree_bound + 1) + e] = digits[e : e + rows]
-    basis = linalg.nullspace(fld, matrix)
+        start = int(v.val) - x_lo
+        digits[i, start : start + v.coeffs.size] = v.coeffs
+    # row x, column (i, e): the digit of theta^e * v_i at x, which is that of v_i at x + e
+    matrix = np.lib.stride_tricks.sliding_window_view(digits, degree_bound + 1, axis=1)
+    matrix = matrix.transpose(1, 0, 2).reshape(rows + degree_bound, unknowns)
+    basis = linalg.nullspace(fld, matrix[:rows])
+    if not basis:
+        return []
     out = []
-    for kvec in basis:
-        coeffs = tuple(
-            Poly(fld, kvec[i * (degree_bound + 1) : (i + 1) * (degree_bound + 1)])
-            for i in range(m)
-        )
-        residual = combine(vec.values, coeffs)
-        if not residual.is_zero_to_precision:
-            continue  # numerically inconsistent kernel vector; drop it
+    # the last D rows read the exponents n - D + 1 .. n; through n - deg they read exact digits
+    for kvec, extra in zip(basis, backend.matmul_mod(matrix[rows:], np.array(basis).T, fld).T):
+        coeffs = tuple(Poly(fld, c) for c in kvec.reshape(m, degree_bound + 1))
+        deg = int(max(c.degree for c in coeffs))
+        if extra[: degree_bound - deg].any():
+            continue  # a digit of sum c_i v_i shows through n - deg; drop the vector
         out.append(
             RelationCertificate(
                 labels=vec.labels,
@@ -221,7 +232,7 @@ def find_relations(vec: ValueVector, degree_bound: int):
                 q=fld.q,
                 degree_bound=degree_bound,
                 prec=n,
-                residual_val=int(residual.prec),
+                residual_val=n - deg,
             )
         )
     return out
@@ -414,8 +425,16 @@ def _parse_label(fld: Field, expr: str):
         if len(parts) < 2:
             raise DomainError("prod wants at least two factors")
         factors = [_parse_label(fld, sub) for sub in parts]
-        return (lambda prec: reduce(operator.mul, (f(prec) for f, _ in factors)).truncate(prec),
-                lambda: sum(val() for _, val in factors))
+
+        def value(prec):
+            # factor j at prec - sum_{i != j} val_i: the product is exact through prec
+            vals = [val() for _, val in factors]
+            if INF in vals:
+                return Laurent.zero(fld)
+            total = sum(vals)
+            parts = (f(prec - total + v) for (f, _), v in zip(factors, vals))
+            return reduce(operator.mul, parts).truncate(prec)
+        return value, lambda: sum(val() for _, val in factors)
     raise DomainError(f"unknown value expression {name!r}")
 
 

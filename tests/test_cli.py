@@ -209,6 +209,38 @@ def test_verify_refuses_a_certificate_on_a_value_that_shows_no_digit(capsys, tmp
     assert "gnzeta(1,2,2,1) shows no digit through precision 200" in err
 
 
+def test_prod_hunt_with_a_factor_of_negative_valuation_verifies(capsys, tmp_path):
+    # pitilde(1) has valuation -3: the factors are read deep enough that the
+    # product is exact through 60, so the certificates are too
+    out_file = tmp_path / "c.json"
+    rc, payload = run_json(capsys, "relations", "hunt", "--q", "3", "--labels",
+                           "zeta(1),logc(1),prod(zeta(1),pitilde(1))", "--deg-bound", "0",
+                           "--prec", "60", "--out", str(out_file))
+    assert rc == 0 and payload["certificates"]
+    assert all(c["prec"] == 60 for c in payload["certificates"])
+    assert cli.main(["relations", "verify", "--cert", str(out_file)]) == 0
+
+
+@pytest.mark.parametrize("q,labels,coeffs", [
+    (3, ["zeta(1)", "logc(1)"], [[2], [1], [1]]),
+    (3, ["zeta(1)", "logc(1)", "zeta(2)"], [[2], [1]]),
+    (3, ["zeta(1)", "logc(1)"], [[-1], [1]]),
+    (4, ["logc(1)", "cmpl(1;1)"], [[9], [1]]),
+    (3, ["zeta(1)", "logc(1)"], [[1.0], [1]]),
+], ids=["extra-list", "missing-list", "negative", "past-q", "float"])
+def test_verify_refuses_a_malformed_certificate_file(capsys, tmp_path, q, labels, coeffs):
+    # a file needs one coefficient list per label, each of integers in 0..q-1
+    cert = {"labels": labels, "coeffs": coeffs, "q": q, "degree_bound": 0, "prec": 60,
+            "residual_val": 60}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"q": q, "certificates": [cert]}), encoding="utf-8")
+    assert cli.main(["relations", "verify", "--cert", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read certificates from {path}: ValueError: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_evaluates_once_per_label_set(capsys, tmp_path, monkeypatch):
     both = tmp_path / "s3.json"
     assert cli.main(["relations", "hunt", "--q", "3", "--labels",

@@ -2,12 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ffzeta import relations, zeta
 from ffzeta.errors import DomainError, MarginError, ResolutionError
 from ffzeta.indices import compositions, independent_family
-from ffzeta.laurent import Laurent
+from ffzeta.laurent import INF, Laurent
 from ffzeta.relations import RelationCertificate, ValueVector
 from ffzeta.scalar import Poly, field
 
@@ -185,6 +186,59 @@ def test_planted_relation_recovery():
         assert got[1] == c2.scale(lam)
 
 
+@pytest.mark.parametrize("q,d", [(2, 1), (3, 2), (5, 3), (9, 2)])
+def test_digits_past_n_minus_d_drop_a_vector_the_rows_keep(q, d):
+    # v3 = a v1 + b v2: the degree-0 relation reads only exponents <= N - D
+    # in the kernel's rows, so a digit of v3 perturbed in (N - D, N] leaves
+    # it in the kernel of the rows, and only the digits past N - D drop it
+    fld = field(q)
+    n = 90
+    v1, v2 = rand_value(fld, n), rand_value(fld, n)
+    a, b = rng.randrange(1, q), rng.randrange(1, q)
+    v3 = relations.combine([v1, v2], [Poly(fld, [a]), Poly(fld, [b])])
+    kept = relations.find_relations(ValueVector.of(["v1", "v2", "v3"], [v1, v2, v3]), d)
+    assert [c.residual_val for c in kept] == [n - max(p.degree for p in c.coeffs) for c in kept]
+    flat = [c for c in kept if all(p.degree <= 0 for p in c.coeffs)]
+    assert len(flat) == 1 and flat[0].residual_val == n
+    for x in range(n - d + 1, n + 1):
+        digits = np.zeros(n - int(v3.val) + 1, dtype=np.int64)
+        digits[: v3.coeffs.size] = v3.coeffs
+        digits[x - int(v3.val)] = fld.add(int(digits[x - int(v3.val)]), 1)
+        bent = Laurent(fld, int(v3.val), digits, n)
+        residual = relations.combine([v1, v2, bent], flat[0].coeffs)
+        assert residual.truncate(n - d).is_zero_to_precision  # the rows see nothing
+        assert not residual.is_zero_to_precision
+        vec = ValueVector.of(["v1", "v2", "v3"], [v1, v2, bent])
+        assert relations.find_relations(vec, d) == [], x
+
+
+ORACLE_HUNTS = [
+    (2, "zeta(1),logc(1)", 0, 100),
+    (3, "zeta(1),logc(1)", 0, 60),
+    (3, "zeta(1),logc(1),prod(zeta(1),pitilde(1))", 0, 60),
+    (4, "logc(1),cmpl(1;1)", 0, 400),
+    (2, "gnzeta(3),zeta(3)", 2, 57),
+    (3, "zeta(1,2),zeta(3)", 3, 200),
+    (3, "zeta(3),zeta(1,2),zeta(2,1),prod(zeta(1),zeta(2))", 1, 120),
+    (9, "logc(1),cmpl(1;1),pitilde(1)", 2, 1500),
+    (3, ",".join("zeta(%s)" % ",".join(map(str, s)) for s in compositions(6)), 9, 800),
+]
+
+
+@pytest.mark.parametrize("q,labels,d,n", ORACLE_HUNTS,
+                         ids=["z2", "certs", "prod", "c4", "g2", "t3", "s3", "h9", "w6"])
+def test_certificates_recombine_to_zero_through_residual_val(q, labels, d, n):
+    # combine, which find_relations does not call, is the oracle
+    fld = field(q)
+    vec = ValueVector.evaluate(fld, relations.split_top(labels, ","), n)
+    certs = relations.find_relations(vec, d)
+    assert certs
+    for cert in certs:
+        residual = relations.combine(vec.values, cert.coeffs)
+        assert residual.is_zero_to_precision
+        assert residual.prec == cert.residual_val == n - max(c.degree for c in cert.coeffs)
+
+
 def test_no_false_positives_on_random_values():
     fld = field(3)
     for _ in range(10):
@@ -233,6 +287,25 @@ def test_certificate_json_roundtrip():
         residual_val=59,
     )
     assert RelationCertificate.from_json(cert.to_json(), fld) == cert
+
+
+def test_combine_refuses_mismatched_lengths():
+    fld = field(3)
+    values = [rand_value(fld, 20), rand_value(fld, 20)]
+    for coeffs in ([Poly.one(fld)], [Poly.one(fld)] * 3):
+        with pytest.raises(DomainError, match="values but"):
+            relations.combine(values, coeffs)
+
+
+def test_prod_is_exact_through_prec_with_a_factor_of_negative_valuation():
+    # pitilde(1) has valuation -3 at q = 3, so zeta(1) must be read to 63
+    fld = field(3)
+    v = relations.eval_value_expr(fld, "prod(zeta(1),pitilde(1))", 60)
+    assert (v.val, v.prec) == (-3, 60)
+    deep = zeta.mzv(fld, (1,), 200) * zeta.carlitz_period_power(fld, 1, 200)
+    assert v == deep.truncate(60)
+    assert relations.leading_valuation(fld, "prod(logc(0),pitilde(1))") == INF
+    assert relations.eval_value_expr(fld, "prod(logc(0),pitilde(1))", 60).is_exact_zero
 
 
 def test_stuffle_closure_weight_three():
