@@ -531,14 +531,21 @@ def vanishing_order_profile(fld: Field, s, qs, cap: int, prec) -> frozenset:
 # Carlitz tensor powers
 # ---------------------------------------------------------------------------
 
+def _tensor_point(fld: Field, n: int, point) -> list:
+    """An n-coordinate point, each coordinate a RatFunc or a field constant,
+    as a list of RatFuncs."""
+    v = [u if isinstance(u, RatFunc) else RatFunc.constant(fld, u) for u in point]
+    if len(v) != n:
+        raise DomainError(f"point must have {n} coordinates")
+    return v
+
+
 def carlitz_tensor_t_action(fld: Field, n: int, point) -> list:
     """[t]_n acting on an n-coordinate point: theta*v_i + v_{i+1} in rows
     below the last, theta*v_n + v_1^q in the last row."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    v = [u if isinstance(u, RatFunc) else RatFunc.constant(fld, u) for u in point]
-    if len(v) != n:
-        raise DomainError(f"point must have {n} coordinates")
+    v = _tensor_point(fld, n, point)
     theta = RatFunc.from_poly(Poly.gen(fld))
     out = []
     for i in range(n - 1):
@@ -557,9 +564,7 @@ def torsion_search(fld: Field, n: int, point, dmax: int):
     """
     if dmax < 0:
         raise DomainError("dmax must be >= 0")
-    v = [u if isinstance(u, RatFunc) else RatFunc.constant(fld, u) for u in point]
-    if len(v) != n:
-        raise DomainError(f"point must have {n} coordinates")
+    v = _tensor_point(fld, n, point)
     if all(u.is_zero for u in v):
         return Poly.one(fld, TVAR)
     iterates = [v]

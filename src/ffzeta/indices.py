@@ -33,9 +33,6 @@ class Index(tuple):
     def depth(self) -> int:
         return len(self)
 
-    def to_json(self):
-        return list(self)
-
     def __repr__(self):
         return f"Index{tuple(self)}"
 

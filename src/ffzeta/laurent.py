@@ -17,7 +17,6 @@ arithmetic is enough.  Digit windows are multiplied and inverted by the
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,26 +128,12 @@ class Laurent:
 
     @classmethod
     def from_ratfunc(cls, r: RatFunc, prec):
-        """Laurent expansion of num/den at infinity, exact through prec."""
-        if r.is_zero:
-            return cls.zero(r.field)
-        fld = r.field
-        num, den = r.num, r.den
-        if np.count_nonzero(den.coeffs) == 1:
-            # monomial denominator: finite exact expansion
-            k = int(den.degree)
-            inv = fld.inv(den.leading())
-            val = k - int(num.degree)
-            return cls(fld, val, fld.mul(inv, num.coeffs[::-1]), INF)
-        val = int(den.degree - num.degree)
-        digits = prec - val + 1
-        if digits <= 0:
-            return cls.zero_to_prec(fld, prec)
-        nrev = num.coeffs[::-1]
-        drev = den.coeffs[::-1]
-        recip = backend.series_recip_mod(drev, digits, fld)
-        window = backend.convolve_mod(nrev, recip, fld)[:digits]
-        return cls(fld, val, window, prec)
+        """Laurent expansion of num/den at infinity, exact through prec: num
+        times 1/den, which is exact when den is a monomial."""
+        num, den = cls.from_poly(r.num), cls.from_poly(r.den)
+        if den.coeffs.size > 1 and num.val - den.val > prec:
+            return cls.zero_to_prec(r.field, prec)  # no digit reaches prec
+        return num * den.inv(prec - num.val)
 
     # -- predicates ----------------------------------------------------------
 
@@ -160,22 +145,6 @@ class Laurent:
     def is_zero_to_precision(self):
         """True when no nonzero digit is known (exact zero included)."""
         return self.coeffs.size == 0
-
-    @property
-    def is_exact(self):
-        return self.prec == INF
-
-    def abs_value(self) -> Fraction:
-        """|x| = q^{-val}; raises on a value indistinguishable from zero."""
-        if self.is_exact_zero:
-            return Fraction(0)
-        if self.is_zero_to_precision:
-            raise DomainError(
-                f"indistinguishable from zero at precision {self.prec}: "
-                "absolute value unknown"
-            )
-        v = int(self.val)
-        return Fraction(1, self.field.q ** v) if v >= 0 else Fraction(self.field.q ** (-v))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -353,17 +322,6 @@ class Laurent:
             "prec": None if self.prec == INF else int(self.prec),
             "coeffs": [int(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict, fld: Field = None):
-        from .scalar import field as _field
-
-        fld = fld or _field(int(data["q"]))
-        prec = INF if data["prec"] is None else int(data["prec"])
-        val = data["val"]
-        if val is None:
-            return cls.zero(fld)
-        return cls(fld, int(val), data["coeffs"], prec)
 
     def __repr__(self):
         body = format_laurent(self)

@@ -872,12 +872,15 @@ def poly_eval_at_theta_power(f: BiPoly, n: int) -> Poly:
     return Poly(fld, out)
 
 
-def enumerate_monic(fld: Field, d: int, budget: int = 10 ** 6):
-    """Yield every monic polynomial of degree d (q^d of them)."""
-    if fld.q ** d > budget:
-        raise BudgetError(
-            f"enumerating q^d = {fld.q ** d} monic polynomials exceeds the budget {budget}"
-        )
+MONIC_BUDGET = 10 ** 6
+
+
+def enumerate_monic(fld: Field, d: int):
+    """Yield every monic polynomial of degree d (q^d of them); raises
+    BudgetError when q^d exceeds MONIC_BUDGET."""
+    if fld.q ** d > MONIC_BUDGET:
+        raise BudgetError(f"enumerating q^d = {fld.q ** d} monic polynomials "
+                          f"exceeds the budget {MONIC_BUDGET}")
     if d == 0:
         yield Poly.one(fld)
         return

@@ -60,7 +60,6 @@ from .laurent import INF, Laurent
 from .scalar import (BiPoly, Field, Poly, RatFunc, base_q_digits, carlitz_gamma_degree,
                      enumerate_monic)
 
-DEFAULT_BUDGET = 10 ** 6
 # The largest index entry whose power sums are served.  S_d(n) needs the
 # whole tower H_0..H_{n-1}, whose cold cost grows about as n^3.7 and is
 # worst at q=2: on one core of an Intel Xeon, the tower to H_149 takes
@@ -97,19 +96,19 @@ def power_sum_val_bound(q: int, d: int, n: int) -> int:
     return max(n * d + (q - 1) * d * (d + 1) // 2, floor)
 
 
-def power_sum_exact(fld: Field, d: int, n: int, budget: int = DEFAULT_BUDGET) -> RatFunc:
+def power_sum_exact(fld: Field, d: int, n: int) -> RatFunc:
     """S_d(n) = sum of a^{-n} over monic a of degree d, as a reduced fraction.
 
-    Enumerates all q^d monic polynomials (raises BudgetError beyond the
-    budget) and merges reciprocals pairwise so gcd reduction keeps the
-    intermediate degrees balanced.
+    Enumerates all q^d monic polynomials (``enumerate_monic`` raises
+    BudgetError past scalar.MONIC_BUDGET) and merges reciprocals pairwise
+    so gcd reduction keeps the intermediate degrees balanced.
     """
     if d < 0 or n < 1:
         raise InvalidIndexError("power_sum_exact wants d >= 0 and n >= 1")
 
     def enumerate_and_merge():
         one = Poly.one(fld)
-        terms = [RatFunc(one, a ** n) for a in enumerate_monic(fld, d, budget)]
+        terms = [RatFunc(one, a ** n) for a in enumerate_monic(fld, d)]
         while len(terms) > 1:
             merged = []
             for i in range(0, len(terms) - 1, 2):

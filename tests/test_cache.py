@@ -47,6 +47,20 @@ def test_at_poly_roundtrip(store, monkeypatch):
     assert first == second
 
 
+def test_tower_extends_past_a_disk_hit(store):
+    fld = field(3)
+    cache.set_active(None)
+    cache.clear_memos()
+    cold = anderson.at_polynomial(fld, 61)
+    cache.set_active(store)
+    cache.clear_memos()
+    h60 = anderson.at_polynomial(fld, 60)
+    assert store.get("at_poly", (3, 60)) == cache.bipoly_to_json(h60)
+    cache.clear_memos()
+    assert anderson.at_polynomial(fld, 60) == h60  # from disk now, with no tower in memory
+    assert anderson.at_polynomial(fld, 61) == cold
+
+
 def test_corrupted_file_ignored(store, tmp_path):
     path = store._path("power_sum", (3, 1, 1))
     with open(path, "w") as fh:

@@ -23,7 +23,7 @@ def test_index_validation():
         Index((1, 0))
     s = Index((1, 2, 2, 1))
     assert s.weight == 6 and s.depth == 4
-    assert s.to_json() == [1, 2, 2, 1]
+    assert list(s) == [1, 2, 2, 1]
 
 
 def test_g_map_examples():
