@@ -34,6 +34,7 @@ from .scalar import (
     TVAR,
     base_q_digits,
     binary_power,
+    carlitz_gamma_degree,
     frobenius_twist,
     inverse_twist,
 )
@@ -41,7 +42,12 @@ from .zeta import (_deformation_partials, _finite_prec, _nested_sum, _require_co
                    _validate_signs, infty_norm_degree)
 from . import cache, linalg
 
-AT_BUDGET = 400
+# The bytes of H_0..H_n that one tower may hold, as ``tower_bytes`` predicts
+# them: it admits n <= 149 at q=2, 193 at q=3, 232 at q=5 and 345 at q=25.
+TOWER_BUDGET = 96 << 20
+# The bytes of H_m besides its grid, measured with tracemalloc on CPython:
+# the BiPoly (48), its ndarray header (128) and its slot in the tower (8).
+_ENTRY_BYTES = 184
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
     every q = p^e.  Each m's terms are added into one integer grid, sized
     from the factor shifts, and reduced mod p in place: its at most L + 1
     terms, L = floor(log_q m), have at most L factors each, so entries stay
-    below (L + 1) 2^L p < 2^30 for m <= AT_BUDGET and p <= 2^16."""
+    below (L + 1) 2^L p < 2^30 for every tower inside TOWER_BUDGET."""
     q = fld.q
     tower = list(tower) or [BiPoly.one(fld)]
     for m in range(len(tower), n + 1):
@@ -245,6 +251,30 @@ def _at_tower(fld: Field, tower: tuple, n: int) -> tuple:
     return tuple(tower)
 
 
+def tower_bytes(q: int, n: int) -> int:
+    """The bytes of H_0..H_n that the degree lemmas predict before any work:
+    H_m fits deg Gamma_{m+1} + 1 t-rows by q (m - s_q(m))/(q-1) + 1
+    theta-columns of int64 (``zeta.power_sum_val_bound``), plus _ENTRY_BYTES.
+    The running totals per q grow by doubling and stop at the first tower
+    past TOWER_BUDGET; past that end this is a lower bound, as no grid is
+    smaller than the one before it."""
+    def extend(stale):
+        totals = list(stale or [0])  # totals[k]: the bytes of H_0..H_{k-1}
+        for m in range(len(totals) - 1, max(n, 2 * len(totals)) + 1):
+            cols = q * (m - sum(base_q_digits(m, q))) // (q - 1) + 1
+            totals.append(totals[-1] + 8 * (carlitz_gamma_degree(q, m + 1) + 1) * cols
+                          + _ENTRY_BYTES)
+            if totals[-1] > TOWER_BUDGET:
+                break
+        return totals
+
+    totals = cache.remember("tower_bytes", q, lambda t: len(t) > n + 1 or t[-1] > TOWER_BUDGET,
+                            extend)
+    if n + 1 < len(totals):
+        return totals[n + 1]
+    return totals[-1] + (n + 2 - len(totals)) * (totals[-1] - totals[-2])
+
+
 def at_polynomial(fld: Field, n: int) -> BiPoly:
     """The Anderson-Thakur polynomial H_n in F_q[theta][t].
 
@@ -253,11 +283,15 @@ def at_polynomial(fld: Field, n: int) -> BiPoly:
     Gamma_{n+1}|_{theta=t}.  It is computed by the polynomial recursion of
     ``_at_tower``, which yields H_0..H_n together; the memo keeps one tower
     per q, and a request past its end extends it.  The persistent
-    cache, when active, holds each H_n on its own."""
+    cache, when active, holds each H_n on its own.  A tower that
+    ``tower_bytes`` puts past TOWER_BUDGET raises BudgetError first."""
     if n < 0:
         raise InvalidIndexError("at_polynomial wants n >= 0")
-    if n > AT_BUDGET:
-        raise BudgetError(f"at_polynomial budget is n <= {AT_BUDGET}, got {n}")
+    need = tower_bytes(fld.q, n)
+    if need > TOWER_BUDGET:
+        raise BudgetError(f"the Anderson-Thakur tower H_0..H_{n} at q={fld.q} is predicted at "
+                          f"{need / 2**20:.0f} MiB or more, past the tower budget of "
+                          f"{TOWER_BUDGET >> 20} MiB")
 
     def from_tower():
         tower = cache.remember("at_tower", fld.q, lambda t: len(t) > n,
@@ -433,26 +467,19 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
     for s, qs, a in zip(family, qs_per_index, a_polys):
         r = s.depth
         tails = [sum(s[j:]) for j in range(r)]  # tails[j] = s_{j+1}+...+s_r (0-based)
-        qinv = [inverse_twist(q) for q in qs]
+        # Q_j^(-1) (t - theta)^{tails[j]} sits left of the diagonal in row j of
+        # this index's block, and a times the last one in Phi's last row
+        sub = [inverse_twist(q) * BiPoly.t_minus_theta_power(fld, 1, n) for q, n in zip(qs, tails)]
         series = deformation_t_series(fld, s, qs, cap, prec)
+        nu = BiPoly.from_poly(a) * sub[r - 1]
         if r == 1:
-            nu = qinv[0] * BiPoly.t_minus_theta_power(fld, 1, w)
-            last_row_zero_col = last_row_zero_col + BiPoly.from_poly(a) * nu
+            last_row_zero_col = last_row_zero_col + nu
         else:
-            phi[offset][0] = qinv[0] * BiPoly.t_minus_theta_power(fld, 1, w)
             for jj in range(r - 1):
-                phi[offset + jj][offset + jj] = BiPoly.t_minus_theta_power(
-                    fld, 1, tails[jj + 1]
-                )
-                if jj >= 1:
-                    phi[offset + jj][offset + jj - 1] = qinv[jj] * BiPoly.t_minus_theta_power(
-                        fld, 1, tails[jj]
-                    )
-            nu = qinv[r - 1] * BiPoly.t_minus_theta_power(fld, 1, tails[r - 1])
-            phi[last][offset + r - 2] = BiPoly.from_poly(a) * nu
-            for jj in range(1, r):
-                entry = (om ** tails[jj]) * series[jj - 1]
-                psi_mid.append(entry)
+                phi[offset + jj][offset + jj - 1 if jj else 0] = sub[jj]
+                phi[offset + jj][offset + jj] = BiPoly.t_minus_theta_power(fld, 1, tails[jj + 1])
+            phi[last][offset + r - 2] = nu
+            psi_mid += [(om ** tails[jj]) * series[jj - 1] for jj in range(1, r)]
             offset += r - 1
         contrib = series[r - 1] * BiPoly.from_poly(a)
         psi_last = contrib if psi_last is None else psi_last + contrib

@@ -306,12 +306,9 @@ def main(argv=None) -> int:
             return 2
     try:
         rc = args.func(args)
-    except DomainError as exc:
+    except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except MemoryError:
         prec = getattr(args, "prec", None)
         if prec is None:

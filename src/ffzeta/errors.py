@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all ffzeta modules.
 
 Domain errors (bad inputs, divergent series, malformed indices) and
-resource errors (enumeration budgets, relation-hunter margins) map to
+resource errors (enumeration and tower budgets, hunter margins) map to
 distinct CLI exit codes, so they stay distinct classes here.
 """
 
@@ -31,7 +31,7 @@ class ResourceError(FFZetaError):
 
 
 class BudgetError(ResourceError):
-    """Enumeration budget exceeded (names the offending budget)."""
+    """The enumeration or the tower budget exceeded (names the budget)."""
 
 
 class MarginError(ResourceError):

@@ -615,10 +615,7 @@ class BiPoly(_Dense):
 
     @property
     def theta_degree(self):
-        if self.coeffs.size == 0:
-            return -math.inf
-        nz = np.nonzero(self.coeffs.any(axis=0))[0]
-        return int(nz[-1])
+        return self.coeffs.shape[1] - 1 if self.coeffs.size else -math.inf
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -631,13 +628,8 @@ class BiPoly(_Dense):
 
     # -- t-polynomial view ---------------------------------------------------
 
-    def t_coeff(self, i: int) -> Poly:
-        if self.is_zero or i > self.coeffs.shape[0] - 1:
-            return Poly.zero(self.field, THETA)
-        return Poly(self.field, self.coeffs[i], THETA)
-
     def t_coeffs(self):
-        return [self.t_coeff(i) for i in range(self.coeffs.shape[0])] if self.coeffs.size else []
+        return [Poly(self.field, row, THETA) for row in self.coeffs]
 
     def exact_div_t(self, den: Poly) -> "BiPoly":
         """Exact division by a polynomial in t alone (raises if inexact)."""

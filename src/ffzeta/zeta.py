@@ -60,13 +60,6 @@ from .laurent import INF, Laurent
 from .scalar import (BiPoly, Field, Poly, RatFunc, base_q_digits, carlitz_gamma_degree,
                      enumerate_monic)
 
-# The largest index entry whose power sums are served.  S_d(n) needs the
-# whole tower H_0..H_{n-1}, whose cold cost grows about as n^3.7 and is
-# worst at q=2: on one core of an Intel Xeon, the tower to H_149 takes
-# about 0.9 s and 140 MB there (0.2 s and 70 MB at q=3), the one to H_199
-# 2.7 s and 290 MB.
-_ENTRY_BUDGET = 150
-
 
 def _finite_prec(prec) -> int:
     """prec as an int; a truncated series has no infinite precision."""
@@ -152,19 +145,17 @@ def _power_sum_from_identity(fld: Field, d: int, n: int, prec=None) -> Laurent:
     """
     from . import anderson  # anderson imports this module: bound at call time
 
-    if n > _ENTRY_BUDGET:
-        raise BudgetError(
-            f"power_sum_series: index entry {n} exceeds the entry budget {_ENTRY_BUDGET}: "
-            f"S_{d}({n}) needs the Anderson-Thakur tower H_0..H_{n - 1}, and no H below "
-            f"prec {power_sum_val_bound(fld.q, d, n)}"
-        )
+    try:
+        h = anderson.at_polynomial(fld, n - 1)
+    except BudgetError as exc:
+        raise BudgetError(f"power_sum_series: index entry {n}: {exc}; S_{d}({n}) needs no H "
+                          f"below prec {power_sum_val_bound(fld.q, d, n)}") from None
     q = fld.q
     step = q ** d  # a Python int: q^d leaves int64 long before the bound stops d
     units = [(q ** j - 1, n) for j in range(1, d + 1)]
     for i, digit in enumerate(base_q_digits(n - 1, q)):
         units += [(q ** i - q ** j, digit) for j in range(i)]
     c = n * (q * (step - 1) // (q - 1)) + carlitz_gamma_degree(q, n)
-    h = anderson.at_polynomial(fld, n - 1)
     prec = c - (h.coeffs.shape[1] - 1) * step if prec is None else prec
     numer = Laurent.from_bipoly(h, 1, step, prec - c).shift(c)
     value = _divide_by_units(numer, units)
@@ -202,8 +193,8 @@ def power_sum_series(fld: Field, d: int, n: int, prec) -> Laurent:
 
     S_0(n) = 1 exactly; for d >= 1 the digits come from the interpolation
     identity (no enumeration), so this works far beyond the exact-path
-    budget.  It needs H_{n-1}, so an entry n > _ENTRY_BUDGET raises
-    BudgetError wherever the valuation bound leaves a digit through prec.
+    budget.  It needs H_{n-1}, so the tower budget of ``anderson.at_polynomial``
+    raises BudgetError wherever the valuation bound leaves a digit through prec.
     """
     if d < 0 or n < 1:
         raise InvalidIndexError("power_sum_series wants d >= 0 and n >= 1")
@@ -385,13 +376,6 @@ def _require_convergence(fld: Field, s: Index, items, series: str) -> None:
         raise ConvergenceError(
             f"{series} series diverges: convergence condition fails at slot(s) {bad}"
         )
-
-
-def convergence_check(fld: Field, s, items) -> bool:
-    """Strict sufficient condition for the nested series to converge:
-    ||Q_j||_infty < q^{q s_j / (q-1)} for every slot, checked in integer
-    arithmetic as deg * (q-1) < q * s_j.  Boundary inputs are rejected."""
-    return not _diverging_slots(fld, coerce_index(s), items)
 
 
 def _deg_l(q: int, u: int) -> int:

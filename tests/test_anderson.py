@@ -115,9 +115,54 @@ def test_at_polynomial_closed_forms():
         )
 
 
-def test_at_polynomial_budget():
-    with pytest.raises(BudgetError):
-        anderson.at_polynomial(field(2), 401)
+def _largest_admitted(q):
+    """The largest n whose tower H_0..H_n fits the tower budget at q."""
+    n = 0
+    while anderson.tower_bytes(q, n + 1) <= anderson.TOWER_BUDGET:
+        n += 1
+    return n
+
+
+def test_at_polynomial_budget(monkeypatch):
+    # q=2 admits exactly the tower the power sums of entries <= 150 read
+    assert [_largest_admitted(q) for q in (2, 3, 5, 25)] == [149, 193, 232, 345]
+
+    def no_tower(*args):
+        raise AssertionError("tower work before the budget check")
+
+    monkeypatch.setattr(anderson, "_at_tower", no_tower)
+    cache.clear_memos()
+    for n in (150, 401, 10 ** 9):
+        with pytest.raises(BudgetError, match=rf"H_0\.\.H_{n} at q=2 is predicted at \d+ MiB "
+                                              r"or more, past the tower budget of 96 MiB"):
+            anderson.at_polynomial(field(2), n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 149), (3, 100), (5, 60)])
+def test_tower_bytes_bound_the_built_tower(q, n):
+    """The degree lemmas bound every grid, and overshoot the bytes held by
+    less than 1.4 (about 1.23, 1.26 and 1.32 here)."""
+    fld = field(q)
+    cache.clear_memos()
+    try:
+        anderson.at_polynomial(fld, n)
+        held = sum(anderson.at_polynomial(fld, m).coeffs.nbytes for m in range(n + 1))
+    finally:
+        cache.clear_memos()  # the q=2 tower holds about 80 MB
+    predicted = anderson.tower_bytes(q, n)
+    assert held <= predicted <= 1.4 * held, (held, predicted)
+    # the running totals grow one grid at a time, and no grid shrinks
+    steps = [anderson.tower_bytes(q, m + 1) - anderson.tower_bytes(q, m) for m in range(n)]
+    assert steps == sorted(steps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 25, 65521])
+def test_every_admitted_tower_step_fits_int64(q):
+    """``_at_tower`` sums at most L + 1 terms of at most L binomial factors,
+    L = floor(log_q n), so its integer grid stays below (L + 1) 2^L p."""
+    n = _largest_admitted(q)
+    levels = len(base_q_digits(n, q)) - 1
+    assert (levels + 1) * 2 ** levels * field(q).p < 2 ** 30, (q, n)
 
 
 class _TFrac:

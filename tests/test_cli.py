@@ -371,15 +371,40 @@ def test_value_command_labels_round_trip(capsys, argv):
 
 def test_resource_error_exit_code(capsys):
     rc = cli.main(["atpoly", "--q", "2", "--n", "500"])
-    assert rc == 3  # budget
+    assert rc == 3  # the tower budget
+    assert "H_0..H_500 at q=2" in capsys.readouterr().err
     rc = cli.main(["zeta", "--q", "3", "--index", "402", "--prec", "500"])
     assert rc == 3  # the power sums of entry 402 need H_401
-    assert "index entry 402" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "index entry 402" in err and "tower budget of 96 MiB" in err
     rc = cli.main([
         "relations", "hunt", "--q", "3", "--labels", "zeta(1),zeta(2)",
         "--deg-bound", "5", "--prec", "20",
     ])
     assert rc == 3  # margin
+
+
+def test_atpoly_past_the_tower_budget_exits_3_before_any_tower_work(capsys, monkeypatch):
+    from ffzeta import anderson
+
+    def no_tower(*args):
+        raise AssertionError("tower work before the budget check")
+
+    monkeypatch.setattr(anderson, "_at_tower", no_tower)
+    cache.clear_memos()
+    assert cli.main(["atpoly", "--q", "2", "--n", "400"]) == 3
+    err = capsys.readouterr().err
+    assert "H_0..H_400 at q=2 is predicted at" in err and "tower budget of 96 MiB" in err
+
+
+def test_entry_above_150_is_served_at_q3(capsys):
+    """The tower to H_159 at q=3 is predicted at about 51 MiB, inside the
+    tower budget; an entry budget of 150 refused it."""
+    try:
+        rc, out = run_json(capsys, "zeta", "--q", "3", "--index", "160", "--prec", "400")
+    finally:
+        cache.clear_memos()
+    assert rc == 0 and out["label"] == "zeta(160)"
 
 
 def test_margin_error_names_a_prec_that_passes(capsys):

@@ -159,9 +159,18 @@ def test_series_far_beyond_enumeration_budget():
     assert s.is_zero_to_precision and s.prec == 500
 
 
+def _first_refused_entry(q):
+    """The least entry n whose tower H_0..H_{n-1} is past the tower budget."""
+    n = 1
+    while anderson.tower_bytes(q, n - 1) <= anderson.TOWER_BUDGET:
+        n += 1
+    return n
+
+
 def test_series_past_the_entry_budget_raises_before_any_tower_work(monkeypatch):
     fld = field(3)
-    n = zeta._ENTRY_BUDGET + 1
+    n = _first_refused_entry(3)
+    assert n == 195
     bound = zeta.power_sum_val_bound(3, 1, n)
     # an entry whose every digit lies past prec is still the exact zero there
     assert zeta.power_sum_series(fld, 1, n, bound - 1) == Laurent.zero_to_prec(fld, bound - 1)
@@ -172,19 +181,21 @@ def test_series_past_the_entry_budget_raises_before_any_tower_work(monkeypatch):
 
     monkeypatch.setattr(anderson, "_at_tower", no_tower)
     cache.clear_memos()
-    for call in (lambda: zeta.power_sum_series(fld, 1, n, bound),
-                 lambda: zeta.mzv(fld, (n, 1), 500)):
-        with pytest.raises(BudgetError, match=f"index entry {n} exceeds the entry budget "
-                                              f"{zeta._ENTRY_BUDGET}"):
-            call()
+    tower = rf"index entry {n}: the Anderson-Thakur tower H_0\.\.H_{n - 1} at q=3 is predicted"
+    with pytest.raises(BudgetError, match=tower + rf" .* tower budget of 96 MiB; "
+                                          rf"S_1\({n}\) needs no H below prec {bound}$"):
+        zeta.power_sum_series(fld, 1, n, bound)
+    with pytest.raises(BudgetError, match=tower):
+        zeta.mzv(fld, (n, 1), 500)
 
 
 def test_entry_at_the_budget_is_served_cold_within_seconds():
-    """The largest entry served, at q=2 (the largest towers), from a cold
+    """The largest entry served at q=2 (the largest towers), from a cold
     memo: about 1 s on one core, where a dense product by each F_i in the
     tower recursion took about 11 s."""
     fld = field(2)
-    n = zeta._ENTRY_BUDGET
+    n = _first_refused_entry(2) - 1
+    assert n == 150
     cache.clear_memos()
     try:
         start = time.perf_counter()
@@ -839,16 +850,18 @@ def test_cmpl_is_its_own_walk_bit_for_bit(q):
 
 def test_convergence_check():
     f2 = field(2)
-    assert zeta.convergence_check(f2, (1,), [RatFunc.one(f2)])
+    assert zeta._diverging_slots(f2, zeta.coerce_index((1,)), [RatFunc.one(f2)]) == []
     # borderline rejected: ||theta^2|| = q^2 equals the bound q^{q/(q-1)} at q=2, s=1
-    assert not zeta.convergence_check(f2, (1,), [RatFunc.from_poly(Poly.monomial(f2, 1, 2))])
+    theta2 = RatFunc.from_poly(Poly.monomial(f2, 1, 2))
+    assert zeta._diverging_slots(f2, zeta.coerce_index((1,)), [theta2]) == [0]
     # AT polynomials stay inside the domain for n <= q^2 (q in {2,3})
     from ffzeta import anderson
 
     for q in (2, 3):
         fld = field(q)
         for n in range(1, q * q + 1):
-            assert zeta.convergence_check(fld, (n,), [anderson.at_polynomial(fld, n - 1)]), (q, n)
+            h = anderson.at_polynomial(fld, n - 1)
+            assert zeta._diverging_slots(fld, zeta.coerce_index((n,)), [h]) == [], (q, n)
 
 
 def test_cmpl_divergence_error_names_slot():
