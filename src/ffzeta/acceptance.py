@@ -19,7 +19,6 @@ from .scalar import (
     BiPoly,
     Poly,
     RatFunc,
-    TVAR,
     bracket_L,
     carlitz_gamma,
     field,
@@ -38,15 +37,14 @@ def criterion_1_anderson_thakur():
         fld = field(q)
         assert anderson.at_polynomial(fld, 0) == BiPoly.one(fld), f"H_0 != 1 (q={q})"
         n = q * q - q - 1
-        expect = BiPoly.from_poly(carlitz_gamma(fld, q * q - q).with_var(TVAR))
+        expect = BiPoly.in_t(carlitz_gamma(fld, q * q - q))
         assert anderson.at_polynomial(fld, n) == expect, f"H_{{q^2-q-1}} mismatch (q={q})"
         n = q ** 3 - 1
-        expect = BiPoly.from_poly(carlitz_gamma(fld, q ** 3).with_var(TVAR))
+        expect = BiPoly.in_t(carlitz_gamma(fld, q ** 3))
         assert anderson.at_polynomial(fld, n) == expect, f"H_{{q^3-1}} mismatch (q={q})"
         n = q * q - q
-        gamma_t = carlitz_gamma(fld, n + 1).with_var(TVAR)
-        num = BiPoly.from_poly(gamma_t) * (BiPoly.t_minus_theta_power(fld, q, 1) ** (q - 1))
-        expect = num.exact_div_t(bracket_L(fld, 1).with_var(TVAR) ** (q - 1))
+        num = BiPoly.in_t(carlitz_gamma(fld, n + 1)) * BiPoly.t_minus_theta_power(fld, q, q - 1)
+        expect = num.exact_div_t(BiPoly.in_t(bracket_L(fld, 1)) ** (q - 1))
         assert anderson.at_polynomial(fld, n) == expect, f"H_{{q^2-q}} mismatch (q={q})"
     return "H_0, H_{q^2-q-1}, H_{q^3-1}, H_{q^2-q} exact for q in {2,3}"
 
@@ -229,7 +227,7 @@ def criterion_9_torsion():
     image = anderson.carlitz_tensor_t_action(fld, 1, [theta])
     assert image[0].is_zero, "[t] theta != 0 at q=2"
     ann = anderson.torsion_search(fld, 1, [theta], 3)
-    assert ann == Poly(fld, [0, 1], TVAR), ann
+    assert ann == BiPoly.in_t(Poly.gen(fld)), ann
     fld = field(3)
     assert anderson.torsion_search(fld, 1, [1], 4) is None, "1 reported torsion at q=3"
     return "[t] kills theta (q=2, n=1); no annihilator for 1 (q=3, Dmax=4)"

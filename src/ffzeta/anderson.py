@@ -31,15 +31,14 @@ from .scalar import (
     Field,
     Poly,
     RatFunc,
-    TVAR,
     base_q_digits,
     binary_power,
     carlitz_gamma_degree,
     frobenius_twist,
     inverse_twist,
 )
-from .zeta import (_deformation_partials, _finite_prec, _nested_sum, _require_convergence,
-                   _validate_signs, infty_norm_degree)
+from .zeta import (_as_ratfunc, _deformation_partials, _finite_prec, _nested_sum,
+                   _require_convergence, _validate_signs, infty_norm_degree)
 from . import cache, linalg
 
 # The bytes of H_0..H_n that one tower may hold, as ``tower_bytes`` predicts
@@ -108,8 +107,6 @@ class GradedSeries:
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             other = GradedSeries.from_bipoly(other, self.cap)
-        elif isinstance(other, Poly) and other.var == TVAR:
-            other = GradedSeries.from_bipoly(BiPoly.from_poly(other), self.cap)
         self._check(other)
         out = [Laurent.zero(self.field) for _ in range(self.cap + 1)]
         for i, a in enumerate(self.coeffs):
@@ -312,11 +309,7 @@ def _coerce_q(fld: Field, item):
         return item
     if isinstance(item, Poly):
         return BiPoly.from_poly(item)
-    if isinstance(item, RatFunc):
-        return item
-    if isinstance(item, int):
-        return RatFunc.constant(fld, item)
-    raise DomainError(f"cannot interpret deformation input {item!r}")
+    return _as_ratfunc(fld, item)
 
 
 def _deformation_inputs(fld: Field, s, qs) -> list:
@@ -419,14 +412,14 @@ class BlockSystem:
     prec: int
 
 
-def _coerce_t_poly(fld: Field, a) -> Poly:
-    if isinstance(a, Poly):
-        if a.var != TVAR:
-            raise DomainError("linear-combination coefficients live in F_q[t]")
+def _coerce_t_poly(fld: Field, a) -> BiPoly:
+    """A coefficient in F_q[t] (a one-column BiPoly, a constant, or a list of
+    t-coefficients) as a one-column BiPoly."""
+    if isinstance(a, Poly) or (isinstance(a, BiPoly) and a.theta_degree > 0):
+        raise DomainError("linear-combination coefficients live in F_q[t]")
+    if isinstance(a, BiPoly):
         return a
-    if isinstance(a, int):
-        return Poly.constant(fld, a, TVAR)
-    return Poly(fld, a, TVAR)
+    return BiPoly.in_t(Poly.constant(fld, a) if isinstance(a, int) else Poly(fld, a))
 
 
 def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, prec) -> BlockSystem:
@@ -471,7 +464,7 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
         # this index's block, and a times the last one in Phi's last row
         sub = [inverse_twist(q) * BiPoly.t_minus_theta_power(fld, 1, n) for q, n in zip(qs, tails)]
         series = deformation_t_series(fld, s, qs, cap, prec)
-        nu = BiPoly.from_poly(a) * sub[r - 1]
+        nu = a * sub[r - 1]
         if r == 1:
             last_row_zero_col = last_row_zero_col + nu
         else:
@@ -481,7 +474,7 @@ def build_block_system(fld: Field, family, qs_per_index, a_coeffs, cap: int, pre
             phi[last][offset + r - 2] = nu
             psi_mid += [(om ** tails[jj]) * series[jj - 1] for jj in range(1, r)]
             offset += r - 1
-        contrib = series[r - 1] * BiPoly.from_poly(a)
+        contrib = series[r - 1] * a
         psi_last = contrib if psi_last is None else psi_last + contrib
     if not last_row_zero_col.is_zero:
         phi[last][0] = last_row_zero_col
@@ -559,9 +552,9 @@ def vanishing_order_profile(fld: Field, s, qs, cap: int, prec) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def _tensor_point(fld: Field, n: int, point) -> list:
-    """An n-coordinate point, each coordinate a RatFunc or a field constant,
-    as a list of RatFuncs."""
-    v = [u if isinstance(u, RatFunc) else RatFunc.constant(fld, u) for u in point]
+    """An n-coordinate point, each coordinate a RatFunc, a Poly or a field
+    constant, as a list of RatFuncs."""
+    v = [_as_ratfunc(fld, u) for u in point]
     if len(v) != n:
         raise DomainError(f"point must have {n} coordinates")
     return v
@@ -582,8 +575,9 @@ def carlitz_tensor_t_action(fld: Field, n: int, point) -> list:
 
 
 def torsion_search(fld: Field, n: int, point, dmax: int):
-    """Brute-force annihilator search: the smallest-degree nonzero
-    a in F_q[t] of degree <= dmax with [a]_n(point) = 0, or None.
+    """Brute-force annihilator search: the smallest-degree nonzero monic
+    a in F_q[t] of degree <= dmax with [a]_n(point) = 0, as a one-column
+    BiPoly, or None.
 
     Uses F_q-linearity of the module action: it suffices to solve for
     F_q-combinations of the iterates [t^j](point).  The zero point is
@@ -593,7 +587,7 @@ def torsion_search(fld: Field, n: int, point, dmax: int):
         raise DomainError("dmax must be >= 0")
     v = _tensor_point(fld, n, point)
     if all(u.is_zero for u in v):
-        return Poly.one(fld, TVAR)
+        return BiPoly.one(fld)
     iterates = [v]
     for _ in range(dmax):
         iterates.append(carlitz_tensor_t_action(fld, n, iterates[-1]))
@@ -613,4 +607,4 @@ def torsion_search(fld: Field, n: int, point, dmax: int):
     if not basis:
         return None
     best = min(basis, key=lambda vec: max(np.nonzero(vec)[0]))
-    return Poly(fld, best, TVAR).monic()
+    return BiPoly.in_t(Poly(fld, best).monic())

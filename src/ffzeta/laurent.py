@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError
-from .scalar import BiPoly, Field, Poly, RatFunc, THETA, binary_power
+from .scalar import BiPoly, Field, Poly, RatFunc, binary_power
 
 INF = math.inf
 
@@ -93,8 +93,6 @@ class Laurent:
     @classmethod
     def from_poly(cls, f: Poly):
         """Exact embedding of a theta-polynomial."""
-        if f.var != THETA:
-            raise DomainError("only theta-polynomials embed into k_infinity")
         if f.is_zero:
             return cls.zero(f.field)
         return cls(f.field, -int(f.degree), f.coeffs[::-1], INF)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over F_q, F_q[x] (x in {theta, t}), F_q[t][theta] and F_q(theta).
+"""Exact arithmetic over F_q, F_q[theta], F_q[t][theta] and F_q(theta).
 
 Field elements are canonical integers 0..q-1.  For q = p^e with e > 1 the
 integer's base-p digits are the coefficients of the residue polynomial
@@ -10,12 +10,12 @@ arithmetic exists once.  The chosen irreducible is exposed so runs are
 reproducible.
 
 ``Poly`` and ``BiPoly`` are one dense core, ``_Dense``: a trimmed int64
-grid whose last axis is the variable that a Frobenius twist dilates (theta
-for a ``BiPoly``).  Addition, negation, subtraction, scaling, powers,
-equality, hashing, the operand check and ``dilate`` are written once
-there, so ``frobenius_twist`` is ``dilate(q^n)`` and ``inverse_twist`` one
-strided read of the last axis.  Products, division and the gcd stay on
-each class.
+grid whose last axis holds the powers of theta, which a Frobenius twist
+dilates.  F_q[t] has one form too, a ``BiPoly`` with one theta-column.
+Addition, negation, subtraction, scaling, powers, equality, hashing, the
+operand check and ``dilate`` are written once there, so
+``frobenius_twist`` is ``dilate(q^n)`` and ``inverse_twist`` one strided
+read of the last axis.  Products, division and the gcd stay on each class.
 
 ``field(q)`` hands out one shared instance per q, also to threads that
 ask for a new q at the same time.  Everything is immutable after
@@ -32,9 +32,6 @@ import numpy as np
 
 from . import backend, cache
 from .errors import BudgetError, DomainError, InvalidIndexError
-
-THETA = "theta"
-TVAR = "t"
 
 _MAX_Q = 1 << 16
 
@@ -319,11 +316,10 @@ def binary_power(base, k: int, one):
 
 class _Dense:
     """A trimmed, read-only int64 grid of F_q coefficients whose last axis
-    holds the powers of ``var``: the one variable of a ``Poly``, theta for a
-    ``BiPoly``.  Each subclass keeps its constructor and trimming and builds
-    values of its own kind through ``_like(coeffs)``; the arithmetic that
-    reads the grid alone lives here once.  Operands must share the class,
-    the field and ``var``.
+    holds the powers of theta.  Each subclass keeps its constructor and
+    trimming and builds values of its own kind through ``_like(coeffs)``;
+    the arithmetic that reads the grid alone lives here once.  Operands
+    must share the class and the field.
     """
 
     __slots__ = ()
@@ -335,18 +331,14 @@ class _Dense:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.field is other.field
-            and self.var == other.var
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
+        return self.field is other.field and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.field.q, self.var, self.coeffs.shape, self.coeffs.tobytes()))
+        return hash((self.field.q, self.coeffs.shape, self.coeffs.tobytes()))
 
     def _check(self, other):
-        if type(other) is not type(self) or self.field is not other.field or self.var != other.var:
-            raise DomainError("mixed fields, variables or polynomial kinds")
+        if type(other) is not type(self) or self.field is not other.field:
+            raise DomainError("mixed fields or polynomial kinds")
 
     def __add__(self, other):
         self._check(other)
@@ -378,7 +370,7 @@ class _Dense:
         return binary_power(self, k, self._like(one))
 
     def dilate(self, k: int):
-        """Substitute var -> var^k (k >= 1) on the last axis."""
+        """Substitute theta -> theta^k (k >= 1) on the last axis."""
         if self.is_zero or k == 1:
             return self
         *rows, cols = self.coeffs.shape
@@ -401,17 +393,15 @@ def _padded(a, shape):
 # ---------------------------------------------------------------------------
 
 class Poly(_Dense):
-    """Dense polynomial over F_q in one named variable (theta or t).
+    """Dense polynomial over F_q in theta.
 
-    coeffs[i] is the coefficient of x^i; the leading coefficient is nonzero
+    coeffs[i] is the coefficient of theta^i; the leading coefficient is nonzero
     unless the polynomial is zero (empty coeffs, degree -inf).
     """
 
-    __slots__ = ("field", "var", "coeffs")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs, var: str = THETA):
-        if var not in (THETA, TVAR):
-            raise DomainError(f"unknown variable tag {var!r}")
+    def __init__(self, field: Field, coeffs):
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim != 1:
             raise DomainError("coefficients must be one-dimensional")
@@ -422,32 +412,31 @@ class Poly(_Dense):
         arr = arr[:n].copy()
         arr.flags.writeable = False
         self.field = field
-        self.var = var
         self.coeffs = arr
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, var=THETA):
-        return cls(field, [], var)
+    def zero(cls, field):
+        return cls(field, [])
 
     @classmethod
-    def one(cls, field, var=THETA):
-        return cls(field, [1], var)
+    def one(cls, field):
+        return cls(field, [1])
 
     @classmethod
-    def constant(cls, field, c, var=THETA):
-        return cls(field, [field.from_int(c) if not 0 <= c < field.q else c], var)
+    def constant(cls, field, c):
+        return cls(field, [field.from_int(c) if not 0 <= c < field.q else c])
 
     @classmethod
-    def gen(cls, field, var=THETA):
-        return cls(field, [0, 1], var)
+    def gen(cls, field):
+        return cls(field, [0, 1])
 
     @classmethod
-    def monomial(cls, field, c, k, var=THETA):
+    def monomial(cls, field, c, k):
         coeffs = np.zeros(k + 1, dtype=np.int64)
         coeffs[k] = c
-        return cls(field, coeffs, var)
+        return cls(field, coeffs)
 
     # -- structure ----------------------------------------------------------
 
@@ -469,7 +458,7 @@ class Poly(_Dense):
         return not self.is_zero and self.coeffs[-1] == 1
 
     def _like(self, coeffs):
-        return Poly(self.field, coeffs, self.var)
+        return Poly(self.field, coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -479,14 +468,14 @@ class Poly(_Dense):
         self._check(other)
         f = self.field
         if self.is_zero or other.is_zero:
-            return Poly.zero(f, self.var)
-        return Poly(f, backend.convolve_mod(self.coeffs, other.coeffs, f), self.var)
+            return Poly.zero(f)
+        return Poly(f, backend.convolve_mod(self.coeffs, other.coeffs, f))
 
     def shift(self, k: int):
-        """Multiply by x^k."""
+        """Multiply by theta^k."""
         if self.is_zero or k == 0:
             return self
-        return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.coeffs]), self.var)
+        return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.coeffs]))
 
     def __divmod__(self, other):
         self._check(other)
@@ -496,7 +485,7 @@ class Poly(_Dense):
         rem = np.array(self.coeffs, dtype=np.int64)
         db = other.coeffs.size - 1
         if rem.size - 1 < db:
-            return Poly.zero(f, self.var), self
+            return Poly.zero(f), self
         quo = np.zeros(rem.size - db, dtype=np.int64)
         inv_lead = f.inv(other.leading())
         for k in range(rem.size - 1, db - 1, -1):
@@ -505,7 +494,7 @@ class Poly(_Dense):
             c = f.mul(int(rem[k]), inv_lead)
             quo[k - db] = c
             rem[k - db : k + 1] = f.sub(rem[k - db : k + 1], f.mul(c, other.coeffs))
-        return Poly(f, quo, self.var), Poly(f, rem[:db] if db else [], self.var)
+        return Poly(f, quo), Poly(f, rem[:db] if db else [])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -522,7 +511,7 @@ class Poly(_Dense):
     def monic(self):
         if self.is_zero or self.is_monic:
             return self
-        return Poly(self.field, self.field.mul(self.field.inv(self.leading()), self.coeffs), self.var)
+        return Poly(self.field, self.field.mul(self.field.inv(self.leading()), self.coeffs))
 
     def gcd(self, other):
         self._check(other)
@@ -531,15 +520,11 @@ class Poly(_Dense):
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
 
-    def with_var(self, var: str):
-        return Poly(self.field, self.coeffs, var) if var != self.var else self
-
     def __repr__(self):
-        return f"Poly({self.var}; {format_poly(self)})"
+        return f"Poly({format_poly(self)})"
 
 
 def format_poly(f: Poly) -> str:
-    sym = "θ" if f.var == THETA else f.var
     if f.is_zero:
         return "0"
     parts = []
@@ -551,7 +536,7 @@ def format_poly(f: Poly) -> str:
             parts.append(str(c))
         else:
             head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}{sym}" + (f"^{k}" if k > 1 else ""))
+            parts.append(f"{head}θ" + (f"^{k}" if k > 1 else ""))
     return " + ".join(parts)
 
 
@@ -567,7 +552,6 @@ class BiPoly(_Dense):
     """
 
     __slots__ = ("field", "coeffs")
-    var = THETA  # the variable of the last axis, which ``dilate`` substitutes
 
     def __init__(self, field: Field, coeffs):
         arr = np.asarray(coeffs, dtype=np.int64)
@@ -592,10 +576,12 @@ class BiPoly(_Dense):
 
     @classmethod
     def from_poly(cls, f: Poly):
-        if f.is_zero:
-            return cls.zero(f.field)
-        if f.var == THETA:
-            return cls(f.field, f.coeffs[None, :])
+        """f(theta), one t-row."""
+        return cls(f.field, f.coeffs[None, :])
+
+    @classmethod
+    def in_t(cls, f: Poly):
+        """f(t): the coefficients of f read in t, one theta-column."""
         return cls(f.field, f.coeffs[:, None])
 
     @classmethod
@@ -618,8 +604,6 @@ class BiPoly(_Dense):
         return self.coeffs.shape[1] - 1 if self.coeffs.size else -math.inf
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = BiPoly.from_poly(other)
         self._check(other)
         f = self.field
         if self.is_zero or other.is_zero:
@@ -629,20 +613,22 @@ class BiPoly(_Dense):
     # -- t-polynomial view ---------------------------------------------------
 
     def t_coeffs(self):
-        return [Poly(self.field, row, THETA) for row in self.coeffs]
+        return [Poly(self.field, row) for row in self.coeffs]
 
-    def exact_div_t(self, den: Poly) -> "BiPoly":
-        """Exact division by a polynomial in t alone (raises if inexact)."""
-        if den.var != TVAR:
+    def exact_div_t(self, den: "BiPoly") -> "BiPoly":
+        """Exact division by a polynomial in t alone, a BiPoly with one
+        theta-column (raises if inexact)."""
+        self._check(den)
+        if den.theta_degree > 0:
             raise DomainError("divisor must be a polynomial in t")
         if den.is_zero:
             raise ZeroDivisionError("division by zero")
         f = self.field
-        n = self.coeffs.shape[0] - den.coeffs.size + 1  # t-rows of the quotient
+        n = self.coeffs.shape[0] - den.coeffs.shape[0] + 1  # t-rows of the quotient
         quo = BiPoly.zero(f)
         if n > 0:
             # reversed in t, the quotient is rev(self) / rev(den) mod t^n
-            recip = backend.series_recip_mod(den.coeffs[::-1], n, f)
+            recip = backend.series_recip_mod(den.coeffs[::-1, 0], n, f)
             rev = backend.bipoly_mul_mod(self.coeffs[::-1][:n], recip[:, None], f)
             quo = BiPoly(f, rev[n - 1 :: -1])
         if quo * den != self:
@@ -672,8 +658,6 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.var != THETA or den.var != THETA:
-            raise DomainError("rational functions are over F_q(theta)")
         if num.is_zero:
             num, den = num, Poly.one(num.field)
         else:
@@ -826,13 +810,14 @@ def frobenius_twist(f, n: int):
 
     Coefficients in F_q are fixed, so theta-exponents dilate by q^n: for a
     theta-polynomial this is the exact q^n-th power, a BiPoly raises each
-    theta-coefficient exactly, and a t-polynomial over F_q is fixed.
+    theta-coefficient exactly, and a one-column BiPoly, a polynomial in t
+    alone, is fixed.
     """
     if n < 0:
         raise InvalidIndexError("frobenius_twist wants n >= 0")
     if not isinstance(f, _Dense):
         raise DomainError(f"cannot twist {type(f).__name__}")
-    return f if f.var == TVAR else f.dilate(f.field.q ** n)
+    return f.dilate(f.field.q ** n)
 
 
 def inverse_twist(f):
@@ -841,8 +826,6 @@ def inverse_twist(f):
     themselves)."""
     if not isinstance(f, _Dense):
         raise DomainError(f"cannot inverse-twist {type(f).__name__}")
-    if f.var == TVAR:
-        return f
     kept = f.coeffs[..., :: f.field.q]
     if np.count_nonzero(kept) != np.count_nonzero(f.coeffs):
         raise DomainError("inverse twist: theta-exponent not divisible by q")

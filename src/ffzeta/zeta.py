@@ -49,8 +49,6 @@ a sign weight eps_j^l included.  Two walks give it those, both here:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import backend, cache
@@ -344,21 +342,13 @@ def _as_ratfunc(fld: Field, u) -> RatFunc:
         return RatFunc.from_poly(u)
     if isinstance(u, int):
         return RatFunc.constant(fld, u)
-    raise ConvergenceError(f"cannot interpret CMPL point {u!r}")
+    raise DomainError(f"cannot interpret point {u!r}")
 
 
 def infty_norm_degree(item):
-    """log_q of ||Q||_infty: max theta-degree over the t-coefficients (a
-    RatFunc contributes deg num - deg den); -inf for zero."""
-    if isinstance(item, BiPoly):
-        return item.theta_degree
-    if isinstance(item, Poly):
-        return item.degree if item.var == "theta" else (0 if not item.is_zero else -math.inf)
-    if isinstance(item, RatFunc):
-        return item.infty_degree()
-    if isinstance(item, int):
-        return -math.inf if item == 0 else 0
-    raise ConvergenceError(f"cannot take the infinity norm of {item!r}")
+    """log_q of ||Q||_infty for a BiPoly or RatFunc: max theta-degree over the
+    t-coefficients (a RatFunc contributes deg num - deg den); -inf for zero."""
+    return item.theta_degree if isinstance(item, BiPoly) else item.infty_degree()
 
 
 def _diverging_slots(fld: Field, s: Index, items) -> list:

@@ -17,8 +17,6 @@ from ffzeta.scalar import (
     BiPoly,
     Poly,
     RatFunc,
-    THETA,
-    TVAR,
     base_q_digits,
     bracket_D,
     bracket_L,
@@ -106,13 +104,9 @@ def test_at_polynomial_closed_forms():
     for q in (2, 3):
         fld = field(q)
         n = q * q - q - 1
-        assert anderson.at_polynomial(fld, n) == BiPoly.from_poly(
-            carlitz_gamma(fld, q * q - q).with_var(TVAR)
-        )
+        assert anderson.at_polynomial(fld, n) == BiPoly.in_t(carlitz_gamma(fld, q * q - q))
         n = q ** 3 - 1
-        assert anderson.at_polynomial(fld, n) == BiPoly.from_poly(
-            carlitz_gamma(fld, q ** 3).with_var(TVAR)
-        )
+        assert anderson.at_polynomial(fld, n) == BiPoly.in_t(carlitz_gamma(fld, q ** 3))
 
 
 def _largest_admitted(q):
@@ -166,19 +160,20 @@ def test_every_admitted_tower_step_fits_int64(q):
 
 
 class _TFrac:
-    """num/den with num in F_q[theta][t] and den in F_q[t]; reduced."""
+    """num/den with num in F_q[theta][t] and den in F_q[t]; reduced.  den is a
+    Poly whose coefficients are read in t."""
 
     def __init__(self, num, den, reduce=True):
         if reduce and not num.is_zero and den.degree > 0:
             content = den
             for col in range(num.coeffs.shape[1]):
-                column = Poly(num.field, num.coeffs[:, col], TVAR)
+                column = Poly(num.field, num.coeffs[:, col])
                 if not column.is_zero:
                     content = content.gcd(column)
                 if content.degree <= 0:
                     break
             if content.degree > 0:
-                num = num.exact_div_t(content)
+                num = num.exact_div_t(BiPoly.in_t(content))
                 den = den.exact_div(content)
         lead = den.leading()
         if lead != 1:
@@ -192,7 +187,7 @@ class _TFrac:
         g = self.den.gcd(other.den)
         da = self.den.exact_div(g) if g.degree > 0 else self.den
         db = other.den.exact_div(g) if g.degree > 0 else other.den
-        return _TFrac(self.num * db + other.num * da, da * other.den)
+        return _TFrac(self.num * BiPoly.in_t(db) + other.num * BiPoly.in_t(da), da * other.den)
 
     def mul_frac(self, num, den):
         return _TFrac(self.num * num, self.den * den)
@@ -207,17 +202,17 @@ def _at_polynomials_by_fractions(fld, n):
         i = len(gens)
         fi = BiPoly.one(fld)
         for j in range(1, i + 1):
-            fi = fi * (BiPoly.from_poly(Poly.monomial(fld, 1, q ** i, TVAR))
+            fi = fi * (BiPoly.in_t(Poly.monomial(fld, 1, q ** i))
                        - BiPoly.from_poly(Poly.monomial(fld, 1, q ** j)))
-        gens.append((q ** i, fi, bracket_D(fld, i).with_var(TVAR)))
-    coeffs = [_TFrac(BiPoly.one(fld), Poly.one(fld, TVAR), reduce=False)]
+        gens.append((q ** i, fi, bracket_D(fld, i)))
+    coeffs = [_TFrac(BiPoly.one(fld), Poly.one(fld), reduce=False)]
     for m in range(1, n + 1):
         terms = [coeffs[m - step].mul_frac(fnum, fden) for step, fnum, fden in gens if step <= m]
         acc = terms[0]
         for term in terms[1:]:
             acc = acc + term
         coeffs.append(acc)
-    return [(c.num * carlitz_gamma(fld, m + 1).with_var(TVAR)).exact_div_t(c.den)
+    return [(c.num * BiPoly.in_t(carlitz_gamma(fld, m + 1))).exact_div_t(BiPoly.in_t(c.den))
             for m, c in enumerate(coeffs)]
 
 
@@ -240,8 +235,8 @@ def test_carlitz_binomial_closed_form(q):
             factors = [(q ** j, 0, 1, 0) for j in range(i + 1, k + 1)]
             grid = np.zeros((1 + sum(a for a, _, _, _ in factors), 1), dtype=np.int64)
             anderson._add_times_binomials(grid, np.ones((1, 1), dtype=np.int64), factors)
-            want = _binomial_by_gamma_quotient(fld, m, i).with_var(TVAR)
-            assert BiPoly(fld, fld.from_int(grid)) == BiPoly.from_poly(want), (m, i)
+            want = BiPoly.in_t(_binomial_by_gamma_quotient(fld, m, i))
+            assert BiPoly(fld, fld.from_int(grid)) == want, (m, i)
 
 
 @pytest.mark.parametrize("q,n", [(2, 22), (3, 30), (4, 24), (5, 40), (8, 20), (9, 20),
@@ -338,9 +333,9 @@ def test_deformation_t_polynomial_input_matches_cmpl():
     # Q(t) = 1 + 2t has F_q coefficients, so every twist of Q is Q and the
     # value at theta is Q(theta) * Li_2(1)
     fld = field(3)
-    q_t = Poly(fld, [1, 2], TVAR)
+    q_t = BiPoly.in_t(Poly(fld, [1, 2]))
     dv = anderson.deformation_value(fld, (2,), [q_t], 60)
-    expect = Laurent.from_poly(q_t.with_var(THETA)) * zeta.cmpl(fld, (2,), [1], 61)
+    expect = Laurent.from_poly(Poly(fld, [1, 2])) * zeta.cmpl(fld, (2,), [1], 61)
     assert dv == expect
     assert anderson.specialization_frobenius_check(fld, (2,), [q_t], 40)
 
@@ -569,11 +564,14 @@ def test_block_system_with_t_coefficients():
     # nontrivial a_i in F_q[t] still satisfies the difference equation
     fld = field(3)
     fam = [(4,), (3, 1)]
-    a = [Poly(fld, [1, 2], TVAR), Poly(fld, [0, 1], TVAR)]
+    a = [BiPoly.in_t(Poly(fld, [1, 2])), BiPoly.in_t(Poly.gen(fld))]
     system = anderson.build_block_system(
         fld, fam, [at_inputs(fld, s) for s in fam], a, 8, 40
     )
     assert anderson.verify_difference_system(system)
+    for bad in (Poly.gen(fld), BiPoly.from_poly(Poly.gen(fld))):
+        with pytest.raises(DomainError, match=r"live in F_q\[t\]"):
+            anderson.build_block_system(fld, fam, [at_inputs(fld, s) for s in fam], [bad, 1], 8, 40)
 
 
 def test_block_system_builds_omega_once(monkeypatch):
@@ -732,10 +730,16 @@ def test_tensor_action_examples():
 def test_torsion_search_examples():
     f2 = field(2)
     theta = RatFunc.from_poly(Poly.gen(f2))
-    assert anderson.torsion_search(f2, 1, [theta], 3) == Poly(f2, [0, 1], TVAR)
+    assert anderson.torsion_search(f2, 1, [theta], 3) == BiPoly.in_t(Poly.gen(f2))
     f3 = field(3)
     assert anderson.torsion_search(f3, 1, [1], 4) is None
-    assert anderson.torsion_search(f3, 1, [0], 4) == Poly.one(f3, TVAR)
+    assert anderson.torsion_search(f3, 1, [0], 4) == BiPoly.one(f3)
+    # a theta-Poly coordinate is the equal RatFunc; anything else is refused
+    assert anderson.torsion_search(f2, 1, [Poly.gen(f2)], 3) == BiPoly.in_t(Poly.gen(f2))
+    with pytest.raises(DomainError, match="cannot interpret point 'x'"):
+        anderson.carlitz_tensor_t_action(f2, 1, ["x"])
+    with pytest.raises(DomainError, match="cannot interpret point 'x'"):
+        anderson.torsion_search(f2, 1, ["x"], 3)
 
 
 def test_torsion_free_points_when_dimension_not_divisible():

@@ -39,8 +39,8 @@ def naive_mul(fld, a, b):
     return out
 
 
-def rand_poly(fld, max_deg, var="theta"):
-    return Poly(fld, [rng.randrange(fld.q) for _ in range(max_deg + 1)], var)
+def rand_poly(fld, max_deg):
+    return Poly(fld, [rng.randrange(fld.q) for _ in range(max_deg + 1)])
 
 
 # -- fields ------------------------------------------------------------------
@@ -361,10 +361,15 @@ def test_bipoly_exact_div_t(q):
     for _ in range(10):
         rows, cols = rng.randrange(1, 8), rng.randrange(1, 6)
         a = BiPoly(fld, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
-        den = rand_poly(fld, rng.randrange(1, 5), var="t")
-        if den.degree < 1:
+        den = rand_bipoly(fld, rng.randrange(2, 6), 1)
+        if den.t_degree < 1:
             continue
         assert (a * den).exact_div_t(den) == a
+        for bad in (den + BiPoly.from_poly(Poly.gen(fld)), BiPoly(fld, [[0, 1]])):
+            with pytest.raises(DomainError, match="polynomial in t"):
+                (a * den).exact_div_t(bad)
+        with pytest.raises(DomainError, match="polynomial kinds"):
+            (a * den).exact_div_t(Poly.gen(fld))
         with pytest.raises(DomainError, match="not exact"):
             (a * den + BiPoly.one(fld)).exact_div_t(den)
         with pytest.raises(DomainError, match="not exact"):
@@ -554,18 +559,18 @@ def rand_bipoly(fld, rows, cols):
 
 
 def _dense_samples(fld):
-    """Random theta-Polys, t-Polys and BiPolys of mismatched shapes, with the
-    zero of each kind."""
+    """Random theta-Polys, t-polynomials (one-column BiPolys) and BiPolys of
+    mismatched shapes, with the zero of each kind."""
     return {
         "theta": [rand_poly(fld, d) for d in (0, 3, 7)] + [Poly.zero(fld)],
-        "t": [rand_poly(fld, d, "t") for d in (1, 5)] + [Poly.zero(fld, "t")],
+        "t": [rand_bipoly(fld, r, 1) for r in (2, 6)] + [BiPoly.zero(fld)],
         "bipoly": [rand_bipoly(fld, r, c) for r, c in ((1, 4), (3, 2), (5, 9))]
         + [BiPoly.zero(fld)],
     }
 
 
 def _constant_like(a, c):
-    const = Poly.constant(a.field, c, a.var)
+    const = Poly.constant(a.field, c)
     return BiPoly.from_poly(const) if isinstance(a, BiPoly) else const
 
 
@@ -577,7 +582,7 @@ def test_dense_core_add_neg_sub_scale_hash(q):
             assert (a + (-a)).is_zero and (-a + a).is_zero
             padded = np.zeros(tuple(n + 2 for n in a.coeffs.shape), dtype=np.int64)
             padded[tuple(map(slice, a.coeffs.shape))] = a.coeffs
-            same = BiPoly(fld, padded) if isinstance(a, BiPoly) else Poly(fld, padded, a.var)
+            same = BiPoly(fld, padded) if isinstance(a, BiPoly) else Poly(fld, padded)
             assert same == a and hash(same) == hash(a)
             for c in (0, 1, q - 1, -1, q + 1, rng.randrange(q)):
                 assert a.scale(c) == a * _constant_like(a, c), c
@@ -590,11 +595,11 @@ def test_dense_core_add_neg_sub_scale_hash(q):
 @pytest.mark.parametrize("q", DENSE_QS)
 def test_bipoly_from_poly_is_additive(q):
     fld = field(q)
-    samples = _dense_samples(fld)
-    for var in ("theta", "t"):
-        for f in samples[var]:
-            for g in samples[var]:
-                assert BiPoly.from_poly(f + g) == BiPoly.from_poly(f) + BiPoly.from_poly(g)
+    samples = _dense_samples(fld)["theta"]
+    for embed in (BiPoly.from_poly, BiPoly.in_t):
+        for f in samples:
+            for g in samples:
+                assert embed(f + g) == embed(f) + embed(g)
 
 
 @pytest.mark.parametrize("q", DENSE_QS)
@@ -630,10 +635,10 @@ def test_inverse_twist_rejects_any_row_off_the_q_lattice(q):
 
 def test_dense_core_rejects_mixed_operands():
     f3 = field(3)
-    theta, t = Poly.gen(f3), Poly.gen(f3, "t")
+    theta, t = Poly.gen(f3), BiPoly.in_t(Poly.gen(f3))
     bi = BiPoly.from_poly(theta)
-    for a, b in ((theta, bi), (bi, theta), (theta, t), (t, theta), (bi, t),
-                 (theta, Poly.gen(field(9)))):
+    for a, b in ((theta, bi), (bi, theta), (theta, t), (t, theta),
+                 (theta, Poly.gen(field(9))), (t, BiPoly.in_t(Poly.gen(field(9))))):
         with pytest.raises(DomainError):
             a + b
         with pytest.raises(DomainError):
@@ -687,7 +692,7 @@ def _power_cases():
     series = [Laurent(f3, -1, [1, 2, 1], 12), Laurent(f3, 2, [2, 0, 1], 20)]
     return {
         "poly": (Poly(f3, [1, 2, 0, 1]), Poly.one(f3)),
-        "poly-t": (Poly(f4, [3, 0, 2], "t"), Poly.one(f4, "t")),
+        "poly-t": (BiPoly(f4, [[3], [0], [2]]), BiPoly.one(f4)),
         "bipoly": (BiPoly(f3, [[1, 2], [0, 1]]), BiPoly.one(f3)),
         "laurent": (series[0], Laurent.one(f3)),
         "laurent-exact": (Laurent.from_poly(Poly(f4, [1, 1, 2])), Laurent.one(f4)),
