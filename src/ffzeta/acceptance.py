@@ -245,30 +245,22 @@ CRITERIA = [
     ("9-torsion", criterion_9_torsion, 5.0),
 ]
 
-QUICK_SKIP = {"8-relation-hunter"}
 
-
-def run_suite(quick: bool = False, out=None) -> int:
+def run_suite() -> int:
     """Run every criterion, print one pass/fail line each; 0 iff all green."""
-    import sys
-
-    out = out or sys.stdout
     failures = 0
     for name, fn, limit in CRITERIA:
-        if quick and name in QUICK_SKIP:
-            print(f"SKIP {name} (quick mode)", file=out)
-            continue
         start = time.monotonic()
         try:
             detail = fn()
             elapsed = time.monotonic() - start
             if elapsed > limit:
                 failures += 1
-                print(f"FAIL {name} ({elapsed:.1f}s > limit {limit:.0f}s)", file=out)
+                print(f"FAIL {name} ({elapsed:.1f}s > limit {limit:.0f}s)")
             else:
-                print(f"PASS {name} ({elapsed:.1f}s): {detail}", file=out)
+                print(f"PASS {name} ({elapsed:.1f}s): {detail}")
         except Exception as exc:  # noqa: BLE001 - report and keep going
             elapsed = time.monotonic() - start
             failures += 1
-            print(f"FAIL {name} ({elapsed:.1f}s): {exc}", file=out)
+            print(f"FAIL {name} ({elapsed:.1f}s): {exc}")
     return 1 if failures else 0

@@ -85,9 +85,9 @@ class GradedSeries:
         return cls(field, 0, [Laurent.one(field)], cap)
 
     @classmethod
-    def from_bipoly(cls, bp: BiPoly, cap: int, grade: int = 0):
+    def from_bipoly(cls, bp: BiPoly, cap: int):
         coeffs = [Laurent.from_poly(c) for c in bp.t_coeffs()]
-        return cls(bp.field, grade, coeffs, cap)
+        return cls(bp.field, 0, coeffs, cap)
 
     def _check(self, other):
         if self.field is not other.field or self.cap != other.cap:

@@ -187,7 +187,7 @@ def _cmd_relations_report(args):
 def _cmd_verify_suite(args):
     from . import acceptance
 
-    return acceptance.run_suite(quick=args.quick)
+    return acceptance.run_suite()
 
 
 def main(argv=None) -> int:
@@ -293,7 +293,6 @@ def main(argv=None) -> int:
     pv = sub.add_parser("verify", help="verification suites")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
     p = vsub.add_parser("suite", help="run the acceptance suite")
-    p.add_argument("--quick", action="store_true", help="skip the long relation-hunter criterion")
     p.set_defaults(func=_cmd_verify_suite)
 
     args = parser.parse_args(argv)

@@ -4,7 +4,12 @@ A value is stored as digits c_v, ..., c_end (exponents of 1/theta, so
 val(1/theta) = 1 and val(theta) = -1) together with a precision bound:
 digits at exponents <= prec are exact, nothing is claimed beyond.  A prec
 of math.inf marks an exact value (embedded polynomial, monomial, or the
-exact zero).  A value whose digits all vanish up to a finite prec is
+exact zero), and the arithmetic does not special-case it: inf + k = inf
+and min(n, inf) = n carry exactness through sums, products, shifts and
+powers.  It is tested for only where an int is needed (the window cuts,
+``to_json``, printing) or where exactness changes the answer
+(``is_exact_zero``, ``agrees_with``, the exact monomial in ``inv``).  A
+value whose digits all vanish up to a finite prec is
 "indistinguishable from zero at precision prec" -- distinct from the exact
 zero, and callers must branch on it explicitly.
 
@@ -34,7 +39,7 @@ class Laurent:
         field: the coefficient field.
         val:   exponent of the first stored digit (lowest 1/theta power);
                for an empty window this is prec + 1 (a lower bound on the
-               true valuation), and +inf for the exact zero.
+               true valuation), which is +inf for the exact zero.
         prec:  digits at exponents <= prec are exact (int or math.inf).
         coeffs: int64 digits for exponents val .. val+len-1; first and last
                entries nonzero (trailing exact zeros are implied).
@@ -58,10 +63,7 @@ class Laurent:
         if tail > lead and arr[tail - 1] == 0:
             tail -= int(np.argmax(arr[::-1] != 0))
         arr = arr[lead:tail].copy()
-        if arr.size:
-            val = val + lead
-        else:
-            val = INF if prec == INF else prec + 1
+        val = val + lead if arr.size else prec + 1
         arr.flags.writeable = False
         self.field = field
         self.val = val
@@ -86,9 +88,9 @@ class Laurent:
         return cls(field, 0, [1], INF)
 
     @classmethod
-    def monomial(cls, field, c, exponent, prec=INF):
-        """c * theta^{-exponent}, exact by default."""
-        return cls(field, exponent, [c], prec)
+    def monomial(cls, field, c, exponent):
+        """c * theta^{-exponent}, exact."""
+        return cls(field, exponent, [c], INF)
 
     @classmethod
     def from_poly(cls, f: Poly):
@@ -115,7 +117,7 @@ class Laurent:
         if j == cols:  # no column reaches prec, or h is zero
             return cls.zero_to_prec(fld, prec)
         # columns j .. cols-1 are read; the highest exponent they reach is -j b
-        top = -j * b if prec == INF else min(int(prec), -j * b)
+        top = min(prec, -j * b)
         window = np.zeros(top - lo + 1, dtype=np.int64)
         for k in range(cols - 1, j - 1, -1):
             first = (cols - 1 - k) * b  # exponent -k b - span, less lo
@@ -155,7 +157,7 @@ class Laurent:
         fld = self.field
         prec = min(self.prec, other.prec)
         if self.coeffs.size == 0 and other.coeffs.size == 0:
-            return Laurent.zero(fld) if prec == INF else Laurent.zero_to_prec(fld, prec)
+            return Laurent.zero_to_prec(fld, prec)
         # low starts first; an empty operand is high, and adds nothing
         low, high = self, other
         if not low.coeffs.size or (high.coeffs.size and high.val < low.val):
@@ -164,8 +166,7 @@ class Laurent:
         hi = lo + low.coeffs.size - 1
         if high.coeffs.size:
             hi = max(hi, int(high.val) + high.coeffs.size - 1)
-        if prec != INF:
-            hi = min(hi, int(prec))
+        hi = min(hi, prec)
         if hi < lo:
             return Laurent.zero_to_prec(fld, prec)
         # copy low's window, then add high into the overlap and copy the rest
@@ -191,11 +192,9 @@ class Laurent:
     def __mul__(self, other):
         self._check(other)
         fld = self.field
-        if self.is_exact_zero or other.is_exact_zero:
-            return Laurent.zero(fld)
-        prec = min(self.val + other.prec, other.val + self.prec)
+        prec = min(self.val + other.prec, other.val + self.prec)  # INF at an exact zero
         if self.coeffs.size == 0 or other.coeffs.size == 0:
-            return Laurent.zero_to_prec(fld, prec) if prec != INF else Laurent.zero(fld)
+            return Laurent.zero_to_prec(fld, prec)
         val = int(self.val) + int(other.val)
         a, b = self.coeffs, other.coeffs
         if prec != INF:
@@ -217,12 +216,7 @@ class Laurent:
 
     def shift(self, k: int):
         """Multiply by theta^{-k} (exact monomial): valuation moves by k."""
-        if self.coeffs.size == 0:
-            if self.prec == INF:
-                return self
-            return Laurent.zero_to_prec(self.field, self.prec + k)
-        prec = self.prec if self.prec == INF else self.prec + k
-        return Laurent(self.field, int(self.val) + k, self.coeffs, prec)
+        return Laurent(self.field, self.val + k, self.coeffs, self.prec + k)
 
     def inv(self, prec=None):
         """Multiplicative inverse, exact through prec - 2*val digits."""
@@ -234,16 +228,11 @@ class Laurent:
             )
         fld = self.field
         v = int(self.val)
-        if self.prec == INF:
-            if self.coeffs.size == 1:
-                return Laurent.monomial(fld, fld.inv(int(self.coeffs[0])), -v)
-            if prec is None:
-                raise DomainError("inverse of an exact non-monomial needs a target precision")
-            out_prec = int(prec)
-        else:
-            out_prec = int(self.prec) - 2 * v
-            if prec is not None:
-                out_prec = min(out_prec, int(prec))
+        if self.prec == INF and self.coeffs.size == 1:
+            return Laurent.monomial(fld, fld.inv(int(self.coeffs[0])), -v)
+        out_prec = min(self.prec - 2 * v, INF if prec is None else prec)
+        if out_prec == INF:
+            raise DomainError("inverse of an exact non-monomial needs a target precision")
         digits = out_prec + v + 1
         if digits <= 0:
             raise DomainError("no digits representable at the requested precision")
@@ -263,12 +252,10 @@ class Laurent:
         if m == 0:
             return self if out_prec is None else self.truncate(out_prec)
         step = self.field.q ** m
-        prec = INF if self.prec == INF else (self.prec + 1) * step - 1
+        prec = (self.prec + 1) * step - 1
         if out_prec is not None:
             prec = min(prec, out_prec)
         if self.coeffs.size == 0:
-            if prec == INF:
-                return self
             return Laurent.zero_to_prec(self.field, prec)
         src = self.coeffs
         if prec != INF:
@@ -283,8 +270,7 @@ class Laurent:
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        return Laurent(self.field, self.val if self.coeffs.size else prec + 1,
-                       self.coeffs, prec)
+        return Laurent(self.field, self.val, self.coeffs, prec)
 
     # -- comparison ----------------------------------------------------------
 

@@ -13,9 +13,10 @@ reproducible.
 grid whose last axis holds the powers of theta, which a Frobenius twist
 dilates.  F_q[t] has one form too, a ``BiPoly`` with one theta-column.
 Addition, negation, subtraction, scaling, powers, equality, hashing, the
-operand check and ``dilate`` are written once there, so
-``frobenius_twist`` is ``dilate(q^n)`` and ``inverse_twist`` one strided
-read of the last axis.  Products, division and the gcd stay on each class.
+operand check, ``dilate`` and long division are written once there, so
+``frobenius_twist`` is ``dilate(q^n)``, ``inverse_twist`` one strided read
+of the last axis, and ``Poly.__divmod__`` and ``BiPoly.exact_div_t`` one
+loop along the first axis.  Products and the gcd stay on each class.
 
 ``field(q)`` hands out one shared instance per q, also to threads that
 ask for a new q at the same time.  Everything is immutable after
@@ -378,6 +379,27 @@ class _Dense:
         out[..., ::k] = self.coeffs
         return self._like(out)
 
+    def _long_division(self, divisor):
+        """Quotient and remainder grids of long division along the first
+        axis by ``divisor``, a 1-D array of F_q constants with a nonzero
+        last entry.  A digit is one step of that axis: a constant in a Poly,
+        a theta-row in a BiPoly.  Each nonzero leading digit costs one
+        product by the inverse of the leading coefficient, then one product
+        and one subtraction on the divisor's rows."""
+        f = self.field
+        rem = np.array(self.coeffs)
+        db = divisor.size - 1
+        quo = np.zeros((max(rem.shape[0] - db, 0), *rem.shape[1:]), dtype=np.int64)
+        inv_lead = f.inv(int(divisor[-1]))
+        rows = divisor.reshape(-1, *(1,) * (rem.ndim - 1))
+        zero = bytes(rem[:1].nbytes)  # a zero digit, compared as bytes: cheaper than any()
+        for k in range(rem.shape[0] - 1, db - 1, -1):
+            if rem[k].tobytes() == zero:
+                continue
+            c = quo[k - db] = f.mul(rem[k], inv_lead)
+            rem[k - db : k + 1] = f.sub(rem[k - db : k + 1], f.mul(c, rows))
+        return quo, rem[:db]
+
 
 def _padded(a, shape):
     """a zero-padded at the high end of each axis to ``shape``."""
@@ -463,41 +485,18 @@ class Poly(_Dense):
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._check(other)
         f = self.field
         if self.is_zero or other.is_zero:
             return Poly.zero(f)
         return Poly(f, backend.convolve_mod(self.coeffs, other.coeffs, f))
 
-    def shift(self, k: int):
-        """Multiply by theta^k."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.coeffs]))
-
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = np.array(self.coeffs, dtype=np.int64)
-        db = other.coeffs.size - 1
-        if rem.size - 1 < db:
-            return Poly.zero(f), self
-        quo = np.zeros(rem.size - db, dtype=np.int64)
-        inv_lead = f.inv(other.leading())
-        for k in range(rem.size - 1, db - 1, -1):
-            if rem[k] == 0:
-                continue
-            c = f.mul(int(rem[k]), inv_lead)
-            quo[k - db] = c
-            rem[k - db : k + 1] = f.sub(rem[k - db : k + 1], f.mul(c, other.coeffs))
-        return Poly(f, quo), Poly(f, rem[:db] if db else [])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        quo, rem = self._long_division(other.coeffs)
+        return Poly(self.field, quo), Poly(self.field, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -518,7 +517,7 @@ class Poly(_Dense):
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        return a.monic()
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -617,23 +616,17 @@ class BiPoly(_Dense):
 
     def exact_div_t(self, den: "BiPoly") -> "BiPoly":
         """Exact division by a polynomial in t alone, a BiPoly with one
-        theta-column (raises if inexact)."""
+        theta-column: long division in t, which raises on a nonzero
+        remainder."""
         self._check(den)
         if den.theta_degree > 0:
             raise DomainError("divisor must be a polynomial in t")
         if den.is_zero:
             raise ZeroDivisionError("division by zero")
-        f = self.field
-        n = self.coeffs.shape[0] - den.coeffs.shape[0] + 1  # t-rows of the quotient
-        quo = BiPoly.zero(f)
-        if n > 0:
-            # reversed in t, the quotient is rev(self) / rev(den) mod t^n
-            recip = backend.series_recip_mod(den.coeffs[::-1, 0], n, f)
-            rev = backend.bipoly_mul_mod(self.coeffs[::-1][:n], recip[:, None], f)
-            quo = BiPoly(f, rev[n - 1 :: -1])
-        if quo * den != self:
+        quo, rem = self._long_division(den.coeffs[:, 0])
+        if rem.any():
             raise DomainError("division is not exact")
-        return quo
+        return BiPoly(self.field, quo)
 
     def __repr__(self):
         return f"BiPoly({format_bipoly(self)})"

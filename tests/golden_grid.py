@@ -80,12 +80,13 @@ class _Digits:
         self.q = q
         self.state = seed
 
-    def __call__(self, n: int, nonzero_last=True):
+    def __call__(self, n: int):
+        """n elements, the last one nonzero (a leading coefficient)."""
         out = []
         for _ in range(n):
             self.state = (self.state * 1103515245 + 12345) % (1 << 31)
             out.append((self.state >> 8) % self.q)
-        if nonzero_last and n and out[-1] == 0:
+        if out and out[-1] == 0:
             out[-1] = 1
         return out
 

@@ -23,12 +23,12 @@ def test_criterion(name, fn, limit):
     assert elapsed < limit, f"{name} took {elapsed:.1f}s, limit {limit:.0f}s"
 
 
-def test_run_suite_quick_mode(capsys):
-    rc = acceptance.run_suite(quick=True)
-    out = capsys.readouterr().out
+def test_run_suite_passes_every_criterion(capsys):
+    rc = acceptance.run_suite()
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "SKIP 8-relation-hunter" in out
-    assert out.count("PASS") == len(acceptance.CRITERIA) - 1
+    want = [["PASS", name] for name, _, _ in acceptance.CRITERIA]
+    assert [line.split()[:2] for line in lines] == want
 
 
 def test_proportional():

@@ -1,6 +1,7 @@
 """Omega, Anderson-Thakur polynomials, deformation series, block systems,
 vanishing orders, and the Carlitz tensor-power module."""
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -348,6 +349,12 @@ def test_deformation_sign_inputs_match_amzv():
         assert dv.agrees_with(av), (s, eps)
 
 
+def test_deformation_value_with_a_zero_input_is_the_exact_zero():
+    fld = field(3)
+    for qs in ([BiPoly.zero(fld), 1], [anderson.at_polynomial(fld, 1), 0]):
+        assert anderson.deformation_value(fld, (2, 1), qs, 40).is_exact_zero
+
+
 def test_deformation_divergent_input_rejected():
     fld = field(2)
     with pytest.raises(ConvergenceError):
@@ -558,6 +565,25 @@ def test_two_block_system_q2():
         fld, fam, [at_inputs(fld, s) for s in fam], [1, 1], 8, 40
     )
     assert anderson.verify_difference_system(system)
+
+
+def test_perturbed_phi_entry_fails_the_difference_system():
+    # criterion 5's {(4), (3,1)} system, with one Phi entry moved by 1
+    for q in (2, 3):
+        fld = field(q)
+        fam = [(4,), (3, 1)]
+        system = anderson.build_block_system(
+            fld, fam, [at_inputs(fld, s) for s in fam], [1, 1], 8, 40
+        )
+        assert anderson.verify_difference_system(system)
+        for a, row in enumerate(system.phi):
+            for b, entry in enumerate(row):
+                if entry is None:
+                    continue
+                phi = [list(r) for r in system.phi]
+                phi[a][b] = entry + BiPoly.one(fld)
+                bad = dataclasses.replace(system, phi=tuple(map(tuple, phi)))
+                assert not anderson.verify_difference_system(bad), (q, a, b)
 
 
 def test_block_system_with_t_coefficients():

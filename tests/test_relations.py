@@ -430,6 +430,22 @@ def test_independence_report_refuses_a_first_digit_off_the_leading_term(monkeypa
         relations.independence_report(field(5), [(6,), (1, 2, 2, 1)], 0, 10)
 
 
+def test_independence_report_reverifies_survivors_at_2n_and_4n(monkeypatch):
+    # Thakur's relation (theta - theta^3) zeta(1,2) = zeta(3) at q=3 survives
+    # the hunt at N and both reverifications
+    precs = []
+    real = relations.eval_value_expr
+
+    def spy(f, label, prec):
+        precs.append(prec)
+        return real(f, label, prec)
+
+    monkeypatch.setattr(relations, "eval_value_expr", spy)
+    report = relations.independence_report(field(3), [(3,), (1, 2)], 3, 100)
+    assert [c["coeffs"] for c in report["certificates"]] == [[[1], [0, 2, 0, 1]]]
+    assert precs == [103, 103, 206, 206, 412, 412]
+
+
 def test_independence_report_small_family():
     fld = field(3)
     report = relations.independence_report(fld, independent_family(4, 2, 3), 2, 80)
